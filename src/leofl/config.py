@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
 from . import data, learn
-from .link import LinkParams, dbm_to_watts
+from .link import LinkError, LinkParams, dbm_to_watts, ring_neighbors_visible
 from .orbital import GroundStation, OrbitPlane
 from .protocol import PlaneState, SatelliteNode, Scheme
 from .sparsify import ErrorState, SizeModel
@@ -17,6 +19,14 @@ from .sparsify import ErrorState, SizeModel
 
 class ValidationError(ValueError):
     """Raised when a configuration document is invalid."""
+
+
+class RingGeometryError(ValidationError, LinkError):
+    """The configured ring cannot form: neighbor chords intersect the Earth.
+
+    It is both a configuration error and a link error, so a caller that
+    catches either one sees it.
+    """
 
 
 @dataclass
@@ -76,23 +86,60 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def validate(self):
-        problems = []
+        problems = _type_problems(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
         if self.scheme not in Scheme.__members__:
             problems.append(f"scheme must be one of {sorted(Scheme.__members__)}")
         if not 0 < self.q <= 1:
             problems.append("q must be in (0, 1]")
         if self.value_bits <= 0:
             problems.append("value_bits must be positive")
-        if self.compute_time_s < 0:
+        if not self.compute_time_s >= 0:
             problems.append("compute_time_s must be non-negative")
-        if self.constellation.planes < 1 or self.constellation.sats_per_plane < 2:
+        c, gs, t, d = self.constellation, self.ground_station, self.training, self.dataset
+        if c.planes < 1 or c.sats_per_plane < 2:
             problems.append("need at least one plane of at least two satellites")
-        if self.dataset.source not in ("synthetic", "mnist"):
+        positive = {
+            "constellation.altitude_km": c.altitude_km,
+            "link.bandwidth_hz": self.link.bandwidth_hz,
+            "link.carrier_hz": self.link.carrier_hz,
+            "link.noise_temp_k": self.link.noise_temp_k,
+            "training.local_epochs": t.local_epochs,
+            "training.batch_size": t.batch_size,
+            "training.rounds": t.rounds,
+        }
+        problems += [f"{key} must be positive" for key, value in positive.items() if not value > 0]
+        if not abs(gs.latitude_deg) <= 90:
+            problems.append("ground_station.latitude_deg must be in [-90, 90]")
+        if not 0 <= gs.min_elevation_deg < 90:
+            problems.append("ground_station.min_elevation_deg must be in [0, 90)")
+        if not t.learning_rate >= 0:
+            problems.append("training.learning_rate must be non-negative")
+        if d.source not in ("synthetic", "mnist"):
             problems.append("dataset.source must be 'synthetic' or 'mnist'")
-        if self.dataset.source == "mnist" and not self.dataset.mnist_dir:
+        if d.source == "mnist" and not d.mnist_dir:
             problems.append("dataset.mnist_dir is required for dataset.source=mnist")
+        if d.source == "synthetic":
+            sats = c.planes * c.sats_per_plane
+            if d.train_samples < sats:
+                problems.append(
+                    f"dataset.train_samples must be at least planes * sats_per_plane = {sats}, "
+                    "one sample per satellite shard"
+                )
+            if d.test_samples < 1:
+                problems.append("dataset.test_samples must be positive")
         if problems:
             raise ValidationError("; ".join(problems))
+        # the chord check needs the geometry above to be valid; the no-ISL
+        # baseline forms no ring
+        ring_scheme = self.scheme != Scheme.NO_ISL_DIRECT.value
+        if ring_scheme and not ring_neighbors_visible(build_planes_geometry(self)[0]):
+            raise RingGeometryError(
+                f"constellation.sats_per_plane: ring of {c.sats_per_plane} satellites at "
+                f"{c.altitude_km:g} km: neighbor chord intersects the Earth, no ring can form; "
+                "use more satellites per plane or a higher constellation.altitude_km"
+            )
         return self
 
 
@@ -103,6 +150,35 @@ _SECTION_TYPES = {
     "training": TrainingConfig,
     "dataset": DatasetConfig,
 }
+
+
+# annotation -> (accepted types, description); bool is never a number here
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def _type_problems(cfg: ExperimentConfig) -> list[str]:
+    """One message per field whose value does not have its annotated type."""
+    problems = []
+    for top in dataclasses.fields(cfg):
+        value = getattr(cfg, top.name)
+        if top.name in _SECTION_TYPES:
+            if not isinstance(value, _SECTION_TYPES[top.name]):
+                problems.append(f"section '{top.name}' must be a mapping")
+                continue
+            checked = [(f"{top.name}.{f.name}", f.type, getattr(value, f.name))
+                       for f in dataclasses.fields(value)]
+        else:
+            checked = [(top.name, top.type, value)]
+        for key, annotation, item in checked:
+            accepted, description = _FIELD_TYPES[annotation]
+            if isinstance(item, bool) or not isinstance(item, accepted):
+                problems.append(f"{key} must be {description}, got {type(item).__name__} {item!r}")
+    return problems
 
 
 def _build_section(cls, raw: dict, path: str):

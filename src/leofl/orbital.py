@@ -193,19 +193,23 @@ def _gs_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np
     return _elevation_ok(sats, stations, gs.min_elevation_rad)
 
 
-def _los_at(plane, sat_index, gs, t: float) -> bool:
-    return bool(_gs_los_mask(plane, sat_index, gs, np.asarray([t]))[0])
+def _refine_edges(
+    plane, sat_index, gs, t_lo: np.ndarray, t_hi: np.ndarray, rising: np.ndarray, tol_s: float = 1.0
+) -> np.ndarray:
+    """Bisect every LOS transition in (t_lo, t_hi] together to within tol_s.
 
-
-def _bisect_edge(plane, sat_index, gs, t_lo, t_hi, rising: bool, tol_s: float = 1.0) -> float:
-    """Refine a LOS transition in (t_lo, t_hi] to within tol_s."""
-    while t_hi - t_lo > tol_s:
-        mid = 0.5 * (t_lo + t_hi)
-        if _los_at(plane, sat_index, gs, mid) == rising:
-            t_hi = mid
-        else:
-            t_lo = mid
-    return t_hi if rising else t_lo
+    Each halving evaluates all still-wide edges in one call; a rising edge
+    resolves to its upper bound, a falling one to its lower bound.
+    """
+    lo, hi = t_lo.copy(), t_hi.copy()
+    active = np.flatnonzero(hi - lo > tol_s)
+    while len(active):
+        mid = 0.5 * (lo[active] + hi[active])
+        up = _gs_los_mask(plane, sat_index, gs, mid) == rising[active]
+        hi[active[up]] = mid[up]
+        lo[active[~up]] = mid[~up]
+        active = active[hi[active] - lo[active] > tol_s]
+    return np.where(rising, hi, lo)
 
 
 def visibility_windows(
@@ -225,53 +229,21 @@ def visibility_windows(
     times[-1] = min(times[-1], t_end)
     mask = _gs_los_mask(plane, sat_index, gs, times)
 
+    # edge k lies between samples k and k+1; windows open at rising edges
+    edges = np.flatnonzero(mask[1:] != mask[:-1])
+    rising = mask[edges + 1]
+    refined = _refine_edges(plane, sat_index, gs, times[edges], times[edges + 1], rising)
+    starts = refined[rising]
+    ends = refined[~rising]
+    if mask[0]:
+        starts = np.concatenate([times[:1], starts])
+    if mask[-1]:
+        ends = np.concatenate([ends, times[-1:]])
+
     windows = []
-    i = 0
-    n = len(times)
-    while i < n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and mask[j + 1]:
-            j += 1
-        start = times[i]
-        if i > 0:
-            start = _bisect_edge(plane, sat_index, gs, times[i - 1], times[i], rising=True)
-        end = times[j]
-        if j + 1 < n:
-            end = _bisect_edge(plane, sat_index, gs, times[j], times[j + 1], rising=False)
+    for start, end in zip(starts, ends):
         start = max(start, t_start)
         end = min(end, t_end)
         if start < end:
             windows.append(VisibilityWindow(sat_index, float(start), float(end)))
-        i = j + 1
     return windows
-
-
-def next_visibility(
-    plane: OrbitPlane,
-    sat_index: int,
-    gs: GroundStation,
-    t: float,
-    step_s: float = 5.0,
-    horizon_s: float | None = None,
-) -> VisibilityWindow:
-    """First window with end > t, scanning forward chunk by chunk.
-
-    A polar-ish LEO plane always revisits a mid-latitude station within a day,
-    so the default horizon is generous rather than unbounded.
-    """
-    if horizon_s is None:
-        horizon_s = 5 * 86400.0
-    chunk = max(4 * plane.period_s, 600.0)
-    t0 = t
-    while t0 < t + horizon_s:
-        for w in visibility_windows(plane, sat_index, gs, t0, t0 + chunk, step_s):
-            if w.end_s > t:
-                return w
-        # back up slightly so a window straddling the chunk edge is not split
-        t0 += chunk - 2 * step_s
-    raise GeometryError(
-        f"no visibility window for satellite {sat_index} within {horizon_s} s after t={t}"
-    )

@@ -9,10 +9,12 @@ A heap-based event loop keeps the timing deterministic and causal.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,6 +26,7 @@ from .link import (
     data_rate,
     fixed_link_rate,
     propagation_delay,
+    ring_neighbor_distance,
     tx_duration,
 )
 from .orbital import (
@@ -144,6 +147,7 @@ class WindowCache:
         self.gs = gs
         self.step_s = step_s
         self._windows: list[list[VisibilityWindow]] = [[] for _ in range(num_sats)]
+        self._ends: list[list[float]] = [[] for _ in range(num_sats)]  # end_s of each window
         self._covered_to = [0.0] * num_sats
         self._chunk = max(4 * plane.period_s, 3600.0)
 
@@ -152,12 +156,14 @@ class WindowCache:
             t0 = self._covered_to[sat]
             t1 = t0 + self._chunk
             fresh = visibility_windows(self.plane, sat, self.gs, t0, t1, self.step_s)
+            existing, ends = self._windows[sat], self._ends[sat]
             for w in fresh:
-                existing = self._windows[sat]
                 if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
                     existing[-1] = VisibilityWindow(sat, existing[-1].start_s, w.end_s)
+                    ends[-1] = w.end_s
                 else:
                     existing.append(w)
+                    ends.append(w.end_s)
             # overlap the next chunk so windows straddling the edge are merged
             self._covered_to[sat] = t1 - 2 * self.step_s
 
@@ -166,9 +172,9 @@ class WindowCache:
         while target < t + horizon_s:
             target += self._chunk
             self._extend(sat, target)
-            for w in self._windows[sat]:
-                if w.end_s > t:
-                    return w
+            i = bisect.bisect_right(self._ends[sat], t)
+            if i < len(self._ends[sat]):
+                return self._windows[sat][i]
         raise RuntimeError(f"no visibility window for satellite {sat} after t={t}")
 
 
@@ -195,19 +201,16 @@ class PlaneState:
         if len(self.nodes) != self.plane.num_sats:
             raise ValueError("one node per satellite required")
         self.windows = WindowCache(self.plane, self.gs, self.plane.num_sats)
-        self._ring_rate: float | None = None
 
-    @property
+    @cached_property
     def ring(self) -> RingTopology:
-        if self._ring_rate is None:
-            self._ring_rate = fixed_link_rate(self.params, self.plane)
-        from .link import ring_neighbor_distance
-
+        # built on first use: the no-ISL baseline never forms a ring, and a
+        # ring too small for neighbor LOS raises LinkError here
         return RingTopology(
             plane_id=self.plane_id,
             sat_ids=[n.sat_id for n in self.nodes],
             hop_distance_m=ring_neighbor_distance(self.plane),
-            rate_bps=self._ring_rate,
+            rate_bps=fixed_link_rate(self.params, self.plane),
         )
 
     def gs_distance(self, sat: int, t: float) -> float:

@@ -92,6 +92,9 @@ def top_q(v: np.ndarray, q_count: int) -> SparseGradient:
     """Keep the q_count largest-magnitude entries; ties go to the lower index.
 
     Explicit zeros are never stored, so the result can hold fewer entries.
+    Linear time: a partial sort finds the q_count-th largest magnitude, every
+    entry above it is kept and the remaining slots go to the lowest-index
+    entries equal to it.
     """
     if q_count < 0:
         raise ValueError("Q must be non-negative")
@@ -99,24 +102,33 @@ def top_q(v: np.ndarray, q_count: int) -> SparseGradient:
     n = len(v)
     if q_count >= n:
         return SparseGradient.from_dense(v)
-    # stable sort on descending magnitude preserves index order among ties
-    order = np.argsort(-np.abs(v), kind="stable")[:q_count]
-    keep = np.sort(order)
-    vals = v[keep]
-    nz = vals != 0.0
-    return SparseGradient(n, keep[nz].astype(np.int64), vals[nz])
+    if q_count == 0:
+        return SparseGradient.empty(n)
+    mag = np.abs(v)
+    thr = np.partition(mag, n - q_count)[n - q_count]
+    keep = mag > thr
+    if thr > 0.0:  # a zero threshold ties only zeros, which are never stored
+        ties = np.flatnonzero(mag == thr)
+        keep[ties[: q_count - np.count_nonzero(keep)]] = True
+    idx = np.flatnonzero(keep)
+    return SparseGradient(n, idx, v[idx])
 
 
 def sparse_add(a: SparseGradient, b: SparseGradient) -> SparseGradient:
-    """Union of supports, summing values on common indices."""
+    """Union of supports, summing values on common indices.
+
+    Entries that sum to exactly 0.0 stay in the support: they were sent.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
-    idx = np.concatenate([a.indices, b.indices])
-    val = np.concatenate([a.values, b.values])
-    uniq, inv = np.unique(idx, return_inverse=True)
-    summed = np.zeros(len(uniq))
-    np.add.at(summed, inv, val)
-    return SparseGradient(a.dim, uniq, summed)
+    summed = np.zeros(a.dim)
+    summed[a.indices] += a.values
+    summed[b.indices] += b.values
+    support = np.zeros(a.dim, dtype=bool)
+    support[a.indices] = True
+    support[b.indices] = True
+    idx = np.flatnonzero(support)
+    return SparseGradient(a.dim, idx, summed[idx])
 
 
 def _error_compensated(g: np.ndarray, data_size: float, err: ErrorState) -> np.ndarray:
@@ -139,8 +151,9 @@ def sia_step(
     if incoming.dim != len(compensated):
         raise DimensionMismatch("incoming aggregate dim differs")
     own = top_q(compensated, q_count)
-    new_err = ErrorState(compensated - own.densify())
-    return sparse_add(incoming, own), new_err
+    # the residual is what was not sent: x - x == +0.0 on the kept support
+    compensated[own.indices] = 0.0
+    return sparse_add(incoming, own), ErrorState(compensated)
 
 
 def clsia_step(
@@ -156,8 +169,8 @@ def clsia_step(
         raise DimensionMismatch("incoming aggregate dim differs")
     merged = incoming.densify() + compensated
     outgoing = top_q(merged, q_count)
-    new_err = ErrorState(merged - outgoing.densify())
-    return outgoing, new_err
+    merged[outgoing.indices] = 0.0
+    return outgoing, ErrorState(merged)
 
 
 def message_bits(s: SparseGradient, m: SizeModel) -> int:

@@ -60,6 +60,47 @@ class TestConfig:
         with pytest.raises(ValidationError, match="mnist_dir"):
             config_from_dict({"dataset": {"source": "mnist"}})
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"q": "0.1"}, "q"),
+        ({"seed": 1.5}, "seed"),
+        ({"value_bits": True}, "value_bits"),
+        ({"training": {"learning_rate": "1e6"}}, "training.learning_rate"),
+        ({"constellation": {"sats_per_plane": 8.0}}, "constellation.sats_per_plane"),
+        ({"dataset": {"mnist_dir": 3}}, "dataset.mnist_dir"),
+    ])
+    def test_wrong_type_names_key(self, raw, key):
+        with pytest.raises(ValidationError, match=rf"^{key} must be"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"constellation": {"altitude_km": 0.0}}, "constellation.altitude_km"),
+        ({"ground_station": {"latitude_deg": 91.0}}, "ground_station.latitude_deg"),
+        ({"ground_station": {"min_elevation_deg": 90.0}}, "ground_station.min_elevation_deg"),
+        ({"link": {"bandwidth_hz": 0.0}}, "link.bandwidth_hz"),
+        ({"training": {"batch_size": 0}}, "training.batch_size"),
+        ({"training": {"learning_rate": -0.1}}, "training.learning_rate"),
+        ({"dataset": {"test_samples": 0}}, "dataset.test_samples"),
+        ({"compute_time_s": float("nan")}, "compute_time_s"),
+    ])
+    def test_out_of_range_names_key(self, raw, key):
+        with pytest.raises(ValidationError, match=rf"{key} must be"):
+            config_from_dict(raw)
+
+    def test_ints_accepted_for_float_fields(self):
+        cfg = config_from_dict({"q": 1, "constellation": {"altitude_km": 2000}})
+        assert cfg.q == 1 and cfg.constellation.altitude_km == 2000
+
+    def test_ring_chord_checked_at_validate(self):
+        with pytest.raises(ValidationError, match="constellation.sats_per_plane.*no ring"):
+            config_from_dict({"constellation": {"sats_per_plane": 3}})
+        # the no-ISL baseline forms no ring
+        config_from_dict({"scheme": "NO_ISL_DIRECT", "constellation": {"sats_per_plane": 3}})
+
+    def test_shards_must_fit(self):
+        with pytest.raises(ValidationError, match="dataset.train_samples"):
+            config_from_dict({"dataset": {"train_samples": 20}})
+        config_from_dict({"dataset": {"train_samples": 40}})
+
 
 class TestRunExperiment:
     def test_deterministic_logs(self):
@@ -145,6 +186,18 @@ class TestCli:
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"q": -1}))
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"constellation": {"sats_per_plane": 3}}, "constellation.sats_per_plane"),
+        ({"dataset": {"train_samples": 20}}, "dataset.train_samples"),
+        ({"q": "0.1"}, "q must be a number"),
+    ])
+    def test_validate_rejects_unrunnable_config(self, tmp_path, capsys, raw, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and key in err
 
     def test_missing_mnist_gives_ingestion_exit(self, tmp_path):
         path = tmp_path / "cfg.yaml"
