@@ -12,7 +12,7 @@ import yaml
 
 from . import data, learn
 from .link import LinkError, LinkParams, dbm_to_watts, ring_neighbors_visible
-from .orbital import GroundStation, OrbitPlane
+from .orbital import GroundStation, OrbitPlane, max_visible_latitude
 from .protocol import PlaneState, SatelliteNode, Scheme
 from .sparsify import ErrorState, SizeModel
 
@@ -131,10 +131,20 @@ class ExperimentConfig:
                 problems.append("dataset.test_samples must be positive")
         if problems:
             raise ValidationError("; ".join(problems))
-        # the chord check needs the geometry above to be valid; the no-ISL
-        # baseline forms no ring
+        # the geometry checks need the values above to be valid; all planes
+        # share altitude and inclination
+        plane = build_planes_geometry(self)[0]
+        reach_deg = math.degrees(max_visible_latitude(plane, math.radians(gs.min_elevation_deg)))
+        if abs(gs.latitude_deg) > reach_deg:
+            raise ValidationError(
+                f"ground_station.latitude_deg: a station at {gs.latitude_deg:g} deg never sees a "
+                f"satellite of planes inclined {c.inclination_deg:g} deg at {c.altitude_km:g} km "
+                f"above {gs.min_elevation_deg:g} deg elevation; |latitude| must be at most "
+                f"{reach_deg:.2f} deg"
+            )
+        # the no-ISL baseline forms no ring
         ring_scheme = self.scheme != Scheme.NO_ISL_DIRECT.value
-        if ring_scheme and not ring_neighbors_visible(build_planes_geometry(self)[0]):
+        if ring_scheme and not ring_neighbors_visible(plane):
             raise RingGeometryError(
                 f"constellation.sats_per_plane: ring of {c.sats_per_plane} satellites at "
                 f"{c.altitude_km:g} km: neighbor chord intersects the Earth, no ring can form; "
@@ -292,7 +302,7 @@ def _find_idx(base: Path, stem: str) -> Path:
 def build_simulation(cfg: ExperimentConfig):
     """Assemble plane states, shards, and hyperparameters from a config."""
     train, test = load_datasets(cfg)
-    num_classes = int(train.labels.max()) + 1
+    num_classes = data.NUM_CLASSES
     feature_dim = train.features.shape[1]
     dim = learn.model_dim(feature_dim, num_classes)
 
@@ -331,7 +341,6 @@ def build_simulation(cfg: ExperimentConfig):
         local_epochs=cfg.training.local_epochs,
         batch_size=cfg.training.batch_size,
         rounds=cfg.training.rounds,
-        seed=cfg.seed,
     )
     w0 = learn.init_weights(feature_dim, num_classes)
     return planes, hp, w0, test, size_model

@@ -11,6 +11,7 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
+NUM_CLASSES = 10  # digits 0-9; fixes the model size whatever labels a sample holds
 
 
 class IngestionError(RuntimeError):
@@ -62,6 +63,10 @@ def load_mnist(images_path: str | Path, labels_path: str | Path) -> Dataset:
     labels = _read_idx(Path(labels_path), IDX_LABELS_MAGIC)
     if len(images) != len(labels):
         raise IngestionError("image and label counts differ")
+    if np.any(labels >= NUM_CLASSES):
+        raise IngestionError(
+            f"{labels_path}: label {int(labels.max())} outside [0, {NUM_CLASSES})"
+        )
     feats = images.reshape(len(images), -1).astype(np.float64) / 255.0
     return Dataset(feats, labels.astype(np.int64))
 
@@ -70,7 +75,7 @@ def synthetic_dataset(
     num_samples: int,
     seed: int,
     feature_dim: int = 784,
-    num_classes: int = 10,
+    num_classes: int = NUM_CLASSES,
     noise_std: float = 0.35,
     blob_seed: int = 0,
 ) -> Dataset:

@@ -20,7 +20,6 @@ class HyperParams:
     local_epochs: int = 1
     batch_size: int = 32
     rounds: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0:

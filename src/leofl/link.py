@@ -52,14 +52,6 @@ class LinkParams:
         return db_to_linear(self.gain_tx_dbi) * db_to_linear(self.gain_rx_dbi)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    distance_m: float
-    path_loss_linear: float
-    snr_linear: float
-    rate_bps: float
-
-
 def path_loss(distance_m: float, carrier_hz: float) -> float:
     """Free-space path loss (4*pi*f*d/c)^2 as a linear power ratio."""
     if distance_m <= 0:
@@ -81,16 +73,6 @@ def snr(params: LinkParams, distance_m: float, los: bool) -> float:
 def data_rate(params: LinkParams, distance_m: float, los: bool) -> float:
     """Shannon rate B*log2(1+SNR) in bits/s; zero without LOS."""
     return params.bandwidth_hz * math.log2(1.0 + snr(params, distance_m, los))
-
-
-def link_budget(params: LinkParams, distance_m: float, los: bool = True) -> LinkBudget:
-    s = snr(params, distance_m, los)
-    return LinkBudget(
-        distance_m=distance_m,
-        path_loss_linear=path_loss(distance_m, params.carrier_hz),
-        snr_linear=s,
-        rate_bps=params.bandwidth_hz * math.log2(1.0 + s),
-    )
 
 
 def ring_neighbor_distance(plane: OrbitPlane) -> float:

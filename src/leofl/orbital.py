@@ -187,6 +187,19 @@ def has_los(a: EciPosition, b: EciPosition, min_elevation_rad: float = 0.0) -> b
     return bool(_elevation_ok(sat, station, min_elevation_rad))
 
 
+def max_visible_latitude(plane: OrbitPlane, min_elevation_rad: float) -> float:
+    """Largest |latitude| (rad) from which a station ever sees a satellite of the plane.
+
+    The ground track reaches latitude asin(|sin i|), which is min(i, pi - i)
+    for i in [0, pi]; a station sees a satellite above the elevation mask eps
+    up to the Earth-central angle arccos(r_E / r * cos eps) - eps from its
+    sub-satellite point.
+    """
+    track = math.asin(abs(math.sin(plane.inclination_rad)))
+    cos_reach = CONSTANTS.earth_radius_m / plane.radius_m * math.cos(min_elevation_rad)
+    return track + math.acos(cos_reach) - min_elevation_rad
+
+
 def _gs_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np.ndarray) -> np.ndarray:
     sats = propagate_vec(plane, sat_index, times)
     stations = gs_position_vec(gs, times)

@@ -4,13 +4,12 @@ One global iteration per plane has three phases: the source satellite receives
 the global weights from the ground station and floods them around the ring,
 every satellite trains locally, and the ring aggregates gradients hop by hop
 toward the sink, which delivers the plane aggregate back to the station.
-A heap-based event loop keeps the timing deterministic and causal.
+Each arc is a chain into the sink, so a round is a fold over the two arcs.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,72 +56,25 @@ class Scheme(str, Enum):
     NO_ISL_DIRECT = "NO_ISL_DIRECT"
 
 
-class EventKind(str, Enum):
-    RECEIVE_GLOBAL = "RECEIVE_GLOBAL"
-    TRAIN_DONE = "TRAIN_DONE"
-    ISL_DELIVER = "ISL_DELIVER"
-    SINK_READY = "SINK_READY"
-    GS_DELIVER = "GS_DELIVER"
-
-
-@dataclass(frozen=True)
-class Event:
-    time_s: float
-    kind: EventKind
-    payload_bits: int
-    src_id: int
-    dst_id: int
-
-
-class EventQueue:
-    """Min-heap on time with FIFO tie-break; enforces causal processing."""
-
-    def __init__(self, t0: float):
-        self._heap: list[tuple[float, int, Event, object]] = []
-        self._seq = 0
-        self.now = t0
-
-    def push(self, event: Event, payload=None):
-        if event.time_s < self.now:
-            raise RuntimeError(f"event at {event.time_s} scheduled before clock {self.now}")
-        heapq.heappush(self._heap, (event.time_s, self._seq, event, payload))
-        self._seq += 1
-
-    def pop(self) -> tuple[Event, object]:
-        t, _, event, payload = heapq.heappop(self._heap)
-        assert t >= self.now
-        self.now = t
-        return event, payload
-
-    def __bool__(self):
-        return bool(self._heap)
-
-
 @dataclass
 class RingTopology:
-    plane_id: int
-    sat_ids: list[int]
     hop_distance_m: float
     rate_bps: float
 
 
 @dataclass(frozen=True)
 class RoundPlan:
-    round_n: int
     source_id: int
     sink_id: int
     arcs: tuple[tuple[int, ...], tuple[int, ...]]  # ring positions, farthest first
-    scheme: Scheme
 
 
 @dataclass
 class RoundMetrics:
     round_n: int
     wallclock_s: float
-    per_hop_bits: list[int]
     total_plane_bits: int
     gs_bits: int
-    test_accuracy: float | None = None
     hop_records: list[tuple[int, int, int]] = field(default_factory=list)  # (src, dst, bits)
 
 
@@ -207,8 +159,6 @@ class PlaneState:
         # built on first use: the no-ISL baseline never forms a ring, and a
         # ring too small for neighbor LOS raises LinkError here
         return RingTopology(
-            plane_id=self.plane_id,
-            sat_ids=[n.sat_id for n in self.nodes],
             hop_distance_m=ring_neighbor_distance(self.plane),
             rate_bps=fixed_link_rate(self.params, self.plane),
         )
@@ -225,13 +175,11 @@ class PlaneState:
         return np.random.default_rng([self.seed, self.plane_id, round_n, sat])
 
 
-def shortest_path_hops(ring: RingTopology, from_id: int, sink_id: int) -> int:
-    """Ring distance between two members; ties resolve to the ascending direction."""
-    ids = ring.sat_ids
-    if from_id not in ids or sink_id not in ids:
-        raise ValueError("ids must be ring members")
-    k = len(ids)
-    d = (ids.index(sink_id) - ids.index(from_id)) % k
+def shortest_path_hops(k: int, a: int, b: int) -> int:
+    """Hops between ring positions a and b of a ring of k satellites."""
+    if not (0 <= a < k and 0 <= b < k):
+        raise ValueError(f"positions {a}, {b} are not on a ring of {k}")
+    d = (b - a) % k
     return min(d, k - d)
 
 
@@ -271,7 +219,7 @@ def split_arcs(num_sats: int, sink: int) -> tuple[tuple[int, ...], tuple[int, ..
     return asc, desc
 
 
-def plan_round(state: PlaneState, scheme: Scheme, round_n: int, t: float, q_count: int):
+def plan_round(state: PlaneState, scheme: Scheme, t: float, q_count: int):
     """Pick source and sink for this round and fix the arc split."""
     if scheme is Scheme.NO_ISL_DIRECT:
         raise ValueError("the no-ISL baseline does not use ring rounds")
@@ -287,8 +235,7 @@ def plan_round(state: PlaneState, scheme: Scheme, round_n: int, t: float, q_coun
     est = _estimate_round_duration(state, scheme, q_count)
     sink = select_sink(state, t_source_rx, est)
     arcs = split_arcs(k, sink)
-    plan = RoundPlan(round_n, source, sink, arcs, scheme)
-    return plan, t_source_rx, dist_bits
+    return RoundPlan(source, sink, arcs), t_source_rx, dist_bits
 
 
 def _distribution_bits(m: SizeModel, num_sats: int) -> int:
@@ -314,22 +261,6 @@ def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) ->
     return dist + state.compute_time_s + agg
 
 
-class _Message:
-    """ISL payload: either a dense vector or a sparse aggregate, with its wire size."""
-
-    def __init__(self, payload, bits: int):
-        self.payload = payload
-        self.bits = bits
-
-
-def _dense_message(v: np.ndarray, m: SizeModel) -> _Message:
-    return _Message(v, m.dense_bits())
-
-
-def _sparse_message(s: SparseGradient, m: SizeModel) -> _Message:
-    return _Message(s, message_bits(s, m))
-
-
 def run_round(
     state: PlaneState,
     scheme: Scheme,
@@ -340,147 +271,88 @@ def run_round(
     q_count: int,
     plan: RoundPlan | None = None,
 ) -> tuple[np.ndarray, RoundMetrics, float]:
-    """Execute one ring round; returns (dense plane aggregate, metrics, t_done)."""
+    """Fold one ring round over its two arcs; returns (dense plane aggregate, metrics, t_done)."""
     if scheme is Scheme.NO_ISL_DIRECT:
         raise ValueError("use run_no_isl_round for the baseline without ISLs")
     m = state.size_model
     k = state.plane.num_sats
     ring = state.ring
     hop_prop = propagation_delay(ring.hop_distance_m)
+    dense = scheme is Scheme.DENSE_IA
 
     if plan is None:
-        plan, t_source_rx, dist_bits = plan_round(state, scheme, round_n, t0, q_count)
+        plan, t_source_rx, dist_bits = plan_round(state, scheme, t0, q_count)
     else:
         # externally supplied plan: the source receives immediately (toy configs)
         t_source_rx = t0
         dist_bits = _distribution_bits(m, k)
 
+    # the global weights flood both ways from the source, one hop per
+    # dist_hop_s; a satellite trains as soon as it holds them
     dist_hop_s = tx_duration(dist_bits, ring.rate_bps) + hop_prop
+    trained_at = [
+        t_source_rx + shortest_path_hops(k, plan.source_id, sat) * dist_hop_s
+        + state.compute_time_s
+        for sat in range(k)
+    ]
+    gradients = [
+        learn.gradient(state.trainer(w_global, node, hp, state.round_rng(sat, round_n)), w_global)
+        for sat, node in enumerate(state.nodes)
+    ]
 
-    # local gradients, weighted by data size at aggregation time
-    gradients: dict[int, np.ndarray] = {}
-    for sat in range(k):
+    zero = np.zeros(m.dim) if dense else SparseGradient.empty(m.dim)  # never written to
+
+    def step(sat: int, base):
+        """Add the satellite's weighted gradient to `base`; returns (message, bits)."""
         node = state.nodes[sat]
-        w_local = state.trainer(w_global, node, hp, state.round_rng(sat, round_n))
-        gradients[sat] = learn.gradient(w_local, w_global)
+        if dense:
+            return base + node.data_size * gradients[sat], m.dense_bits()
+        compress = sia_step if scheme is Scheme.SIA else clsia_step
+        out, node.error = compress(gradients[sat], node.data_size, node.error, base, q_count)
+        return out, message_bits(out, m)
 
-    next_hop: dict[int, int] = {}
+    # A satellite sends once it has trained and its upstream message has
+    # arrived. Hops are recorded in send order: by send time, then sends
+    # that waited on their own training first (by satellite), then sends
+    # that waited on an arrival, in the order of the sends that caused them.
+    hops: list[tuple[tuple, tuple[int, int, int]]] = []
+    arrivals = []  # (arrival time at the sink, message) per non-empty arc
     for arc in plan.arcs:
-        chain = list(arc) + [plan.sink_id]
-        for a, b in zip(chain, chain[1:]):
-            next_hop[a] = b
+        if not arc:
+            continue
+        msg, t_arrive, key = zero, -math.inf, None
+        chain = arc + (plan.sink_id,)
+        for sat, dst in zip(chain, chain[1:]):
+            t_send = max(trained_at[sat], t_arrive)
+            key = (t_send, (0, sat) if trained_at[sat] >= t_arrive else (1, key))
+            msg, bits = step(sat, msg)
+            t_arrive = t_send + tx_duration(bits, ring.rate_bps) + hop_prop
+            hops.append((key, (sat, dst, bits)))
+        arrivals.append((t_arrive, msg))
 
-    queue = EventQueue(t0)
-    trained = [False] * k
-    incoming: dict[int, _Message] = {}
-    forwarded = [False] * k
-    arc_ends = {arc[0] for arc in plan.arcs if arc}
-    sink_msgs: list[_Message] = []
-    expected_arc_msgs = sum(1 for arc in plan.arcs if arc)
-    hop_records: list[tuple[int, int, int]] = []
-    result: dict = {}
+    sink = plan.sink_id
+    t_ready = max([trained_at[sink]] + [t for t, _ in arrivals])
+    merged = zero
+    for _, msg in arrivals:
+        merged = np.add(merged, msg) if dense else sparse_add(merged, msg)
+    out, bits = step(sink, merged)
+    aggregate = out if dense else out.densify()
 
-    def schedule_receive_global(sat: int, t: float):
-        queue.push(Event(t, EventKind.RECEIVE_GLOBAL, dist_bits, GS_ID, sat))
+    w = state.windows.next_window(sink, t_ready)
+    t_dl = max(w.start_s, t_ready)
+    rate = state.gs_rate(sink, t_dl)
+    dist = state.gs_distance(sink, t_dl)
+    t_done = t_dl + tx_duration(bits, rate) + propagation_delay(dist)
 
-    # distribution: flood both directions from the source; each satellite gets
-    # the packet after its minimum ring distance from the source in hops
-    for sat in range(k):
-        hops = min((sat - plan.source_id) % k, (plan.source_id - sat) % k)
-        schedule_receive_global(sat, t_source_rx + hops * dist_hop_s)
-
-    def node_step(sat: int, msg: SparseGradient) -> SparseGradient:
-        node = state.nodes[sat]
-        g = gradients[sat]
-        if scheme is Scheme.SIA:
-            out, node.error = sia_step(g, node.data_size, node.error, msg, q_count)
-        else:
-            out, node.error = clsia_step(g, node.data_size, node.error, msg, q_count)
-        return out
-
-    def outgoing_message(sat: int) -> _Message:
-        if scheme is Scheme.DENSE_IA:
-            base = incoming[sat].payload if sat in incoming else np.zeros(m.dim)
-            return _dense_message(base + state.nodes[sat].data_size * gradients[sat], m)
-        base = incoming[sat].payload if sat in incoming else SparseGradient.empty(m.dim)
-        return _sparse_message(node_step(sat, base), m)
-
-    def try_forward(sat: int):
-        if forwarded[sat] or sat == plan.sink_id or not trained[sat]:
-            return
-        if sat not in arc_ends and sat not in incoming:
-            return
-        forwarded[sat] = True
-        msg = outgoing_message(sat)
-        dst = next_hop[sat]
-        t_arrive = queue.now + tx_duration(msg.bits, ring.rate_bps) + hop_prop
-        queue.push(Event(t_arrive, EventKind.ISL_DELIVER, msg.bits, sat, dst), msg)
-        hop_records.append((sat, dst, msg.bits))
-
-    def try_finish_sink(t: float):
-        sat = plan.sink_id
-        if not trained[sat] or len(sink_msgs) < expected_arc_msgs or result:
-            return
-        node = state.nodes[sat]
-        g = gradients[sat]
-        if scheme is Scheme.DENSE_IA:
-            total = state.nodes[sat].data_size * g + sum(
-                (msg.payload for msg in sink_msgs), np.zeros(m.dim)
-            )
-            out_msg = _dense_message(total, m)
-            aggregate = total
-        else:
-            merged = SparseGradient.empty(m.dim)
-            for msg in sink_msgs:
-                merged = sparse_add(merged, msg.payload)
-            out = node_step(sat, merged)
-            out_msg = _sparse_message(out, m)
-            aggregate = out.densify()
-        queue.push(Event(t, EventKind.SINK_READY, out_msg.bits, sat, sat))
-        result["aggregate"] = aggregate
-        result["message"] = out_msg
-
-    while queue:
-        event, payload = queue.pop()
-        if event.kind is EventKind.RECEIVE_GLOBAL:
-            queue.push(
-                Event(event.time_s + state.compute_time_s, EventKind.TRAIN_DONE, 0,
-                      event.dst_id, event.dst_id)
-            )
-        elif event.kind is EventKind.TRAIN_DONE:
-            trained[event.dst_id] = True
-            try_forward(event.dst_id)
-            if event.dst_id == plan.sink_id:
-                try_finish_sink(event.time_s)
-        elif event.kind is EventKind.ISL_DELIVER:
-            if event.dst_id == plan.sink_id:
-                sink_msgs.append(payload)
-                try_finish_sink(event.time_s)
-            else:
-                incoming[event.dst_id] = payload
-                try_forward(event.dst_id)
-        elif event.kind is EventKind.SINK_READY:
-            msg = result["message"]
-            w = state.windows.next_window(plan.sink_id, event.time_s)
-            t_dl = max(w.start_s, event.time_s)
-            rate = state.gs_rate(plan.sink_id, t_dl)
-            dist = state.gs_distance(plan.sink_id, t_dl)
-            t_done = t_dl + tx_duration(msg.bits, rate) + propagation_delay(dist)
-            queue.push(Event(t_done, EventKind.GS_DELIVER, msg.bits, plan.sink_id, GS_ID))
-            hop_records.append((plan.sink_id, GS_ID, msg.bits))
-        elif event.kind is EventKind.GS_DELIVER:
-            result["t_done"] = event.time_s
-
-    per_hop = [bits for _, _, bits in hop_records]
+    hop_records = [rec for _, rec in sorted(hops)] + [(sink, GS_ID, bits)]
     metrics = RoundMetrics(
         round_n=round_n,
-        wallclock_s=result["t_done"] - t0,
-        per_hop_bits=per_hop,
-        total_plane_bits=sum(per_hop),
-        gs_bits=hop_records[-1][2],
+        wallclock_s=t_done - t0,
+        total_plane_bits=sum(b for _, _, b in hop_records),
+        gs_bits=bits,
         hop_records=hop_records,
     )
-    return result["aggregate"], metrics, result["t_done"]
+    return aggregate, metrics, t_done
 
 
 def run_no_isl_round(
@@ -529,13 +401,12 @@ def run_no_isl_round(
         aggregate += out.densify()
         t_done = max(t_done, t_sat_done)
 
-    per_hop = [bits for _, _, bits in hop_records]
+    total_bits = sum(bits for _, _, bits in hop_records)
     metrics = RoundMetrics(
         round_n=round_n,
         wallclock_s=t_done - t0,
-        per_hop_bits=per_hop,
-        total_plane_bits=sum(per_hop),
-        gs_bits=sum(per_hop),
+        total_plane_bits=total_bits,
+        gs_bits=total_bits,
         hop_records=hop_records,
     )
     return aggregate, metrics, t_done
@@ -579,7 +450,5 @@ def run_global_iteration(
     total_data = sum(node.data_size for state in planes for node in state.nodes)
     w_next = learn.global_update(w_global, total, total_data)
     accuracy = learn.evaluate(w_next, test_set) if test_set is not None else float("nan")
-    for pm in plane_metrics:
-        pm.test_accuracy = accuracy
     metrics = IterationMetrics(round_n, t_end, t_end - t0, accuracy, plane_metrics)
     return w_next, metrics, t_end

@@ -55,7 +55,7 @@ def test_criterion_2_clsia_constant_budget():
     for n in range(1, 4):
         w, metrics, t = run_global_iteration(planes, Scheme.CLSIA, w, hp, t, n, 79)
         for pm in metrics.plane_metrics:
-            hop_bits.update(pm.per_hop_bits)
+            hop_bits.update(bits for _, _, bits in pm.hop_records)
     report(
         "2 CL-SIA constant budget",
         hop_bits == {3555},

@@ -78,6 +78,14 @@ class TestMnistIngestion:
             load_mnist(img_path, lbl_path)
 
 
+    def test_label_outside_class_range(self, tmp_path, idx_pair):
+        img_path, _, _, _ = idx_pair
+        lbl_path = tmp_path / "bad-labels"
+        write_idx_labels(lbl_path, np.array([0, 1, 2, 3, 4, 10], dtype=np.uint8))
+        with pytest.raises(IngestionError, match="label 10 outside"):
+            load_mnist(img_path, lbl_path)
+
+
 class TestSynthetic:
     def test_shape_contract(self):
         ds = synthetic_dataset(100, seed=0)

@@ -7,6 +7,7 @@ from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, main
 from leofl.config import (
     ExperimentConfig,
     ValidationError,
+    build_simulation,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -101,6 +102,31 @@ class TestConfig:
             config_from_dict({"dataset": {"train_samples": 20}})
         config_from_dict({"dataset": {"train_samples": 40}})
 
+    def test_station_the_plane_never_sees_rejected(self):
+        with pytest.raises(ValidationError, match="^ground_station.latitude_deg"):
+            config_from_dict({"constellation": {"planes": 1, "inclination_deg": 30.0},
+                              "ground_station": {"latitude_deg": -89.0}})
+
+    @pytest.mark.parametrize("scheme", ["SIA", "NO_ISL_DIRECT"])
+    @pytest.mark.parametrize("latitude, visible", [
+        (61.25, True), (-61.25, True), (61.65, False), (-61.65, False),
+    ])
+    def test_station_reach_boundary(self, scheme, latitude, visible):
+        # inclination 30 deg at 2000 km above a 10 deg mask reaches 61.45 deg
+        raw = {"scheme": scheme, "constellation": {"inclination_deg": 30.0},
+               "ground_station": {"latitude_deg": latitude, "min_elevation_deg": 10.0}}
+        if visible:
+            config_from_dict(raw)
+        else:
+            with pytest.raises(ValidationError, match="ground_station.latitude_deg"):
+                config_from_dict(raw)
+
+    def test_class_count_does_not_depend_on_the_sample(self):
+        # 8 samples cannot hold all 10 classes; the model is still 10 x 785
+        cfg = config_from_dict({"constellation": {"planes": 1}, "dataset": {"train_samples": 8}})
+        planes, hp, w0, test, size_model = build_simulation(cfg)
+        assert size_model.dim == len(w0) == 7850
+
 
 class TestRunExperiment:
     def test_deterministic_logs(self):
@@ -191,6 +217,10 @@ class TestCli:
         ({"constellation": {"sats_per_plane": 3}}, "constellation.sats_per_plane"),
         ({"dataset": {"train_samples": 20}}, "dataset.train_samples"),
         ({"q": "0.1"}, "q must be a number"),
+        ({"constellation": {"planes": 1, "inclination_deg": 30.0},
+          "ground_station": {"latitude_deg": -89.0}}, "ground_station.latitude_deg"),
+        ({"constellation": {"inclination_deg": 30.0},
+          "ground_station": {"latitude_deg": 61.65}}, "ground_station.latitude_deg"),
     ])
     def test_validate_rejects_unrunnable_config(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.yaml"

@@ -1,13 +1,18 @@
-"""The linear-time sparse path and the batched window search against the
-straightforward implementations they replace.
+"""The linear-time sparse path, the batched window search and the arc fold
+against the straightforward implementations they replace.
 
 The reference functions below are the simple forms: a stable argsort for
 Top-Q, `np.unique` + `np.add.at` for the sparse merge, a dense subtraction
-for the error-feedback residual, and one bisection per edge for visibility
-windows. The fast code must agree with them byte for byte.
+for the error-feedback residual, one bisection per edge for visibility
+windows, and a heap event loop for a ring round. The code under test must
+agree with them byte for byte.
 """
 
+import dataclasses
+import heapq
 import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -15,6 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from leofl import learn, protocol
+from leofl.config import build_simulation, config_from_dict
+from leofl.data import Dataset
+from leofl.link import LinkParams, dbm_to_watts, propagation_delay, tx_duration
 from leofl.orbital import (
     GroundStation,
     OrbitPlane,
@@ -22,11 +31,23 @@ from leofl.orbital import (
     _gs_los_mask,
     visibility_windows,
 )
-from leofl.protocol import WindowCache
+from leofl.protocol import (
+    GS_ID,
+    PlaneState,
+    RoundPlan,
+    SatelliteNode,
+    Scheme,
+    WindowCache,
+    run_round,
+    split_arcs,
+)
 from leofl.sparsify import (
     ErrorState,
+    SizeModel,
     SparseGradient,
     clsia_step,
+    message_bits,
+    q_to_count,
     sia_step,
     sparse_add,
     top_q,
@@ -107,6 +128,177 @@ def reference_visibility_windows(plane, sat_index, gs, t_start, t_end, step_s=5.
             windows.append(VisibilityWindow(sat_index, float(start), float(end)))
         i = j + 1
     return windows
+
+
+class EventKind(str, Enum):
+    RECEIVE_GLOBAL = "RECEIVE_GLOBAL"
+    TRAIN_DONE = "TRAIN_DONE"
+    ISL_DELIVER = "ISL_DELIVER"
+    SINK_READY = "SINK_READY"
+    GS_DELIVER = "GS_DELIVER"
+
+
+@dataclass(frozen=True)
+class Event:
+    time_s: float
+    kind: EventKind
+    payload_bits: int
+    src_id: int
+    dst_id: int
+
+
+class EventQueue:
+    """Min-heap on time with FIFO tie-break; enforces causal processing."""
+
+    def __init__(self, t0):
+        self._heap = []
+        self._seq = 0
+        self.now = t0
+
+    def push(self, event, payload=None):
+        if event.time_s < self.now:
+            raise RuntimeError(f"event at {event.time_s} scheduled before clock {self.now}")
+        heapq.heappush(self._heap, (event.time_s, self._seq, event, payload))
+        self._seq += 1
+
+    def pop(self):
+        t, _, event, payload = heapq.heappop(self._heap)
+        assert t >= self.now
+        self.now = t
+        return event, payload
+
+    def __bool__(self):
+        return bool(self._heap)
+
+
+class _Message:
+    """ISL payload: either a dense vector or a sparse aggregate, with its wire size."""
+
+    def __init__(self, payload, bits):
+        self.payload = payload
+        self.bits = bits
+
+
+def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count, plan=None):
+    """One ring round as a discrete-event simulation; returns (aggregate, hop records, t_done)."""
+    m = state.size_model
+    k = state.plane.num_sats
+    ring = state.ring
+    hop_prop = propagation_delay(ring.hop_distance_m)
+
+    if plan is None:
+        plan, t_source_rx, dist_bits = protocol.plan_round(state, scheme, t0, q_count)
+    else:
+        t_source_rx = t0
+        dist_bits = protocol._distribution_bits(m, k)
+
+    dist_hop_s = tx_duration(dist_bits, ring.rate_bps) + hop_prop
+
+    gradients = {}
+    for sat in range(k):
+        node = state.nodes[sat]
+        w_local = state.trainer(w_global, node, hp, state.round_rng(sat, round_n))
+        gradients[sat] = learn.gradient(w_local, w_global)
+
+    next_hop = {}
+    for arc in plan.arcs:
+        chain = list(arc) + [plan.sink_id]
+        for a, b in zip(chain, chain[1:]):
+            next_hop[a] = b
+
+    queue = EventQueue(t0)
+    trained = [False] * k
+    incoming = {}
+    forwarded = [False] * k
+    arc_ends = {arc[0] for arc in plan.arcs if arc}
+    sink_msgs = []
+    expected_arc_msgs = sum(1 for arc in plan.arcs if arc)
+    hop_records = []
+    result = {}
+
+    for sat in range(k):
+        hops = min((sat - plan.source_id) % k, (plan.source_id - sat) % k)
+        queue.push(Event(t_source_rx + hops * dist_hop_s, EventKind.RECEIVE_GLOBAL,
+                         dist_bits, GS_ID, sat))
+
+    def node_step(sat, msg):
+        node = state.nodes[sat]
+        step = sia_step if scheme is Scheme.SIA else clsia_step
+        out, node.error = step(gradients[sat], node.data_size, node.error, msg, q_count)
+        return out
+
+    def outgoing_message(sat):
+        if scheme is Scheme.DENSE_IA:
+            base = incoming[sat].payload if sat in incoming else np.zeros(m.dim)
+            return _Message(base + state.nodes[sat].data_size * gradients[sat], m.dense_bits())
+        base = incoming[sat].payload if sat in incoming else SparseGradient.empty(m.dim)
+        out = node_step(sat, base)
+        return _Message(out, message_bits(out, m))
+
+    def try_forward(sat):
+        if forwarded[sat] or sat == plan.sink_id or not trained[sat]:
+            return
+        if sat not in arc_ends and sat not in incoming:
+            return
+        forwarded[sat] = True
+        msg = outgoing_message(sat)
+        dst = next_hop[sat]
+        t_arrive = queue.now + tx_duration(msg.bits, ring.rate_bps) + hop_prop
+        queue.push(Event(t_arrive, EventKind.ISL_DELIVER, msg.bits, sat, dst), msg)
+        hop_records.append((sat, dst, msg.bits))
+
+    def try_finish_sink(t):
+        sat = plan.sink_id
+        if not trained[sat] or len(sink_msgs) < expected_arc_msgs or result:
+            return
+        g = gradients[sat]
+        if scheme is Scheme.DENSE_IA:
+            total = state.nodes[sat].data_size * g + sum(
+                (msg.payload for msg in sink_msgs), np.zeros(m.dim)
+            )
+            out_msg = _Message(total, m.dense_bits())
+            aggregate = total
+        else:
+            merged = SparseGradient.empty(m.dim)
+            for msg in sink_msgs:
+                merged = sparse_add(merged, msg.payload)
+            out = node_step(sat, merged)
+            out_msg = _Message(out, message_bits(out, m))
+            aggregate = out.densify()
+        queue.push(Event(t, EventKind.SINK_READY, out_msg.bits, sat, sat))
+        result["aggregate"] = aggregate
+        result["message"] = out_msg
+
+    while queue:
+        event, payload = queue.pop()
+        if event.kind is EventKind.RECEIVE_GLOBAL:
+            queue.push(Event(event.time_s + state.compute_time_s, EventKind.TRAIN_DONE, 0,
+                             event.dst_id, event.dst_id))
+        elif event.kind is EventKind.TRAIN_DONE:
+            trained[event.dst_id] = True
+            try_forward(event.dst_id)
+            if event.dst_id == plan.sink_id:
+                try_finish_sink(event.time_s)
+        elif event.kind is EventKind.ISL_DELIVER:
+            if event.dst_id == plan.sink_id:
+                sink_msgs.append(payload)
+                try_finish_sink(event.time_s)
+            else:
+                incoming[event.dst_id] = payload
+                try_forward(event.dst_id)
+        elif event.kind is EventKind.SINK_READY:
+            msg = result["message"]
+            w = state.windows.next_window(plan.sink_id, event.time_s)
+            t_dl = max(w.start_s, event.time_s)
+            rate = state.gs_rate(plan.sink_id, t_dl)
+            dist = state.gs_distance(plan.sink_id, t_dl)
+            t_done = t_dl + tx_duration(msg.bits, rate) + propagation_delay(dist)
+            queue.push(Event(t_done, EventKind.GS_DELIVER, msg.bits, plan.sink_id, GS_ID))
+            hop_records.append((plan.sink_id, GS_ID, msg.bits))
+        elif event.kind is EventKind.GS_DELIVER:
+            result["t_done"] = event.time_s
+
+    return result["aggregate"], hop_records, result["t_done"]
 
 
 # -- comparison helpers ----------------------------------------------------
@@ -234,3 +426,95 @@ class TestWindowsAgainstReference:
                 got = cache.next_window(sat, float(t))
                 want = next(w for w in cache._windows[sat] if w.end_s > t)
                 assert got is want
+
+
+# -- ring rounds: arc fold against the heap event loop -----------------------
+
+
+def assert_round_matches(state, ref_state, scheme, w, hp, t0, round_n, q_count, plan=None):
+    agg, metrics, t_done = run_round(state, scheme, w, hp, t0, round_n, q_count, plan=plan)
+    want_agg, want_hops, want_t_done = reference_run_round(
+        ref_state, scheme, w, hp, t0, round_n, q_count, plan=plan)
+    assert metrics.hop_records == want_hops
+    assert t_done.hex() == want_t_done.hex()
+    assert metrics.wallclock_s == want_t_done - t0
+    assert metrics.total_plane_bits == sum(bits for _, _, bits in want_hops)
+    assert agg.tobytes() == want_agg.tobytes()
+    assert ([node.error.residual.tobytes() for node in state.nodes]
+            == [node.error.residual.tobytes() for node in ref_state.nodes])
+    return agg, t_done
+
+
+def twin(state):
+    """The same plane with fresh error states; shards and the window cache are shared."""
+    nodes = [dataclasses.replace(node, error=ErrorState.zeros(len(node.error.residual)))
+             for node in state.nodes]
+    copy = dataclasses.replace(state, nodes=nodes)
+    copy.windows = state.windows
+    return copy
+
+
+RINGS = [
+    ("default", {}),
+    # DENSE_IA ties here resolve in heap FIFO order, which is not source-id order
+    ("k5_2000km", {"constellation": {"planes": 1, "sats_per_plane": 5},
+                   "dataset": {"train_samples": 500, "test_samples": 10}}),
+    ("k7_no_compute", {"constellation": {"planes": 1, "sats_per_plane": 7},
+                       "dataset": {"train_samples": 700, "test_samples": 10},
+                       "compute_time_s": 0}),
+    ("k9_8000km_no_compute", {"constellation": {"planes": 2, "sats_per_plane": 9,
+                                                "altitude_km": 8000.0},
+                              "dataset": {"train_samples": 900, "test_samples": 10},
+                              "compute_time_s": 0}),
+]
+
+
+@pytest.mark.parametrize("scheme", ["DENSE_IA", "SIA", "CLSIA"])
+@pytest.mark.parametrize("name, raw", RINGS, ids=[name for name, _ in RINGS])
+def test_fold_matches_event_loop_over_five_rounds(name, raw, scheme):
+    cfg = config_from_dict(dict(raw, scheme=scheme))
+    planes, hp, w, _, m = build_simulation(cfg)
+    ref_planes = [twin(state) for state in planes]
+    q_count = q_to_count(cfg.q, m.dim)
+    total_data = sum(node.data_size for state in planes for node in state.nodes)
+    t = 0.0
+    for n in range(1, 6):
+        total, t_end = np.zeros(m.dim), t
+        for state, ref_state in zip(planes, ref_planes):
+            agg, t_done = assert_round_matches(state, ref_state, Scheme[scheme], w, hp, t, n, q_count)
+            total += agg
+            t_end = max(t_end, t_done)
+        w, t = learn.global_update(w, total, total_data), t_end
+
+
+def stub_ring(k, dim, compute_time_s, seed):
+    """A ring whose satellites report fixed small-integer gradients, so hop sizes and times tie."""
+    rng = np.random.default_rng(seed)
+    grads = [rng.integers(-3, 4, size=dim).astype(float) for _ in range(k)]
+    nodes = [SatelliteNode(i, Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)),
+                           ErrorState.zeros(dim)) for i in range(k)]
+    return PlaneState(
+        0, OrbitPlane(8000e3, math.radians(85.0), 0.0, k),
+        GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0)),
+        LinkParams(dbm_to_watts(40.0), 32.13, 32.13, 500e6, 20e9, 354.0),
+        SizeModel(32, dim), nodes, compute_time_s=compute_time_s,
+        trainer=lambda w, node, hp, r: w + grads[node.sat_id],
+    )
+
+
+@pytest.mark.parametrize("compute_time_s", [0.0, 1.0])
+@pytest.mark.parametrize("k", range(3, 9))
+def test_fold_matches_event_loop_for_every_sink_and_plan(k, compute_time_s):
+    hp = learn.HyperParams(rounds=1)
+    state = stub_ring(k, 24, compute_time_s, seed=k)
+    ref_state = twin(state)
+    for sink in range(k):
+        chain = tuple(i for i in range(k) if i != sink)
+        for arcs in (split_arcs(k, sink), (chain, ()), ((), chain[::-1])):
+            for scheme in (Scheme.DENSE_IA, Scheme.SIA, Scheme.CLSIA):
+                for node in state.nodes + ref_state.nodes:
+                    node.error = ErrorState.zeros(24)
+                w, t = np.zeros(24), 0.0
+                for n in range(1, 6):
+                    plan = RoundPlan(source_id=(sink + n) % k, sink_id=sink, arcs=arcs)
+                    _, t = assert_round_matches(state, ref_state, scheme, w, hp, t, n, 4, plan)
