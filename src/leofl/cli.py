@@ -45,9 +45,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
+    if args.kp_min > args.kp_max:
+        raise ValidationError(f"--kp-min {args.kp_min} exceeds --kp-max {args.kp_max}")
     kp_values = list(range(args.kp_min, args.kp_max + 1, args.kp_step))
-    q_values = [float(x) for x in args.q_list.split(",")]
-    rows = run_sweep(cfg, kp_values, q_values, iterations=args.iterations)
+    rows = run_sweep(cfg, kp_values, args.q_list, iterations=args.iterations)
     path = export_sweep(rows, cfg.output_dir, name=args.name)
     print(f"wrote {path}")
     return EXIT_OK
@@ -56,7 +57,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_windows(args) -> int:
     cfg = _load(args)
     gs = build_ground_station(cfg)
-    plane = build_planes_geometry(cfg)[args.plane]
+    planes = build_planes_geometry(cfg)
+    if args.plane >= len(planes):
+        raise ValidationError(
+            f"--plane {args.plane}: the constellation has planes 0 to {len(planes) - 1}")
+    plane = planes[args.plane]
     horizon = args.hours * 3600.0
     for sat in range(plane.num_sats):
         for w in visibility_windows(plane, sat, gs, 0.0, horizon):
@@ -72,6 +77,36 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leofl")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,25 +120,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     common(p_run)
-    p_run.add_argument("--rounds", type=int, help="override the number of global iterations")
+    p_run.add_argument("--rounds", type=_int_at_least(1),
+                       help="override the number of global iterations")
     p_run.add_argument("--name", default="run", help="output file stem")
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="data-volume sweep over ring sizes")
     common(p_sweep)
-    p_sweep.add_argument("--kp-min", type=int, default=8)
-    p_sweep.add_argument("--kp-max", type=int, default=28)
-    p_sweep.add_argument("--kp-step", type=int, default=2)
-    p_sweep.add_argument("--q-list", default="0.01,0.1", dest="q_list")
-    p_sweep.add_argument("--iterations", type=int, default=11)
+    p_sweep.add_argument("--kp-min", type=_int_at_least(2), default=8)
+    p_sweep.add_argument("--kp-max", type=_int_at_least(2), default=28)
+    p_sweep.add_argument("--kp-step", type=_int_at_least(1), default=2)
+    p_sweep.add_argument("--q-list", type=_float_list, default="0.01,0.1", dest="q_list")
+    # the first iteration is a warm-up that the mean leaves out
+    p_sweep.add_argument("--iterations", type=_int_at_least(2), default=11)
     p_sweep.add_argument("--name", default="sweep")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_win = sub.add_parser("windows", help="print visibility windows for debugging")
     common(p_win)
-    p_win.add_argument("--plane", type=int, default=0)
-    p_win.add_argument("--hours", type=float, default=24.0)
+    p_win.add_argument("--plane", type=_int_at_least(0), default=0)
+    p_win.add_argument("--hours", type=_positive_float, default=24.0)
     p_win.set_defaults(func=_cmd_windows)
 
     p_val = sub.add_parser("validate", help="check a config file")

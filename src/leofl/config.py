@@ -116,6 +116,8 @@ class ExperimentConfig:
             problems.append("ground_station.min_elevation_deg must be in [0, 90)")
         if not t.learning_rate >= 0:
             problems.append("training.learning_rate must be non-negative")
+        if not d.noise_std >= 0:
+            problems.append("dataset.noise_std must be non-negative")
         if d.source not in ("synthetic", "mnist"):
             problems.append("dataset.source must be 'synthetic' or 'mnist'")
         if d.source == "mnist" and not d.mnist_dir:
@@ -171,8 +173,15 @@ _FIELD_TYPES = {
 }
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _type_problems(cfg: ExperimentConfig) -> list[str]:
-    """One message per field whose value does not have its annotated type."""
+    """One message per field whose value does not have its annotated type or is not finite."""
     problems = []
     for top in dataclasses.fields(cfg):
         value = getattr(cfg, top.name)
@@ -188,6 +197,8 @@ def _type_problems(cfg: ExperimentConfig) -> list[str]:
             accepted, description = _FIELD_TYPES[annotation]
             if isinstance(item, bool) or not isinstance(item, accepted):
                 problems.append(f"{key} must be {description}, got {type(item).__name__} {item!r}")
+            elif annotation == "float" and not _finite(item):
+                problems.append(f"{key} must be finite, got {item!r}")
     return problems
 
 

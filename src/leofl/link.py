@@ -1,7 +1,7 @@
 """Link budget: free-space path loss, SNR, Shannon rate, and transfer delays.
 
 The channel model is deterministic: fixed transmit power, average antenna
-gains, and thermal noise N0 = k_B * T * B. Rates are zero without LOS.
+gains, and thermal noise N0 = k_B * T * B.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ class LinkError(ValueError):
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    return 10.0 * math.log10(linear)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -60,19 +56,17 @@ def path_loss(distance_m: float, carrier_hz: float) -> float:
     return x * x
 
 
-def snr(params: LinkParams, distance_m: float, los: bool) -> float:
-    """Received SNR as a linear ratio; zero without line of sight."""
+def snr(params: LinkParams, distance_m: float) -> float:
+    """Received SNR as a linear ratio."""
     if distance_m <= 0:
         raise LinkError(f"distance must be positive, got {distance_m}")
-    if not los:
-        return 0.0
     loss = path_loss(distance_m, params.carrier_hz)
     return params.tx_power_w * params.gain_product_linear / (params.noise_power_w * loss)
 
 
-def data_rate(params: LinkParams, distance_m: float, los: bool) -> float:
-    """Shannon rate B*log2(1+SNR) in bits/s; zero without LOS."""
-    return params.bandwidth_hz * math.log2(1.0 + snr(params, distance_m, los))
+def data_rate(params: LinkParams, distance_m: float) -> float:
+    """Shannon rate B*log2(1+SNR) in bits/s."""
+    return params.bandwidth_hz * math.log2(1.0 + snr(params, distance_m))
 
 
 def ring_neighbor_distance(plane: OrbitPlane) -> float:
@@ -92,7 +86,7 @@ def fixed_link_rate(params: LinkParams, plane: OrbitPlane) -> float:
             f"ring of {plane.num_sats} satellites at {plane.altitude_m/1e3:.0f} km: "
             "neighbor chord intersects the Earth, no ring can form"
         )
-    return data_rate(params, ring_neighbor_distance(plane), los=True)
+    return data_rate(params, ring_neighbor_distance(plane))
 
 
 def tx_duration(bits: float, rate_bps: float) -> float:

@@ -56,24 +56,7 @@ class GroundStation:
 
 
 @dataclass(frozen=True)
-class EciPosition:
-    x: float
-    y: float
-    z: float
-    time_s: float
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-
-@dataclass(frozen=True)
 class VisibilityWindow:
-    sat_id: int
     start_s: float
     end_s: float
 
@@ -107,29 +90,20 @@ def _plane_basis(plane: OrbitPlane) -> tuple[np.ndarray, np.ndarray]:
     return u0, u1
 
 
-def propagate_arg_of_latitude(plane: OrbitPlane, sat_index: int, time_s) -> np.ndarray:
+def propagate_vec(plane: OrbitPlane, sat_index: int, time_s) -> np.ndarray:
+    """ECI position(s) of one satellite; vectorized over time_s, shape (..., 3)."""
     if not 0 <= sat_index < plane.num_sats:
         raise IndexError(f"satellite index {sat_index} out of range for K_p={plane.num_sats}")
     t = np.asarray(time_s, dtype=float)
-    return (
+    # argument of latitude
+    u = (
         plane.phase_offset_rad
         + 2.0 * math.pi * sat_index / plane.num_sats
         + 2.0 * math.pi * t / plane.period_s
     )
-
-
-def propagate_vec(plane: OrbitPlane, sat_index: int, time_s) -> np.ndarray:
-    """ECI position(s) of one satellite; vectorized over time_s, shape (..., 3)."""
-    u = propagate_arg_of_latitude(plane, sat_index, time_s)
     u0, u1 = _plane_basis(plane)
     r = plane.radius_m
     return r * (np.cos(u)[..., None] * u0 + np.sin(u)[..., None] * u1)
-
-
-def propagate(plane: OrbitPlane, sat_index: int, time_s: float) -> EciPosition:
-    """ECI position of one satellite at a scalar time."""
-    p = propagate_vec(plane, sat_index, float(time_s))
-    return EciPosition(p[0], p[1], p[2], float(time_s))
 
 
 def gs_position_vec(gs: GroundStation, time_s) -> np.ndarray:
@@ -144,47 +118,12 @@ def gs_position_vec(gs: GroundStation, time_s) -> np.ndarray:
     )
 
 
-def gs_position(gs: GroundStation, time_s: float) -> EciPosition:
-    p = gs_position_vec(gs, float(time_s))
-    return EciPosition(p[0], p[1], p[2], float(time_s))
-
-
-def _segment_clears_earth(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """True where the chord a--b does not intersect the Earth sphere."""
-    ab = b - a
-    denom = np.sum(ab * ab, axis=-1)
-    # parameter of the closest approach to the Earth's center along the segment
-    s = np.clip(-np.sum(a * ab, axis=-1) / np.where(denom == 0, 1.0, denom), 0.0, 1.0)
-    closest = a + s[..., None] * ab
-    return np.linalg.norm(closest, axis=-1) > CONSTANTS.earth_radius_m
-
-
 def _elevation_ok(sat: np.ndarray, station: np.ndarray, min_elevation_rad) -> np.ndarray:
     rel = sat - station
     rng = np.linalg.norm(rel, axis=-1)
     up = station / np.linalg.norm(station, axis=-1, keepdims=True)
     sin_el = np.sum(rel * up, axis=-1) / rng
     return np.arcsin(np.clip(sin_el, -1.0, 1.0)) >= min_elevation_rad
-
-
-def has_los(a: EciPosition, b: EciPosition, min_elevation_rad: float = 0.0) -> bool:
-    """Line-of-sight predicate.
-
-    Satellite pairs only need the chord between them to clear the Earth;
-    a position on the surface (a ground station) additionally imposes the
-    elevation mask. Both positions must carry the same timestamp.
-    """
-    if a.time_s != b.time_s:
-        raise ValueError(f"timestamps differ: {a.time_s} vs {b.time_s}")
-    surface = CONSTANTS.earth_radius_m * (1.0 + 1e-9)
-    a_ground = a.norm <= surface
-    b_ground = b.norm <= surface
-    if a_ground and b_ground:
-        raise ValueError("LOS between two ground points is not modeled")
-    if not a_ground and not b_ground:
-        return bool(_segment_clears_earth(a.vec, b.vec))
-    sat, station = (a.vec, b.vec) if b_ground else (b.vec, a.vec)
-    return bool(_elevation_ok(sat, station, min_elevation_rad))
 
 
 def max_visible_latitude(plane: OrbitPlane, min_elevation_rad: float) -> float:
@@ -258,5 +197,5 @@ def visibility_windows(
         start = max(start, t_start)
         end = min(end, t_end)
         if start < end:
-            windows.append(VisibilityWindow(sat_index, float(start), float(end)))
+            windows.append(VisibilityWindow(float(start), float(end)))
     return windows

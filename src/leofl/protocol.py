@@ -56,12 +56,6 @@ class Scheme(str, Enum):
     NO_ISL_DIRECT = "NO_ISL_DIRECT"
 
 
-@dataclass
-class RingTopology:
-    hop_distance_m: float
-    rate_bps: float
-
-
 @dataclass(frozen=True)
 class RoundPlan:
     source_id: int
@@ -71,7 +65,6 @@ class RoundPlan:
 
 @dataclass
 class RoundMetrics:
-    round_n: int
     wallclock_s: float
     total_plane_bits: int
     gs_bits: int
@@ -92,36 +85,39 @@ class SatelliteNode:
 class WindowCache:
     """Lazily extended per-satellite visibility windows over a growing horizon."""
 
+    STEP_S = 5.0
+    HORIZON_S = 5 * 86400.0
     _MERGE_GAP_S = 30.0
 
-    def __init__(self, plane: OrbitPlane, gs: GroundStation, num_sats: int, step_s: float = 5.0):
+    def __init__(self, plane: OrbitPlane, gs: GroundStation):
         self.plane = plane
         self.gs = gs
-        self.step_s = step_s
-        self._windows: list[list[VisibilityWindow]] = [[] for _ in range(num_sats)]
-        self._ends: list[list[float]] = [[] for _ in range(num_sats)]  # end_s of each window
-        self._covered_to = [0.0] * num_sats
+        k = plane.num_sats
+        self._windows: list[list[VisibilityWindow]] = [[] for _ in range(k)]
+        self._ends: list[list[float]] = [[] for _ in range(k)]  # end_s of each window
+        self._covered_to = [0.0] * k
         self._chunk = max(4 * plane.period_s, 3600.0)
 
     def _extend(self, sat: int, until: float):
         while self._covered_to[sat] < until:
             t0 = self._covered_to[sat]
             t1 = t0 + self._chunk
-            fresh = visibility_windows(self.plane, sat, self.gs, t0, t1, self.step_s)
+            fresh = visibility_windows(self.plane, sat, self.gs, t0, t1, self.STEP_S)
             existing, ends = self._windows[sat], self._ends[sat]
             for w in fresh:
                 if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
-                    existing[-1] = VisibilityWindow(sat, existing[-1].start_s, w.end_s)
+                    existing[-1] = VisibilityWindow(existing[-1].start_s, w.end_s)
                     ends[-1] = w.end_s
                 else:
                     existing.append(w)
                     ends.append(w.end_s)
             # overlap the next chunk so windows straddling the edge are merged
-            self._covered_to[sat] = t1 - 2 * self.step_s
+            self._covered_to[sat] = t1 - 2 * self.STEP_S
 
-    def next_window(self, sat: int, t: float, horizon_s: float = 5 * 86400.0) -> VisibilityWindow:
+    def next_window(self, sat: int, t: float) -> VisibilityWindow:
+        """The first window that ends after t; it may already be open at t."""
         target = t
-        while target < t + horizon_s:
+        while target < t + self.HORIZON_S:
             target += self._chunk
             self._extend(sat, target)
             i = bisect.bisect_right(self._ends[sat], t)
@@ -152,24 +148,28 @@ class PlaneState:
     def __post_init__(self):
         if len(self.nodes) != self.plane.num_sats:
             raise ValueError("one node per satellite required")
-        self.windows = WindowCache(self.plane, self.gs, self.plane.num_sats)
+        self.windows = WindowCache(self.plane, self.gs)
+
+    # the ISL figures are computed on first use: the no-ISL baseline never
+    # forms a ring, and a ring too small for neighbor LOS raises LinkError
+    @cached_property
+    def isl_rate_bps(self) -> float:
+        return fixed_link_rate(self.params, self.plane)
 
     @cached_property
-    def ring(self) -> RingTopology:
-        # built on first use: the no-ISL baseline never forms a ring, and a
-        # ring too small for neighbor LOS raises LinkError here
-        return RingTopology(
-            hop_distance_m=ring_neighbor_distance(self.plane),
-            rate_bps=fixed_link_rate(self.params, self.plane),
-        )
+    def isl_prop_s(self) -> float:
+        return propagation_delay(ring_neighbor_distance(self.plane))
 
-    def gs_distance(self, sat: int, t: float) -> float:
-        p = propagate_vec(self.plane, sat, t)
-        g = gs_position_vec(self.gs, t)
-        return float(np.linalg.norm(p - g))
+    def ground_transfer(self, sat: int, t: float, bits: int) -> float:
+        """Send `bits` between the satellite and the station in its next window at or after t.
 
-    def gs_rate(self, sat: int, t: float) -> float:
-        return data_rate(self.params, self.gs_distance(sat, t), los=True)
+        The rate and the propagation delay follow from the station distance at
+        the start of the transfer; returns the arrival time.
+        """
+        t_start = max(self.windows.next_window(sat, t).start_s, t)
+        dist = float(np.linalg.norm(
+            propagate_vec(self.plane, sat, t_start) - gs_position_vec(self.gs, t_start)))
+        return t_start + tx_duration(bits, data_rate(self.params, dist)) + propagation_delay(dist)
 
     def round_rng(self, sat: int, round_n: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.plane_id, round_n, sat])
@@ -183,26 +183,15 @@ def shortest_path_hops(k: int, a: int, b: int) -> int:
     return min(d, k - d)
 
 
-def select_source(state: PlaneState, t: float) -> int:
-    """Satellite whose next visibility starts earliest at/after t; ties to lower index."""
-    best, best_start = 0, math.inf
-    for sat in range(state.plane.num_sats):
-        w = state.windows.next_window(sat, t)
-        start = max(w.start_s, t)
-        if start < best_start:
-            best, best_start = sat, start
-    return best
+def first_visible(state: PlaneState, t: float) -> int:
+    """Satellite that can first reach the station at or after t; ties to the lower index.
 
-def select_sink(state: PlaneState, t_source_rx: float, est_round_duration: float) -> int:
-    """Satellite with the smallest wait for a window after the estimated round end."""
-    ready = t_source_rx + est_round_duration
-    best, best_wait = 0, math.inf
-    for sat in range(state.plane.num_sats):
-        w = state.windows.next_window(sat, ready)
-        wait = max(0.0, w.start_s - ready)
-        if wait < best_wait:
-            best, best_wait = sat, wait
-    return best
+    The source is the first to see the station when the round starts, the
+    sink the first to see it once aggregation is expected to be done.
+    """
+    starts = [max(state.windows.next_window(sat, t).start_s, t)
+              for sat in range(state.plane.num_sats)]
+    return starts.index(min(starts))
 
 
 def split_arcs(num_sats: int, sink: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -224,18 +213,11 @@ def plan_round(state: PlaneState, scheme: Scheme, t: float, q_count: int):
     if scheme is Scheme.NO_ISL_DIRECT:
         raise ValueError("the no-ISL baseline does not use ring rounds")
     k = state.plane.num_sats
-    source = select_source(state, t)
-    w_src = state.windows.next_window(source, t)
-    t_up_start = max(w_src.start_s, t)
+    source = first_visible(state, t)
     dist_bits = _distribution_bits(state.size_model, k)
-    up_rate = state.gs_rate(source, t_up_start)
-    up_dist = state.gs_distance(source, t_up_start)
-    t_source_rx = t_up_start + tx_duration(dist_bits, up_rate) + propagation_delay(up_dist)
-
-    est = _estimate_round_duration(state, scheme, q_count)
-    sink = select_sink(state, t_source_rx, est)
-    arcs = split_arcs(k, sink)
-    return RoundPlan(source, sink, arcs), t_source_rx, dist_bits
+    t_source_rx = state.ground_transfer(source, t, dist_bits)
+    sink = first_visible(state, t_source_rx + _estimate_round_duration(state, scheme, q_count))
+    return RoundPlan(source, sink, split_arcs(k, sink)), t_source_rx, dist_bits
 
 
 def _distribution_bits(m: SizeModel, num_sats: int) -> int:
@@ -244,12 +226,11 @@ def _distribution_bits(m: SizeModel, num_sats: int) -> int:
 
 
 def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) -> float:
-    ring = state.ring
     k = state.plane.num_sats
     m = state.size_model
     half = math.ceil(k / 2)
-    hop_prop = propagation_delay(ring.hop_distance_m)
-    dist = half * (tx_duration(_distribution_bits(m, k), ring.rate_bps) + hop_prop)
+    rate, hop_prop = state.isl_rate_bps, state.isl_prop_s
+    dist = half * (tx_duration(_distribution_bits(m, k), rate) + hop_prop)
     entry_bits = m.value_bits + m.index_bits
     if scheme is Scheme.DENSE_IA:
         agg_bits = [m.dense_bits()] * half
@@ -257,7 +238,7 @@ def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) ->
         agg_bits = [q_count * entry_bits] * half
     else:  # SIA worst case: support grows by Q per hop
         agg_bits = [min(m.dim, j * q_count) * entry_bits for j in range(1, half + 1)]
-    agg = sum(tx_duration(b, ring.rate_bps) + hop_prop for b in agg_bits)
+    agg = sum(tx_duration(b, rate) + hop_prop for b in agg_bits)
     return dist + state.compute_time_s + agg
 
 
@@ -276,8 +257,7 @@ def run_round(
         raise ValueError("use run_no_isl_round for the baseline without ISLs")
     m = state.size_model
     k = state.plane.num_sats
-    ring = state.ring
-    hop_prop = propagation_delay(ring.hop_distance_m)
+    rate, hop_prop = state.isl_rate_bps, state.isl_prop_s
     dense = scheme is Scheme.DENSE_IA
 
     if plan is None:
@@ -289,7 +269,7 @@ def run_round(
 
     # the global weights flood both ways from the source, one hop per
     # dist_hop_s; a satellite trains as soon as it holds them
-    dist_hop_s = tx_duration(dist_bits, ring.rate_bps) + hop_prop
+    dist_hop_s = tx_duration(dist_bits, rate) + hop_prop
     trained_at = [
         t_source_rx + shortest_path_hops(k, plan.source_id, sat) * dist_hop_s
         + state.compute_time_s
@@ -326,7 +306,7 @@ def run_round(
             t_send = max(trained_at[sat], t_arrive)
             key = (t_send, (0, sat) if trained_at[sat] >= t_arrive else (1, key))
             msg, bits = step(sat, msg)
-            t_arrive = t_send + tx_duration(bits, ring.rate_bps) + hop_prop
+            t_arrive = t_send + tx_duration(bits, rate) + hop_prop
             hops.append((key, (sat, dst, bits)))
         arrivals.append((t_arrive, msg))
 
@@ -338,15 +318,10 @@ def run_round(
     out, bits = step(sink, merged)
     aggregate = out if dense else out.densify()
 
-    w = state.windows.next_window(sink, t_ready)
-    t_dl = max(w.start_s, t_ready)
-    rate = state.gs_rate(sink, t_dl)
-    dist = state.gs_distance(sink, t_dl)
-    t_done = t_dl + tx_duration(bits, rate) + propagation_delay(dist)
+    t_done = state.ground_transfer(sink, t_ready, bits)
 
     hop_records = [rec for _, rec in sorted(hops)] + [(sink, GS_ID, bits)]
     metrics = RoundMetrics(
-        round_n=round_n,
         wallclock_s=t_done - t0,
         total_plane_bits=sum(b for _, _, b in hop_records),
         gs_bits=bits,
@@ -376,26 +351,16 @@ def run_no_isl_round(
     up_bits = m.dense_bits()
     for sat in range(state.plane.num_sats):
         node = state.nodes[sat]
-        w_up = state.windows.next_window(sat, t0)
-        t_up = max(w_up.start_s, t0)
-        rate_up = state.gs_rate(sat, t_up)
-        d_up = state.gs_distance(sat, t_up)
-        t_rx = t_up + tx_duration(up_bits, rate_up) + propagation_delay(d_up)
+        t_rx = state.ground_transfer(sat, t0, up_bits)
         hop_records.append((GS_ID, sat, up_bits))
 
-        t_trained = t_rx + state.compute_time_s
         w_local = state.trainer(w_global, node, hp, state.round_rng(sat, round_n))
         g = learn.gradient(w_local, w_global)
         out, node.error = sia_step(
             g, node.data_size, node.error, SparseGradient.empty(m.dim), q_count
         )
         bits = message_bits(out, m)
-
-        w_dn = state.windows.next_window(sat, t_trained)
-        t_dn = max(w_dn.start_s, t_trained)
-        rate_dn = state.gs_rate(sat, t_dn)
-        d_dn = state.gs_distance(sat, t_dn)
-        t_sat_done = t_dn + tx_duration(bits, rate_dn) + propagation_delay(d_dn)
+        t_sat_done = state.ground_transfer(sat, t_rx + state.compute_time_s, bits)
         hop_records.append((sat, GS_ID, bits))
 
         aggregate += out.densify()
@@ -403,7 +368,6 @@ def run_no_isl_round(
 
     total_bits = sum(bits for _, _, bits in hop_records)
     metrics = RoundMetrics(
-        round_n=round_n,
         wallclock_s=t_done - t0,
         total_plane_bits=total_bits,
         gs_bits=total_bits,
@@ -414,9 +378,7 @@ def run_no_isl_round(
 
 @dataclass
 class IterationMetrics:
-    round_n: int
     t_end_s: float
-    wallclock_s: float
     accuracy: float
     plane_metrics: list[RoundMetrics]
 
@@ -450,5 +412,5 @@ def run_global_iteration(
     total_data = sum(node.data_size for state in planes for node in state.nodes)
     w_next = learn.global_update(w_global, total, total_data)
     accuracy = learn.evaluate(w_next, test_set) if test_set is not None else float("nan")
-    metrics = IterationMetrics(round_n, t_end, t_end - t0, accuracy, plane_metrics)
+    metrics = IterationMetrics(t_end, accuracy, plane_metrics)
     return w_next, metrics, t_end

@@ -1,10 +1,13 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, main
 from leofl.config import (
+    _SECTION_TYPES,
     ExperimentConfig,
     ValidationError,
     build_simulation,
@@ -22,6 +25,21 @@ from leofl.harness import (
     run_sweep,
 )
 from leofl.link import LinkError
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# each of these passed `leofl validate` and then failed mid-run or trained nothing
+NON_FINITE = [
+    ({"constellation": {"inclination_deg": float("nan")}}, "constellation.inclination_deg"),
+    ({"ground_station": {"longitude_deg": float("nan")}}, "ground_station.longitude_deg"),
+    ({"link": {"tx_power_dbm": float("nan")}}, "link.tx_power_dbm"),
+    ({"link": {"gain_rx_dbi": float("-inf")}}, "link.gain_rx_dbi"),
+    ({"compute_time_s": float("inf")}, "compute_time_s"),
+    ({"training": {"learning_rate": float("inf")}}, "training.learning_rate"),
+    ({"dataset": {"noise_std": -1.0}}, "dataset.noise_std"),
+    ({"dataset": {"noise_std": float("nan")}}, "dataset.noise_std"),
+]
 
 
 def tiny_config(**overrides):
@@ -85,6 +103,11 @@ class TestConfig:
     ])
     def test_out_of_range_names_key(self, raw, key):
         with pytest.raises(ValidationError, match=rf"{key} must be"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, key", NON_FINITE)
+    def test_non_finite_and_negative_noise_name_key(self, raw, key):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be"):
             config_from_dict(raw)
 
     def test_ints_accepted_for_float_fields(self):
@@ -229,6 +252,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and key in err
 
+    @pytest.mark.parametrize("raw, key", NON_FINITE)
+    def test_validate_rejects_non_finite(self, tmp_path, capsys, raw, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--rounds", "0"], "--rounds"),
+        (["windows", "--plane", "7"], "--plane"),
+        (["windows", "--plane", "-1"], "--plane"),
+        (["windows", "--hours", "nan"], "--hours"),
+        (["windows", "--hours", "0"], "--hours"),
+        (["sweep", "--q-list", "abc"], "--q-list"),
+        (["sweep", "--kp-step", "0"], "--kp-step"),
+        (["sweep", "--iterations", "1"], "--iterations"),
+        (["sweep", "--kp-min", "10", "--kp-max", "8"], "--kp-min"),
+    ])
+    def test_bad_arguments_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+        except SystemExit as exc:  # argparse rejects at parse time
+            code = exc.code
+        assert code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_mnist_gives_ingestion_exit(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         cfg = tiny_config()
@@ -249,3 +299,25 @@ class TestCli:
         assert rc == EXIT_OK
         assert (tmp_path / "out" / "run.csv").exists()
         assert (tmp_path / "out" / "run.manifest.json").exists()
+
+
+def readme_keys(text: str) -> list[str]:
+    """Backquoted key names in README text, leaving out parenthesized defaults."""
+    return re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", text))
+
+
+class TestReadme:
+    """The README's configuration reference lists exactly the keys load_config accepts."""
+
+    def test_top_level_keys(self):
+        text = README.read_text()
+        listed = re.search(r"optional top-level keys(.*?)sections:", text, re.S).group(1)
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(readme_keys(listed)) == sorted(set(fields) - set(_SECTION_TYPES))
+
+    def test_section_tables(self):
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", README.read_text(), re.M)
+        assert sorted(name for name, _ in rows) == sorted(_SECTION_TYPES)
+        for name, keys in rows:
+            fields = [f.name for f in dataclasses.fields(_SECTION_TYPES[name])]
+            assert sorted(readme_keys(keys)) == sorted(fields), name

@@ -9,7 +9,6 @@ from leofl.link import (
     db_to_linear,
     dbm_to_watts,
     fixed_link_rate,
-    linear_to_db,
     path_loss,
     propagation_delay,
     ring_neighbor_distance,
@@ -36,10 +35,10 @@ def plane(h_km=2000.0, k=8):
 
 class TestPathLoss:
     def test_1000km_20ghz(self):
-        assert linear_to_db(path_loss(1000e3, 20e9)) == pytest.approx(178.468, abs=0.01)
+        assert 10 * math.log10(path_loss(1000e3, 20e9)) == pytest.approx(178.468, abs=0.01)
 
     def test_neighbor_distance(self):
-        assert linear_to_db(path_loss(NEIGHBOR_D, 20e9)) == pytest.approx(194.60, abs=0.01)
+        assert 10 * math.log10(path_loss(NEIGHBOR_D, 20e9)) == pytest.approx(194.60, abs=0.01)
 
     def test_square_law(self):
         assert path_loss(2 * 1234e3, 20e9) == pytest.approx(4 * path_loss(1234e3, 20e9))
@@ -50,19 +49,16 @@ class TestPathLoss:
 
     def test_db_round_trip(self):
         loss = path_loss(777e3, 20e9)
-        assert db_to_linear(linear_to_db(loss)) == pytest.approx(loss, rel=1e-9)
+        assert db_to_linear(10 * math.log10(loss)) == pytest.approx(loss, rel=1e-9)
 
 
 class TestSnr:
-    def test_no_los_is_zero(self):
-        assert snr(PARAMS, 1e6, los=False) == 0.0
-
     def test_reference_point(self):
         # dB chain: 10 dBW + 64.26 dB gains - 194.60 dB loss + 116.1 dBW noise floor
-        assert snr(PARAMS, NEIGHBOR_D, los=True) == pytest.approx(0.378, abs=0.001)
+        assert snr(PARAMS, NEIGHBOR_D) == pytest.approx(0.378, abs=0.001)
 
     def test_monotone_in_distance(self):
-        values = [snr(PARAMS, d, True) for d in (1e6, 2e6, 4e6, 8e6)]
+        values = [snr(PARAMS, d) for d in (1e6, 2e6, 4e6, 8e6)]
         assert values == sorted(values, reverse=True)
 
     def test_dbm_conversion(self):
@@ -70,28 +66,25 @@ class TestSnr:
 
 
 class TestDataRate:
-    def test_zero_without_los(self):
-        assert data_rate(PARAMS, 1e6, los=False) == 0.0
-
     def test_snr_one_gives_bandwidth(self):
         # pick the distance where SNR is exactly 1
         lo, hi = 1e5, 1e8
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if snr(PARAMS, mid, True) > 1.0:
+            if snr(PARAMS, mid) > 1.0:
                 lo = mid
             else:
                 hi = mid
-        assert data_rate(PARAMS, lo, True) == pytest.approx(PARAMS.bandwidth_hz, rel=1e-6)
+        assert data_rate(PARAMS, lo) == pytest.approx(PARAMS.bandwidth_hz, rel=1e-6)
 
     def test_reference_point(self):
-        assert data_rate(PARAMS, NEIGHBOR_D, True) == pytest.approx(2.314e8, rel=1e-3)
+        assert data_rate(PARAMS, NEIGHBOR_D) == pytest.approx(2.314e8, rel=1e-3)
 
 
 class TestFixedLinkRate:
     def test_equals_adjacent_pair_rate(self):
         p = plane(k=8)
-        expected = data_rate(PARAMS, ring_neighbor_distance(p), True)
+        expected = data_rate(PARAMS, ring_neighbor_distance(p))
         assert fixed_link_rate(PARAMS, p) == pytest.approx(expected)
 
     def test_four_satellite_ring_blocked(self):
@@ -105,9 +98,7 @@ class TestFixedLinkRate:
 
     def test_never_exceeds_neighbor_rate(self):
         p = plane(k=8)
-        assert fixed_link_rate(PARAMS, p) <= data_rate(
-            PARAMS, ring_neighbor_distance(p), True
-        )
+        assert fixed_link_rate(PARAMS, p) <= data_rate(PARAMS, ring_neighbor_distance(p))
 
 
 class TestTxDuration:

@@ -7,19 +7,19 @@ import pytest
 from leofl import learn, protocol
 from leofl.config import ExperimentConfig, build_simulation
 from leofl.data import Dataset
-from leofl.link import LinkParams, dbm_to_watts
-from leofl.orbital import GroundStation, OrbitPlane
+from leofl.constants import CONSTANTS
+from leofl.link import LinkParams, data_rate, dbm_to_watts
+from leofl.orbital import GroundStation, OrbitPlane, gs_position_vec, propagate_vec
 from leofl.protocol import (
     GS_ID,
     PlaneState,
     RoundPlan,
     SatelliteNode,
     Scheme,
+    first_visible,
     run_global_iteration,
     run_no_isl_round,
     run_round,
-    select_sink,
-    select_source,
     shortest_path_hops,
     split_arcs,
 )
@@ -124,7 +124,7 @@ class TestSourceSinkSelection:
 
     def test_source_minimizes_window_start(self, state):
         t = 1000.0
-        chosen = select_source(state, t)
+        chosen = first_visible(state, t)
         chosen_start = max(state.windows.next_window(chosen, t).start_s, t)
         for sat in range(8):
             other = max(state.windows.next_window(sat, t).start_s, t)
@@ -133,17 +133,53 @@ class TestSourceSinkSelection:
     def test_source_in_los_now(self, state):
         w = state.windows.next_window(0, 0.0)
         mid = 0.5 * (w.start_s + w.end_s)
-        chosen = select_source(state, mid)
+        chosen = first_visible(state, mid)
         cw = state.windows.next_window(chosen, mid)
         assert cw.start_s <= mid < cw.end_s
 
     def test_sink_minimizes_wait(self, state):
         ready = 5000.0
-        chosen = select_sink(state, ready, 0.0)
+        chosen = first_visible(state, ready)
         chosen_wait = max(0.0, state.windows.next_window(chosen, ready).start_s - ready)
         for sat in range(8):
             wait = max(0.0, state.windows.next_window(sat, ready).start_s - ready)
             assert chosen_wait <= wait
+
+    def test_ties_go_to_the_lower_index(self, state):
+        # times at which two or more satellites already see the station
+        tied = 0
+        for t in np.arange(0.0, 86400.0, 60.0):
+            in_view = [sat for sat in range(8)
+                       if state.windows.next_window(sat, t).start_s <= t]
+            if len(in_view) > 1:
+                tied += 1
+                assert first_visible(state, t) == in_view[0]
+        assert tied > 10
+
+
+class TestGroundTransfer:
+    BITS = 251_203
+
+    @pytest.fixture
+    def state(self, selection_state):
+        return selection_state
+
+    def expected_arrival(self, state, sat, t_start):
+        dist = float(np.linalg.norm(
+            propagate_vec(state.plane, sat, t_start) - gs_position_vec(state.gs, t_start)))
+        rate = data_rate(PARAMS, dist)
+        return (t_start + self.BITS / rate) + dist / CONSTANTS.light_speed
+
+    def test_inside_a_window_starts_at_t(self, state):
+        w = state.windows.next_window(3, 20000.0)
+        t = w.start_s + 0.4 * (w.end_s - w.start_s)
+        assert state.ground_transfer(3, t, self.BITS) == self.expected_arrival(state, 3, t)
+
+    def test_before_a_window_starts_at_its_start(self, state):
+        w = state.windows.next_window(5, 20000.0)
+        t = w.start_s - 1234.5
+        assert state.windows.next_window(5, t) == w
+        assert state.ground_transfer(5, t, self.BITS) == self.expected_arrival(state, 5, w.start_s)
 
 
 class TestDenseRound:

@@ -23,12 +23,14 @@ from hypothesis.extra import numpy as hnp
 from leofl import learn, protocol
 from leofl.config import build_simulation, config_from_dict
 from leofl.data import Dataset
-from leofl.link import LinkParams, dbm_to_watts, propagation_delay, tx_duration
+from leofl.link import LinkParams, data_rate, dbm_to_watts, propagation_delay, tx_duration
 from leofl.orbital import (
     GroundStation,
     OrbitPlane,
     VisibilityWindow,
     _gs_los_mask,
+    gs_position_vec,
+    propagate_vec,
     visibility_windows,
 )
 from leofl.protocol import (
@@ -125,7 +127,7 @@ def reference_visibility_windows(plane, sat_index, gs, t_start, t_end, step_s=5.
         start = max(start, t_start)
         end = min(end, t_end)
         if start < end:
-            windows.append(VisibilityWindow(sat_index, float(start), float(end)))
+            windows.append(VisibilityWindow(float(start), float(end)))
         i = j + 1
     return windows
 
@@ -183,8 +185,7 @@ def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count, plan=
     """One ring round as a discrete-event simulation; returns (aggregate, hop records, t_done)."""
     m = state.size_model
     k = state.plane.num_sats
-    ring = state.ring
-    hop_prop = propagation_delay(ring.hop_distance_m)
+    rate_bps, hop_prop = state.isl_rate_bps, state.isl_prop_s
 
     if plan is None:
         plan, t_source_rx, dist_bits = protocol.plan_round(state, scheme, t0, q_count)
@@ -192,7 +193,7 @@ def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count, plan=
         t_source_rx = t0
         dist_bits = protocol._distribution_bits(m, k)
 
-    dist_hop_s = tx_duration(dist_bits, ring.rate_bps) + hop_prop
+    dist_hop_s = tx_duration(dist_bits, rate_bps) + hop_prop
 
     gradients = {}
     for sat in range(k):
@@ -243,7 +244,7 @@ def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count, plan=
         forwarded[sat] = True
         msg = outgoing_message(sat)
         dst = next_hop[sat]
-        t_arrive = queue.now + tx_duration(msg.bits, ring.rate_bps) + hop_prop
+        t_arrive = queue.now + tx_duration(msg.bits, rate_bps) + hop_prop
         queue.push(Event(t_arrive, EventKind.ISL_DELIVER, msg.bits, sat, dst), msg)
         hop_records.append((sat, dst, msg.bits))
 
@@ -290,8 +291,9 @@ def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count, plan=
             msg = result["message"]
             w = state.windows.next_window(plan.sink_id, event.time_s)
             t_dl = max(w.start_s, event.time_s)
-            rate = state.gs_rate(plan.sink_id, t_dl)
-            dist = state.gs_distance(plan.sink_id, t_dl)
+            dist = float(np.linalg.norm(propagate_vec(state.plane, plan.sink_id, t_dl)
+                                        - gs_position_vec(state.gs, t_dl)))
+            rate = data_rate(state.params, dist)
             t_done = t_dl + tx_duration(msg.bits, rate) + propagation_delay(dist)
             queue.push(Event(t_done, EventKind.GS_DELIVER, msg.bits, plan.sink_id, GS_ID))
             hop_records.append((plan.sink_id, GS_ID, msg.bits))
@@ -420,7 +422,7 @@ class TestWindowsAgainstReference:
 
     def test_window_cache_matches_linear_scan(self):
         plane, gs = GEOMETRIES[0]
-        cache = WindowCache(plane, gs, plane.num_sats)
+        cache = WindowCache(plane, gs)
         for t in np.linspace(0.0, 3 * 86400.0, 400):
             for sat in range(plane.num_sats):
                 got = cache.next_window(sat, float(t))
