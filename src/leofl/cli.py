@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
-from .config import ExperimentConfig, ValidationError, build_ground_station, build_planes_geometry, load_config
+from .config import (ExperimentConfig, ValidationError, build_ground_station,
+                     build_planes_geometry, config_from_dict, load_config)
 from .data import IngestionError
 from .harness import export, export_sweep, run_experiment, run_sweep
 from .orbital import visibility_windows
+from .protocol import Scheme
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -18,17 +19,12 @@ EXIT_INGESTION = 3
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for key in ("scheme", "q", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "out", None):
+    """The config file with the command-line overrides applied, validated once as a whole."""
+    overrides = {key: getattr(args, key) for key in ("scheme", "q", "seed")
+                 if getattr(args, key) is not None}
+    if args.out:
         overrides["output_dir"] = args.out
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg.validate()
+    return load_config(args.config, **overrides) if args.config else config_from_dict(overrides)
 
 
 def _cmd_run(args) -> int:
@@ -113,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="YAML experiment config")
-        p.add_argument("--scheme", choices=["DENSE_IA", "SIA", "CLSIA", "NO_ISL_DIRECT"])
+        p.add_argument("--scheme", choices=[s.value for s in Scheme])
         p.add_argument("--q", type=float, help="sparsification ratio in (0, 1]")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")

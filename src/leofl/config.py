@@ -11,9 +11,10 @@ from pathlib import Path
 import yaml
 
 from . import data, learn
-from .link import LinkError, LinkParams, dbm_to_watts, ring_neighbors_visible
-from .orbital import GroundStation, OrbitPlane, max_visible_latitude
-from .protocol import PlaneState, SatelliteNode, Scheme
+from .link import (LinkError, LinkParams, data_rate, db_to_linear, dbm_to_watts,
+                   ring_neighbor_distance, ring_neighbors_visible)
+from .orbital import GroundStation, OrbitPlane, max_slant_range, max_visible_latitude
+from .protocol import SCHEMES, PlaneState, SatelliteNode, Scheme
 from .sparsify import ErrorState, SizeModel
 
 
@@ -144,14 +145,14 @@ class ExperimentConfig:
                 f"above {gs.min_elevation_deg:g} deg elevation; |latitude| must be at most "
                 f"{reach_deg:.2f} deg"
             )
-        # the no-ISL baseline forms no ring
-        ring_scheme = self.scheme != Scheme.NO_ISL_DIRECT.value
-        if ring_scheme and not ring_neighbors_visible(plane):
+        ring = SCHEMES[Scheme[self.scheme]].ring
+        if ring and not ring_neighbors_visible(plane):
             raise RingGeometryError(
                 f"constellation.sats_per_plane: ring of {c.sats_per_plane} satellites at "
                 f"{c.altitude_km:g} km: neighbor chord intersects the Earth, no ring can form; "
                 "use more satellites per plane or a higher constellation.altitude_km"
             )
+        _check_link(self, plane, ring)
         return self
 
 
@@ -202,48 +203,71 @@ def _type_problems(cfg: ExperimentConfig) -> list[str]:
     return problems
 
 
-def _build_section(cls, raw: dict, path: str):
-    known = cls.__dataclass_fields__
-    unknown = set(raw) - set(known)
+def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
+    """Compute the link budget as a run does and reject, by key, what it cannot use.
+
+    The station rate is taken at the elevation mask: that is the longest range
+    a window allows, so the slowest rate any ground transfer sees.
+    """
+    problems = []
+    for key, to_linear in (("tx_power_dbm", dbm_to_watts), ("gain_tx_dbi", db_to_linear),
+                           ("gain_rx_dbi", db_to_linear)):
+        value = getattr(cfg.link, key)
+        try:
+            linear = to_linear(value)
+        except OverflowError:
+            linear = math.inf
+        if not 0 < linear < math.inf:
+            problems.append(f"link.{key}: {value!r} is {linear!r} as a linear ratio, "
+                            "which must be positive and finite")
+    if problems:
+        raise ValidationError("; ".join(problems))
+    params = build_link_params(cfg)
+    ranges = {"the station at the elevation mask": max_slant_range(
+        plane, math.radians(cfg.ground_station.min_elevation_deg))}
+    if ring:
+        ranges["the ring neighbor"] = ring_neighbor_distance(plane)
+    for what, distance_m in ranges.items():
+        try:
+            rate = data_rate(params, distance_m)
+        except ArithmeticError:
+            rate = math.nan
+        if not 0 < rate < math.inf:
+            problems.append(f"to {what} ({distance_m / 1e3:.0f} km) is {rate!r} bit/s")
+    if problems:
+        budget = ", ".join(f"link.{f.name}" for f in dataclasses.fields(LinkConfig))
+        raise ValidationError(f"link: the rate {' and '.join(problems)}; "
+                              f"{budget} must give a positive, finite rate")
+
+
+def _build(cls, raw: dict, keys: str):
+    unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ValidationError(f"unknown keys in {path}: {sorted(unknown)}")
+        raise ValidationError(f"unknown {keys}: {sorted(unknown)}")
     return cls(**raw)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw or {})
-    known = ExperimentConfig.__dataclass_fields__
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
-    kwargs = {}
     for key, value in raw.items():
         if key in _SECTION_TYPES:
             if not isinstance(value, dict):
                 raise ValidationError(f"section '{key}' must be a mapping")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs).validate()
+            raw[key] = _build(_SECTION_TYPES[key], value, f"keys in {key}")
+    return _build(ExperimentConfig, raw, "top-level keys").validate()
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Read a YAML config; top-level `overrides` replace its values before validation."""
     with open(path) as f:
         raw = yaml.safe_load(f)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
+    if raw is not None and not isinstance(raw, dict):
         raise ValidationError("config document must be a mapping")
-    return config_from_dict(raw)
+    return config_from_dict({**(raw or {}), **overrides})
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path):
-    with open(path, "w") as f:
-        yaml.safe_dump(config_to_dict(cfg), f, sort_keys=False)
 
 
 def build_link_params(cfg: ExperimentConfig) -> LinkParams:
@@ -323,17 +347,11 @@ def build_simulation(cfg: ExperimentConfig):
     params = build_link_params(cfg)
     size_model = SizeModel(value_bits=cfg.value_bits, dim=dim)
 
+    k = cfg.constellation.sats_per_plane
     planes = []
     for plane_id, geometry in enumerate(build_planes_geometry(cfg)):
-        k = cfg.constellation.sats_per_plane
-        nodes = [
-            SatelliteNode(
-                sat_id=plane_id * k + i,
-                dataset=shards[plane_id * k + i],
-                error=ErrorState.zeros(dim),
-            )
-            for i in range(k)
-        ]
+        nodes = [SatelliteNode(shard, ErrorState.zeros(dim))
+                 for shard in shards[plane_id * k:(plane_id + 1) * k]]
         planes.append(
             PlaneState(
                 plane_id=plane_id,
@@ -347,11 +365,6 @@ def build_simulation(cfg: ExperimentConfig):
             )
         )
 
-    hp = learn.HyperParams(
-        learning_rate=cfg.training.learning_rate,
-        local_epochs=cfg.training.local_epochs,
-        batch_size=cfg.training.batch_size,
-        rounds=cfg.training.rounds,
-    )
+    hp = learn.HyperParams(**asdict(cfg.training))
     w0 = learn.init_weights(feature_dim, num_classes)
     return planes, hp, w0, test, size_model

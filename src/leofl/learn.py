@@ -41,33 +41,12 @@ def _as_matrix(w: np.ndarray, feature_dim: int) -> np.ndarray:
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     return np.hstack([x, np.ones((len(x), 1))])
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def predict_proba(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    logits = _augment(x) @ _as_matrix(w, np.atleast_2d(x).shape[1]).T
-    return np.exp(_log_softmax(logits))
-
-
-def per_sample_loss(w: np.ndarray, x: np.ndarray, label: int) -> float:
-    """Cross-entropy -log softmax(Wx + b)[label] for one sample."""
-    logits = _augment(x) @ _as_matrix(w, np.atleast_2d(x).shape[1]).T
-    return float(-_log_softmax(logits)[0, label])
-
-
-def local_loss(w: np.ndarray, dataset: Dataset) -> float:
-    """Mean cross-entropy over one satellite's shard."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    logits = _augment(dataset.features) @ _as_matrix(w, dataset.features.shape[1]).T
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(dataset)), dataset.labels].mean())
 
 
 def loss_gradient_sum(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -39,14 +39,6 @@ class LinkParams:
             if getattr(self, name) <= 0:
                 raise LinkError(f"{name} must be strictly positive")
 
-    @property
-    def noise_power_w(self) -> float:
-        return CONSTANTS.boltzmann * self.noise_temp_k * self.bandwidth_hz
-
-    @property
-    def gain_product_linear(self) -> float:
-        return db_to_linear(self.gain_tx_dbi) * db_to_linear(self.gain_rx_dbi)
-
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:
     """Free-space path loss (4*pi*f*d/c)^2 as a linear power ratio."""
@@ -58,10 +50,10 @@ def path_loss(distance_m: float, carrier_hz: float) -> float:
 
 def snr(params: LinkParams, distance_m: float) -> float:
     """Received SNR as a linear ratio."""
-    if distance_m <= 0:
-        raise LinkError(f"distance must be positive, got {distance_m}")
     loss = path_loss(distance_m, params.carrier_hz)
-    return params.tx_power_w * params.gain_product_linear / (params.noise_power_w * loss)
+    gain = db_to_linear(params.gain_tx_dbi) * db_to_linear(params.gain_rx_dbi)
+    noise_w = CONSTANTS.boltzmann * params.noise_temp_k * params.bandwidth_hz
+    return params.tx_power_w * gain / (noise_w * loss)
 
 
 def data_rate(params: LinkParams, distance_m: float) -> float:

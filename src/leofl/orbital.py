@@ -74,8 +74,6 @@ def orbital_speed(altitude_m: float) -> float:
 
 def orbital_period(altitude_m: float) -> float:
     """Orbital period at the given altitude, seconds."""
-    if altitude_m < 0:
-        raise GeometryError(f"altitude must be non-negative, got {altitude_m}")
     r = CONSTANTS.earth_radius_m + altitude_m
     return 2.0 * math.pi * r / orbital_speed(altitude_m)
 
@@ -137,6 +135,13 @@ def max_visible_latitude(plane: OrbitPlane, min_elevation_rad: float) -> float:
     track = math.asin(abs(math.sin(plane.inclination_rad)))
     cos_reach = CONSTANTS.earth_radius_m / plane.radius_m * math.cos(min_elevation_rad)
     return track + math.acos(cos_reach) - min_elevation_rad
+
+
+def max_slant_range(plane: OrbitPlane, min_elevation_rad: float) -> float:
+    """Station-satellite distance at the elevation mask, the longest a window allows."""
+    r_e = CONSTANTS.earth_radius_m
+    return (math.sqrt(plane.radius_m ** 2 - (r_e * math.cos(min_elevation_rad)) ** 2)
+            - r_e * math.sin(min_elevation_rad))
 
 
 def _gs_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np.ndarray) -> np.ndarray:

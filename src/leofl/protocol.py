@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -57,6 +57,38 @@ class Scheme(str, Enum):
 
 
 @dataclass(frozen=True)
+class SchemeSpec:
+    """What sets one aggregation scheme apart.
+
+    `step(g, data_size, error, incoming, q_count) -> (message, error)` folds a
+    satellite's update into the incoming message (None: the dense sum), and
+    `hop_bits(j, size_model, q_count)` bounds the bits sent from arc position
+    j, counted from the far end, for the sink estimate.
+    """
+
+    step: Callable | None
+    sparse: bool
+    hop_bits: Callable[[int, SizeModel, int], int]
+    ring: bool
+
+
+# the steps look sia_step and clsia_step up at call time, so rebinding them
+# on this module reaches every round; a sparse entry costs value plus index bits
+SCHEMES = {
+    Scheme.DENSE_IA: SchemeSpec(None, sparse=False, ring=True,
+                                hop_bits=lambda j, m, q: m.dense_bits()),
+    # the support grows by at most Q entries per hop
+    Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a), sparse=True, ring=True,
+                           hop_bits=lambda j, m, q: min(m.dim, j * q) * (m.value_bits + m.index_bits)),
+    Scheme.CLSIA: SchemeSpec(lambda *a: clsia_step(*a), sparse=True, ring=True,
+                             hop_bits=lambda j, m, q: q * (m.value_bits + m.index_bits)),
+    # each satellite sends its own Top-Q straight down: an SIA step onto nothing
+    Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a), sparse=True, ring=False,
+                                     hop_bits=lambda j, m, q: q * (m.value_bits + m.index_bits)),
+}
+
+
+@dataclass(frozen=True)
 class RoundPlan:
     source_id: int
     sink_id: int
@@ -66,14 +98,16 @@ class RoundPlan:
 @dataclass
 class RoundMetrics:
     wallclock_s: float
-    total_plane_bits: int
     gs_bits: int
-    hop_records: list[tuple[int, int, int]] = field(default_factory=list)  # (src, dst, bits)
+    hop_records: list[tuple[int, int, int]]  # (src, dst, bits) in send order
+
+    @property
+    def total_plane_bits(self) -> int:
+        return sum(bits for _, _, bits in self.hop_records)
 
 
 @dataclass
 class SatelliteNode:
-    sat_id: int
     dataset: Dataset
     error: ErrorState
 
@@ -210,8 +244,8 @@ def split_arcs(num_sats: int, sink: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 def plan_round(state: PlaneState, scheme: Scheme, t: float, q_count: int):
     """Pick source and sink for this round and fix the arc split."""
-    if scheme is Scheme.NO_ISL_DIRECT:
-        raise ValueError("the no-ISL baseline does not use ring rounds")
+    if not SCHEMES[scheme].ring:
+        raise ValueError(f"{scheme.value} does not use ring rounds")
     k = state.plane.num_sats
     source = first_visible(state, t)
     dist_bits = _distribution_bits(state.size_model, k)
@@ -231,14 +265,8 @@ def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) ->
     half = math.ceil(k / 2)
     rate, hop_prop = state.isl_rate_bps, state.isl_prop_s
     dist = half * (tx_duration(_distribution_bits(m, k), rate) + hop_prop)
-    entry_bits = m.value_bits + m.index_bits
-    if scheme is Scheme.DENSE_IA:
-        agg_bits = [m.dense_bits()] * half
-    elif scheme is Scheme.CLSIA:
-        agg_bits = [q_count * entry_bits] * half
-    else:  # SIA worst case: support grows by Q per hop
-        agg_bits = [min(m.dim, j * q_count) * entry_bits for j in range(1, half + 1)]
-    agg = sum(tx_duration(b, rate) + hop_prop for b in agg_bits)
+    hop_bits = SCHEMES[scheme].hop_bits
+    agg = sum(tx_duration(hop_bits(j, m, q_count), rate) + hop_prop for j in range(1, half + 1))
     return dist + state.compute_time_s + agg
 
 
@@ -253,12 +281,12 @@ def run_round(
     plan: RoundPlan | None = None,
 ) -> tuple[np.ndarray, RoundMetrics, float]:
     """Fold one ring round over its two arcs; returns (dense plane aggregate, metrics, t_done)."""
-    if scheme is Scheme.NO_ISL_DIRECT:
-        raise ValueError("use run_no_isl_round for the baseline without ISLs")
+    spec = SCHEMES[scheme]
+    if not spec.ring:
+        raise ValueError(f"{scheme.value} forms no ring; use run_no_isl_round")
     m = state.size_model
     k = state.plane.num_sats
     rate, hop_prop = state.isl_rate_bps, state.isl_prop_s
-    dense = scheme is Scheme.DENSE_IA
 
     if plan is None:
         plan, t_source_rx, dist_bits = plan_round(state, scheme, t0, q_count)
@@ -280,15 +308,14 @@ def run_round(
         for sat, node in enumerate(state.nodes)
     ]
 
-    zero = np.zeros(m.dim) if dense else SparseGradient.empty(m.dim)  # never written to
+    zero = SparseGradient.empty(m.dim) if spec.sparse else np.zeros(m.dim)  # never written to
 
     def step(sat: int, base):
         """Add the satellite's weighted gradient to `base`; returns (message, bits)."""
         node = state.nodes[sat]
-        if dense:
+        if spec.step is None:
             return base + node.data_size * gradients[sat], m.dense_bits()
-        compress = sia_step if scheme is Scheme.SIA else clsia_step
-        out, node.error = compress(gradients[sat], node.data_size, node.error, base, q_count)
+        out, node.error = spec.step(gradients[sat], node.data_size, node.error, base, q_count)
         return out, message_bits(out, m)
 
     # A satellite sends once it has trained and its upstream message has
@@ -314,20 +341,14 @@ def run_round(
     t_ready = max([trained_at[sink]] + [t for t, _ in arrivals])
     merged = zero
     for _, msg in arrivals:
-        merged = np.add(merged, msg) if dense else sparse_add(merged, msg)
+        merged = sparse_add(merged, msg) if spec.sparse else np.add(merged, msg)
     out, bits = step(sink, merged)
-    aggregate = out if dense else out.densify()
+    aggregate = out.densify() if spec.sparse else out
 
     t_done = state.ground_transfer(sink, t_ready, bits)
 
     hop_records = [rec for _, rec in sorted(hops)] + [(sink, GS_ID, bits)]
-    metrics = RoundMetrics(
-        wallclock_s=t_done - t0,
-        total_plane_bits=sum(b for _, _, b in hop_records),
-        gs_bits=bits,
-        hop_records=hop_records,
-    )
-    return aggregate, metrics, t_done
+    return aggregate, RoundMetrics(t_done - t0, bits, hop_records), t_done
 
 
 def run_no_isl_round(
@@ -354,11 +375,9 @@ def run_no_isl_round(
         t_rx = state.ground_transfer(sat, t0, up_bits)
         hop_records.append((GS_ID, sat, up_bits))
 
-        w_local = state.trainer(w_global, node, hp, state.round_rng(sat, round_n))
-        g = learn.gradient(w_local, w_global)
-        out, node.error = sia_step(
-            g, node.data_size, node.error, SparseGradient.empty(m.dim), q_count
-        )
+        g = learn.gradient(state.trainer(w_global, node, hp, state.round_rng(sat, round_n)), w_global)
+        out, node.error = SCHEMES[Scheme.NO_ISL_DIRECT].step(
+            g, node.data_size, node.error, SparseGradient.empty(m.dim), q_count)
         bits = message_bits(out, m)
         t_sat_done = state.ground_transfer(sat, t_rx + state.compute_time_s, bits)
         hop_records.append((sat, GS_ID, bits))
@@ -366,14 +385,9 @@ def run_no_isl_round(
         aggregate += out.densify()
         t_done = max(t_done, t_sat_done)
 
-    total_bits = sum(bits for _, _, bits in hop_records)
-    metrics = RoundMetrics(
-        wallclock_s=t_done - t0,
-        total_plane_bits=total_bits,
-        gs_bits=total_bits,
-        hop_records=hop_records,
-    )
-    return aggregate, metrics, t_done
+    # every bit of this round crosses a ground link
+    gs_bits = sum(bits for _, _, bits in hop_records)
+    return aggregate, RoundMetrics(t_done - t0, gs_bits, hop_records), t_done
 
 
 @dataclass
@@ -402,15 +416,14 @@ def run_global_iteration(
     plane_metrics = []
     t_end = t0
     for state in planes:
-        if scheme is Scheme.NO_ISL_DIRECT:
-            agg, pm, t_done = run_no_isl_round(state, w_global, hp, t0, round_n, q_count)
-        else:
+        if SCHEMES[scheme].ring:
             agg, pm, t_done = run_round(state, scheme, w_global, hp, t0, round_n, q_count)
+        else:
+            agg, pm, t_done = run_no_isl_round(state, w_global, hp, t0, round_n, q_count)
         total += agg
         plane_metrics.append(pm)
         t_end = max(t_end, t_done)
     total_data = sum(node.data_size for state in planes for node in state.nodes)
     w_next = learn.global_update(w_global, total, total_data)
     accuracy = learn.evaluate(w_next, test_set) if test_set is not None else float("nan")
-    metrics = IterationMetrics(t_end, accuracy, plane_metrics)
-    return w_next, metrics, t_end
+    return w_next, IterationMetrics(t_end, accuracy, plane_metrics), t_end

@@ -14,7 +14,6 @@ from leofl.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    save_config,
 )
 from leofl.harness import (
     CSV_HEADER,
@@ -25,6 +24,7 @@ from leofl.harness import (
     run_sweep,
 )
 from leofl.link import LinkError
+from leofl.protocol import Scheme
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -42,6 +42,25 @@ NON_FINITE = [
 ]
 
 
+# each of these passed `leofl validate` and then failed in the first round:
+# a dB value whose linear ratio overflows or underflows, or a link budget
+# whose rate is zero
+UNUSABLE_LINK = [
+    ({"gain_tx_dbi": 1.0e+300}, "link.gain_tx_dbi"),
+    ({"gain_rx_dbi": 1.0e+300}, "link.gain_rx_dbi"),
+    ({"tx_power_dbm": 1.0e+300}, "link.tx_power_dbm"),
+    ({"tx_power_dbm": -1.0e+300}, "link.tx_power_dbm"),
+    ({"tx_power_dbm": -300.0}, "link.tx_power_dbm"),
+    ({"gain_tx_dbi": -250.0}, "link.gain_tx_dbi"),
+    # each gain is finite, their product is not
+    ({"gain_tx_dbi": 2000.0, "gain_rx_dbi": 2000.0}, "link.gain_rx_dbi"),
+]
+
+
+def write_config(cfg, path):
+    path.write_text(yaml.safe_dump(config_to_dict(cfg)))
+
+
 def tiny_config(**overrides):
     cfg = ExperimentConfig()
     cfg = dataclasses.replace(
@@ -57,7 +76,7 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(scheme="CLSIA", q=0.1, seed=7)
         path = tmp_path / "cfg.yaml"
-        save_config(cfg, path)
+        write_config(cfg, path)
         assert load_config(path) == cfg
 
     def test_unknown_top_level_key_rejected(self):
@@ -119,6 +138,21 @@ class TestConfig:
             config_from_dict({"constellation": {"sats_per_plane": 3}})
         # the no-ISL baseline forms no ring
         config_from_dict({"scheme": "NO_ISL_DIRECT", "constellation": {"sats_per_plane": 3}})
+
+    @pytest.mark.parametrize("scheme", ["SIA", "NO_ISL_DIRECT"])
+    @pytest.mark.parametrize("link, key", UNUSABLE_LINK)
+    def test_unusable_link_names_key(self, scheme, link, key):
+        with pytest.raises(ValidationError, match=re.escape(key)):
+            config_from_dict({"scheme": scheme, "link": link})
+
+    def test_isl_rate_checked_for_ring_schemes_only(self):
+        raw = {"link": {"tx_power_dbm": -300.0}}
+        with pytest.raises(ValidationError) as ring:
+            config_from_dict(dict(raw, scheme="SIA"))
+        with pytest.raises(ValidationError) as no_isl:
+            config_from_dict(dict(raw, scheme="NO_ISL_DIRECT"))
+        assert "elevation mask" in str(ring.value) and "ring neighbor" in str(ring.value)
+        assert "elevation mask" in str(no_isl.value) and "ring neighbor" not in str(no_isl.value)
 
     def test_shards_must_fit(self):
         with pytest.raises(ValidationError, match="dataset.train_samples"):
@@ -228,7 +262,7 @@ class TestSweep:
 class TestCli:
     def test_validate_ok(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        save_config(tiny_config(), path)
+        write_config(tiny_config(), path)
         assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     def test_validate_bad_config(self, tmp_path):
@@ -251,6 +285,31 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and key in err
+
+    @pytest.mark.parametrize("link, key", UNUSABLE_LINK)
+    def test_validate_rejects_unusable_link(self, tmp_path, capsys, link, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"link": link}))
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and key in err
+
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_validate_accepts_every_scheme(self, scheme):
+        assert main(["validate", "--scheme", scheme]) == EXIT_OK
+
+    def test_validate_rejects_unknown_scheme(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--scheme", "SPARSE"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--scheme" in capsys.readouterr().err
+
+    def test_scheme_override_applies_before_validation(self, tmp_path):
+        # a ring of 3 cannot form, but the no-ISL baseline needs none
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"constellation": {"sats_per_plane": 3}}))
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert main(["validate", "--config", str(path), "--scheme", "NO_ISL_DIRECT"]) == EXIT_OK
 
     @pytest.mark.parametrize("raw, key", NON_FINITE)
     def test_validate_rejects_non_finite(self, tmp_path, capsys, raw, key):
@@ -287,13 +346,13 @@ class TestCli:
                 cfg.dataset, source="mnist", mnist_dir=str(tmp_path / "missing")
             )
         )
-        save_config(cfg, path)
+        write_config(cfg, path)
         assert main(["run", "--config", str(path), "--rounds", "1",
                      "--out", str(tmp_path)]) == EXIT_INGESTION
 
     def test_run_writes_outputs(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        save_config(tiny_config(), path)
+        write_config(tiny_config(), path)
         rc = main(["run", "--config", str(path), "--rounds", "2",
                    "--out", str(tmp_path / "out"), "--scheme", "CLSIA"])
         assert rc == EXIT_OK

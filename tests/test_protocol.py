@@ -12,6 +12,7 @@ from leofl.link import LinkParams, data_rate, dbm_to_watts
 from leofl.orbital import GroundStation, OrbitPlane, gs_position_vec, propagate_vec
 from leofl.protocol import (
     GS_ID,
+    SCHEMES,
     PlaneState,
     RoundPlan,
     SatelliteNode,
@@ -23,17 +24,17 @@ from leofl.protocol import (
     shortest_path_hops,
     split_arcs,
 )
-from leofl.sparsify import ErrorState, SizeModel
+from leofl.sparsify import ErrorState, SizeModel, q_to_count
 
 PARAMS = LinkParams(dbm_to_watts(40.0), 32.13, 32.13, 500e6, 20e9, 354.0)
 BREMEN = GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0))
 
 
-def make_trainer(gradients_by_sat):
-    """Trainer stub returning w_global + a preset gradient per satellite id."""
+def make_trainer(gradients_by_shard):
+    """Trainer stub returning w_global + a preset gradient per shard, keyed by its identity."""
 
     def trainer(w_global, node, hp, rng):
-        return w_global + gradients_by_sat[node.sat_id]
+        return w_global + gradients_by_shard[id(node.dataset)]
 
     return trainer
 
@@ -43,9 +44,8 @@ def toy_plane_state(gradients, dim, h_km=8000.0, compute_time=0.0):
     k = len(gradients)
     plane = OrbitPlane(h_km * 1e3, math.radians(85.0), 0.0, k)
     nodes = [
-        SatelliteNode(i, Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)),
-                      ErrorState.zeros(dim))
-        for i in range(k)
+        SatelliteNode(Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(dim))
+        for _ in range(k)
     ]
     return PlaneState(
         plane_id=0,
@@ -55,7 +55,7 @@ def toy_plane_state(gradients, dim, h_km=8000.0, compute_time=0.0):
         size_model=SizeModel(32, dim),
         nodes=nodes,
         compute_time_s=compute_time,
-        trainer=make_trainer({i: g for i, g in enumerate(gradients)}),
+        trainer=make_trainer({id(node.dataset): g for node, g in zip(nodes, gradients)}),
     )
 
 
@@ -110,9 +110,8 @@ class TestRingHelpers:
 def selection_state():
     plane = OrbitPlane(2000e3, math.radians(85.0), 0.0, 8)
     nodes = [
-        SatelliteNode(i, Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)),
-                      ErrorState.zeros(10))
-        for i in range(8)
+        SatelliteNode(Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(10))
+        for _ in range(8)
     ]
     return PlaneState(0, plane, BREMEN, PARAMS, SizeModel(32, 10), nodes)
 
@@ -295,6 +294,42 @@ class TestTracedNames:
         run_round(state, scheme, np.zeros(30), HP, 0.0, 1, q_count=4)
         # every satellite steps once; the sink merges the two arc messages
         assert calls == {"sia_step": 0, "clsia_step": 0, step: k, "sparse_add": 2}
+
+
+class TestSchemeRecord:
+    def test_every_scheme_has_a_record(self):
+        assert set(SCHEMES) == set(Scheme)
+
+    @pytest.mark.parametrize("scheme", [s for s in Scheme if SCHEMES[s].ring])
+    def test_hop_bits_within_worst_case(self, monkeypatch, scheme):
+        """Every hop sent from arc position j (1 = far end) carries at most the
+        record's worst-case bits at j, which the sink estimate sums; the dense
+        and constant-length schemes reach it exactly."""
+        planes, hp, w, _, m = build_simulation(ExperimentConfig(scheme=scheme.value))
+        q_count = q_to_count(0.01, m.dim)
+        plans = []
+
+        def recorded(*args, _plan_round=protocol.plan_round):
+            result = _plan_round(*args)
+            plans.append(result[0])
+            return result
+
+        monkeypatch.setattr(protocol, "plan_round", recorded)
+        checked, t = 0, 0.0
+        for n in range(1, 4):
+            plans.clear()
+            w, metrics, t = run_global_iteration(planes, scheme, w, hp, t, n, q_count)
+            for plan, pm in zip(plans, metrics.plane_metrics, strict=True):
+                for src, dst, bits in pm.hop_records:
+                    if dst == GS_ID:
+                        continue
+                    j = next(arc.index(src) + 1 for arc in plan.arcs if src in arc)
+                    worst = SCHEMES[scheme].hop_bits(j, m, q_count)
+                    assert bits <= worst
+                    if scheme in (Scheme.DENSE_IA, Scheme.CLSIA):
+                        assert bits == worst
+                    checked += 1
+        assert checked == 3 * 5 * 7
 
 
 class TestSchemeEquivalenceAtQ1:

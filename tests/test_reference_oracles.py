@@ -493,14 +493,16 @@ def stub_ring(k, dim, compute_time_s, seed):
     """A ring whose satellites report fixed small-integer gradients, so hop sizes and times tie."""
     rng = np.random.default_rng(seed)
     grads = [rng.integers(-3, 4, size=dim).astype(float) for _ in range(k)]
-    nodes = [SatelliteNode(i, Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)),
-                           ErrorState.zeros(dim)) for i in range(k)]
+    nodes = [SatelliteNode(Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)),
+                           ErrorState.zeros(dim)) for _ in range(k)]
+    # keyed by shard identity, which twin() shares
+    grads_by_shard = {id(node.dataset): g for node, g in zip(nodes, grads)}
     return PlaneState(
         0, OrbitPlane(8000e3, math.radians(85.0), 0.0, k),
         GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0)),
         LinkParams(dbm_to_watts(40.0), 32.13, 32.13, 500e6, 20e9, 354.0),
         SizeModel(32, dim), nodes, compute_time_s=compute_time_s,
-        trainer=lambda w, node, hp, r: w + grads[node.sat_id],
+        trainer=lambda w, node, hp, r: w + grads_by_shard[id(node.dataset)],
     )
 
 
