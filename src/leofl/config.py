@@ -12,9 +12,9 @@ import yaml
 
 from . import data, learn
 from .link import (LinkError, LinkParams, data_rate, db_to_linear, dbm_to_watts,
-                   ring_neighbor_distance, ring_neighbors_visible)
+                   ring_neighbor_distance, ring_neighbors_visible, tx_duration)
 from .orbital import GroundStation, OrbitPlane, max_slant_range, max_visible_latitude
-from .protocol import SCHEMES, PlaneState, SatelliteNode, Scheme
+from .protocol import SCHEMES, PlaneState, SatelliteNode, Scheme, WindowCache, _distribution_bits
 from .sparsify import ErrorState, SizeModel
 
 
@@ -207,7 +207,9 @@ def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
     """Compute the link budget as a run does and reject, by key, what it cannot use.
 
     The station rate is taken at the elevation mask: that is the longest range
-    a window allows, so the slowest rate any ground transfer sees.
+    a window allows, so the slowest rate any ground transfer sees. At that
+    rate the model upload (dense weights plus the sink header) must fit in
+    the window search horizon: a slower one stalls the run in the search.
     """
     problems = []
     for key, to_linear in (("tx_power_dbm", dbm_to_watts), ("gain_tx_dbi", db_to_linear),
@@ -223,21 +225,30 @@ def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
     if problems:
         raise ValidationError("; ".join(problems))
     params = build_link_params(cfg)
-    ranges = {"the station at the elevation mask": max_slant_range(
-        plane, math.radians(cfg.ground_station.min_elevation_deg))}
+    station = "the station at the elevation mask"
+    ranges = {station: max_slant_range(plane, math.radians(cfg.ground_station.min_elevation_deg))}
     if ring:
         ranges["the ring neighbor"] = ring_neighbor_distance(plane)
+    rates = {}
     for what, distance_m in ranges.items():
         try:
-            rate = data_rate(params, distance_m)
+            rates[what] = data_rate(params, distance_m)
         except ArithmeticError:
-            rate = math.nan
-        if not 0 < rate < math.inf:
-            problems.append(f"to {what} ({distance_m / 1e3:.0f} km) is {rate!r} bit/s")
+            rates[what] = math.nan
+        if not 0 < rates[what] < math.inf:
+            problems.append(f"to {what} ({distance_m / 1e3:.0f} km) is {rates[what]!r} bit/s")
+    budget = ", ".join(f"link.{f.name}" for f in dataclasses.fields(LinkConfig))
     if problems:
-        budget = ", ".join(f"link.{f.name}" for f in dataclasses.fields(LinkConfig))
         raise ValidationError(f"link: the rate {' and '.join(problems)}; "
                               f"{budget} must give a positive, finite rate")
+    dim = learn.model_dim(data.FEATURE_DIM, data.NUM_CLASSES)
+    upload_bits = _distribution_bits(SizeModel(cfg.value_bits, dim), plane.num_sats)
+    upload_s = tx_duration(upload_bits, rates[station])
+    if upload_s > WindowCache.HORIZON_S:
+        raise ValidationError(
+            f"link: the rate to {station} is {rates[station]!r} bit/s, so the {upload_bits}-bit "
+            f"model upload takes {upload_s:.3g} s, longer than the {WindowCache.HORIZON_S:g} s "
+            f"window search horizon; {budget} must give a faster rate")
 
 
 def _build(cls, raw: dict, keys: str):

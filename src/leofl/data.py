@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,20 +11,43 @@ import numpy as np
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
 NUM_CLASSES = 10  # digits 0-9; fixes the model size whatever labels a sample holds
+FEATURE_DIM = 784  # 28 x 28 pixels, the MNIST image and the synthetic sample alike
 
 
 class IngestionError(RuntimeError):
     """Raised when dataset files are missing or malformed."""
 
 
-@dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, feature_dim), floats in [0, 1]
-    labels: np.ndarray  # (n,), ints in [0, num_classes)
+    """Samples stored once as (n, feature_dim + 1) rows whose last column is 1.
 
-    def __post_init__(self):
-        if len(self.features) != len(self.labels):
+    The constant column is the model's bias feature, so training and
+    evaluation read the rows as they are. `Dataset(features, labels)` copies
+    (n, feature_dim) features into that layout; `Dataset.from_rows` adopts
+    rows already in it.
+    """
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        rows = _bias_rows(*np.shape(features))
+        rows[:, :-1] = features
+        self._adopt(rows, labels)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, labels: np.ndarray) -> "Dataset":
+        ds = cls.__new__(cls)
+        ds._adopt(rows, labels)
+        return ds
+
+    def _adopt(self, rows: np.ndarray, labels: np.ndarray):
+        if len(rows) != len(labels):
             raise ValueError("feature/label counts differ")
+        self.rows = rows  # (n, feature_dim + 1): features in [0, 1], then 1
+        self.labels = labels  # (n,), ints in [0, num_classes)
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (n, feature_dim) view of the rows without the constant column."""
+        return self.rows[:, :-1]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -67,14 +89,22 @@ def load_mnist(images_path: str | Path, labels_path: str | Path) -> Dataset:
         raise IngestionError(
             f"{labels_path}: label {int(labels.max())} outside [0, {NUM_CLASSES})"
         )
-    feats = images.reshape(len(images), -1).astype(np.float64) / 255.0
-    return Dataset(feats, labels.astype(np.int64))
+    rows = _bias_rows(len(images), int(np.prod(images.shape[1:])))
+    rows[:, :-1] = images.reshape(len(images), -1)
+    rows[:, :-1] /= 255.0
+    return Dataset.from_rows(rows, labels.astype(np.int64))
+
+
+def _bias_rows(num_samples: int, feature_dim: int) -> np.ndarray:
+    rows = np.empty((num_samples, feature_dim + 1))
+    rows[:, -1] = 1.0
+    return rows
 
 
 def synthetic_dataset(
     num_samples: int,
     seed: int,
-    feature_dim: int = 784,
+    feature_dim: int = FEATURE_DIM,
     num_classes: int = NUM_CLASSES,
     noise_std: float = 0.35,
     blob_seed: int = 0,
@@ -88,8 +118,9 @@ def synthetic_dataset(
     means = np.random.default_rng(blob_seed).uniform(0.25, 0.75, size=(num_classes, feature_dim))
     labels = rng.integers(0, num_classes, size=num_samples)
     feats = means[labels] + rng.normal(0.0, noise_std, size=(num_samples, feature_dim))
-    feats = np.clip(feats, 0.0, 1.0)
-    return Dataset(feats, labels.astype(np.int64))
+    rows = _bias_rows(num_samples, feature_dim)
+    np.clip(feats, 0.0, 1.0, out=rows[:, :-1])
+    return Dataset.from_rows(rows, labels.astype(np.int64))
 
 
 def partition(dataset: Dataset, k: int, seed: int) -> list[Dataset]:
@@ -101,6 +132,6 @@ def partition(dataset: Dataset, k: int, seed: int) -> list[Dataset]:
         raise ValueError(f"cannot split {n} samples into {k} shards")
     perm = np.random.default_rng(seed).permutation(n)
     return [
-        Dataset(dataset.features[chunk], dataset.labels[chunk])
+        Dataset.from_rows(dataset.rows[chunk], dataset.labels[chunk])
         for chunk in np.array_split(perm, k)
     ]

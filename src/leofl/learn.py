@@ -1,8 +1,8 @@
 """Multinomial logistic regression, local mini-batch SGD, and the global update.
 
 The model is a flat weight vector of length num_classes * (feature_dim + 1);
-the bias is an appended constant feature. For MNIST this gives 10 * 785 = 7850
-trainable parameters.
+the bias weighs the constant last column of `Dataset.rows`. For MNIST this
+gives 10 * 785 = 7850 trainable parameters.
 """
 
 from __future__ import annotations
@@ -36,26 +36,20 @@ def init_weights(feature_dim: int, num_classes: int) -> np.ndarray:
     return np.zeros(model_dim(feature_dim, num_classes))
 
 
-def _as_matrix(w: np.ndarray, feature_dim: int) -> np.ndarray:
-    return w.reshape(-1, feature_dim + 1)
-
-
-def _augment(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((len(x), 1))])
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_gradient_sum(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the summed (not averaged) cross-entropy over the given samples."""
-    xa = _augment(features)
-    logits = xa @ _as_matrix(w, features.shape[1]).T
+def loss_gradient_sum(w: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the summed (not averaged) cross-entropy over the given samples.
+
+    `rows` are samples with the constant bias feature appended, as `Dataset.rows` stores them.
+    """
+    logits = rows @ w.reshape(-1, rows.shape[1]).T
     probs = np.exp(_log_softmax(logits))
     probs[np.arange(len(labels)), labels] -= 1.0
-    return (probs.T @ xa).ravel()
+    return (probs.T @ rows).ravel()
 
 
 def sat_learn_proc(
@@ -73,7 +67,7 @@ def sat_learn_proc(
         perm = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
             batch = perm[start : start + hp.batch_size]
-            grad = loss_gradient_sum(w, dataset.features[batch], dataset.labels[batch])
+            grad = loss_gradient_sum(w, dataset.rows[batch], dataset.labels[batch])
             w -= (hp.learning_rate / len(batch)) * grad
     return w
 
@@ -96,5 +90,5 @@ def evaluate(w: np.ndarray, test_set: Dataset) -> float:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
     if len(test_set) == 0:
         raise ValueError("test set is empty")
-    logits = _augment(test_set.features) @ _as_matrix(w, test_set.features.shape[1]).T
+    logits = test_set.rows @ w.reshape(-1, test_set.rows.shape[1]).T
     return float((logits.argmax(axis=1) == test_set.labels).mean())

@@ -124,17 +124,25 @@ def _elevation_ok(sat: np.ndarray, station: np.ndarray, min_elevation_rad) -> np
     return np.arcsin(np.clip(sin_el, -1.0, 1.0)) >= min_elevation_rad
 
 
+def _reach_angle(plane: OrbitPlane, min_elevation_rad: float) -> float:
+    """Earth-central angle between station and satellite at which the elevation is the mask eps.
+
+    The elevation falls as the central angle grows, so a satellite is at or
+    above eps exactly when the angle is at most arccos(r_E / r * cos eps) - eps.
+    """
+    cos_reach = CONSTANTS.earth_radius_m / plane.radius_m * math.cos(min_elevation_rad)
+    return math.acos(cos_reach) - min_elevation_rad
+
+
 def max_visible_latitude(plane: OrbitPlane, min_elevation_rad: float) -> float:
     """Largest |latitude| (rad) from which a station ever sees a satellite of the plane.
 
     The ground track reaches latitude asin(|sin i|), which is min(i, pi - i)
-    for i in [0, pi]; a station sees a satellite above the elevation mask eps
-    up to the Earth-central angle arccos(r_E / r * cos eps) - eps from its
-    sub-satellite point.
+    for i in [0, pi]; a station sees a satellite up to the reach angle from
+    its sub-satellite point.
     """
     track = math.asin(abs(math.sin(plane.inclination_rad)))
-    cos_reach = CONSTANTS.earth_radius_m / plane.radius_m * math.cos(min_elevation_rad)
-    return track + math.acos(cos_reach) - min_elevation_rad
+    return track + _reach_angle(plane, min_elevation_rad)
 
 
 def max_slant_range(plane: OrbitPlane, min_elevation_rad: float) -> float:
@@ -148,6 +156,41 @@ def _gs_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np
     sats = propagate_vec(plane, sat_index, times)
     stations = gs_position_vec(gs, times)
     return _elevation_ok(sats, stations, gs.min_elevation_rad)
+
+
+# the window screen: one grid sample in SCREEN_STRIDE has its central angle
+# tested; the slack absorbs rounding in the angle and in the grid times
+SCREEN_STRIDE = 12
+_SCREEN_SLACK_RAD = 1e-6
+
+
+def _screened_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np.ndarray,
+                       step_s: float) -> np.ndarray:
+    """`_gs_los_mask` on a grid of times step_s apart, evaluated only near the station.
+
+    The central angle between satellite and station changes by at most
+    2 pi / T + |omega_E| rad/s. Every SCREEN_STRIDE-th sample and the last one
+    are screened: one whose angle exceeds the reach angle by more than that
+    rate times a stride is followed and preceded by a stride of invisible
+    samples. A sample is tested exactly when a screened sample bracketing it
+    passes; the others are invisible, so the result equals the full mask.
+    """
+    stride_s = SCREEN_STRIDE * step_s
+    rate = 2.0 * math.pi / plane.period_s + abs(CONSTANTS.earth_rotation_rate)
+    limit = _reach_angle(plane, gs.min_elevation_rad) + rate * stride_s + _SCREEN_SLACK_RAD
+    if limit >= math.pi:
+        return _gs_los_mask(plane, sat_index, gs, times)
+    n = len(times)
+    coarse = np.append(np.arange(0, n - 1, SCREEN_STRIDE), n - 1)
+    cos_angle = np.sum(propagate_vec(plane, sat_index, times[coarse])
+                       * gs_position_vec(gs, times[coarse]), axis=-1)
+    near = cos_angle >= math.cos(limit) * plane.radius_m * CONSTANTS.earth_radius_m
+    # sample i lies between screened samples j and j + 1, the last one is screened itself
+    test = np.append(np.repeat(near[:-1] | near[1:], np.diff(coarse)), near[-1])
+    idx = np.flatnonzero(test)
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = _gs_los_mask(plane, sat_index, gs, times[idx])
+    return mask
 
 
 def _refine_edges(
@@ -184,7 +227,7 @@ def visibility_windows(
         raise GeometryError("step must be positive")
     times = np.arange(t_start, t_end + step_s, step_s)
     times[-1] = min(times[-1], t_end)
-    mask = _gs_los_mask(plane, sat_index, gs, times)
+    mask = _screened_los_mask(plane, sat_index, gs, times, step_s)
 
     # edge k lies between samples k and k+1; windows open at rising edges
     edges = np.flatnonzero(mask[1:] != mask[:-1])

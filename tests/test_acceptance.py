@@ -263,7 +263,7 @@ def test_criterion_8_orbital_and_gradient_sanity():
     w = 0.5 * rng.normal(size=learn.model_dim(dim, classes))
     x = rng.uniform(0, 1, size=dim)
     label = 3
-    grad = learn.loss_gradient_sum(w, x[None, :], np.array([label]))
+    grad = learn.loss_gradient_sum(w, np.append(x, 1.0)[None, :], np.array([label]))
     h = 1e-5
     probes = rng.choice(len(w), size=100, replace=False)
     grad_ok = True

@@ -146,3 +146,75 @@ class TestPartition:
     def test_too_many_shards(self):
         with pytest.raises(ValueError):
             partition(synthetic_dataset(5, seed=0, feature_dim=4), 6, seed=0)
+
+
+# the forms in use before samples were stored with their bias column, kept as oracles
+def hstack_synthetic_features(num_samples, seed, feature_dim=784, num_classes=10, noise_std=0.35,
+                              blob_seed=0):
+    rng = np.random.default_rng(seed)
+    means = np.random.default_rng(blob_seed).uniform(0.25, 0.75, size=(num_classes, feature_dim))
+    labels = rng.integers(0, num_classes, size=num_samples)
+    return np.clip(means[labels] + rng.normal(0.0, noise_std, size=(num_samples, feature_dim)),
+                   0.0, 1.0)
+
+
+def hstack_loss_gradient_sum(w, features, labels):
+    xa = np.hstack([features, np.ones((len(features), 1))])
+    logits = xa @ w.reshape(-1, features.shape[1] + 1).T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    probs[np.arange(len(labels)), labels] -= 1.0
+    return (probs.T @ xa).ravel()
+
+
+def assert_stored_once(ds, n, feature_dim):
+    """The samples live in one (n, d + 1) array; `features` is a view of it."""
+    feats = ds.features
+    assert feats.shape == (n, feature_dim)
+    assert feats.base is ds.rows and ds.rows.shape == (n, feature_dim + 1)
+    assert np.array_equal(feats.base[:, -1], np.ones(n))
+    assert [name for name, value in vars(ds).items() if isinstance(value, np.ndarray)] == [
+        "rows", "labels"]
+
+
+class TestStorage:
+    def test_synthetic(self):
+        ds = synthetic_dataset(300, seed=4, blob_seed=2)
+        assert_stored_once(ds, 300, 784)
+        want = hstack_synthetic_features(300, seed=4, blob_seed=2)
+        assert ds.features.tobytes() == want.tobytes()
+
+    def test_mnist_idx(self, idx_pair):
+        img_path, lbl_path, images, _ = idx_pair
+        ds = load_mnist(img_path, lbl_path)
+        assert_stored_once(ds, 6, 784)
+        want = images.reshape(6, -1).astype(np.float64) / 255.0
+        assert ds.features.tobytes() == want.tobytes()
+
+    def test_shards_hold_one_copy(self):
+        ds = synthetic_dataset(103, seed=0)
+        shards = partition(ds, 10, seed=1)
+        for shard in shards:
+            assert_stored_once(shard, len(shard), 784)
+            assert not np.shares_memory(shard.rows, ds.rows)
+        assert sum(s.rows.nbytes for s in shards) == ds.rows.nbytes
+
+    def test_from_features(self):
+        feats = np.random.default_rng(0).uniform(size=(5, 3))
+        ds = Dataset(feats, np.zeros(5, dtype=np.int64))
+        assert_stored_once(ds, 5, 3)
+        assert ds.features.tobytes() == feats.tobytes()
+
+    def test_gradient_and_accuracy_match_the_hstack_form(self):
+        from leofl import learn
+
+        ds = synthetic_dataset(400, seed=5, blob_seed=1)
+        rng = np.random.default_rng(3)
+        w = 0.01 * rng.normal(size=learn.model_dim(784, 10))
+        for shard in partition(ds, 4, seed=2):
+            batch = rng.permutation(len(shard))[:32]
+            got = learn.loss_gradient_sum(w, shard.rows[batch], shard.labels[batch])
+            want = hstack_loss_gradient_sum(w, shard.features[batch], shard.labels[batch])
+            assert got.tobytes() == want.tobytes()
+        logits = np.hstack([ds.features, np.ones((len(ds), 1))]) @ w.reshape(10, 785).T
+        assert learn.evaluate(w, ds) == float((logits.argmax(axis=1) == ds.labels).mean())

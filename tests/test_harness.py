@@ -9,6 +9,7 @@ from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, main
 from leofl.config import (
     _SECTION_TYPES,
     ExperimentConfig,
+    LinkConfig,
     ValidationError,
     build_simulation,
     config_from_dict,
@@ -55,6 +56,12 @@ UNUSABLE_LINK = [
     # each gain is finite, their product is not
     ({"gain_tx_dbi": 2000.0, "gain_rx_dbi": 2000.0}, "link.gain_rx_dbi"),
 ]
+
+# the station rate at the mask range is 1.6e-7 bit/s: the model upload would
+# take 1.6e12 s and the window search walked chunk by chunk out to that time
+SLOW_LINK = {"scheme": "NO_ISL_DIRECT", "constellation": {"planes": 1},
+             "dataset": {"train_samples": 80, "test_samples": 10},
+             "link": {"tx_power_dbm": -117.0}}
 
 
 def write_config(cfg, path):
@@ -153,6 +160,17 @@ class TestConfig:
             config_from_dict(dict(raw, scheme="NO_ISL_DIRECT"))
         assert "elevation mask" in str(ring.value) and "ring neighbor" in str(ring.value)
         assert "elevation mask" in str(no_isl.value) and "ring neighbor" not in str(no_isl.value)
+
+    @pytest.mark.parametrize("tx_power_dbm, accepted", [(-117.0, False), (-53.0, False), (-48.0, True)])
+    def test_upload_must_fit_the_window_horizon(self, tx_power_dbm, accepted):
+        # at -48 dBm the upload takes 2.8e5 s, at -53 dBm 8.8e5 s; the horizon is 4.32e5 s
+        raw = dict(SLOW_LINK, link={"tx_power_dbm": tx_power_dbm})
+        if accepted:
+            config_from_dict(raw)
+            return
+        with pytest.raises(ValidationError, match="window search horizon") as exc:
+            config_from_dict(raw)
+        assert all(f"link.{f.name}" in str(exc.value) for f in dataclasses.fields(LinkConfig))
 
     def test_shards_must_fit(self):
         with pytest.raises(ValidationError, match="dataset.train_samples"):
@@ -293,6 +311,13 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and key in err
+
+    def test_validate_rejects_link_too_slow_for_the_horizon(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(SLOW_LINK))
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: link:") and "link.tx_power_dbm" in err
 
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_validate_accepts_every_scheme(self, scheme):

@@ -56,7 +56,7 @@ class TestPerSampleLoss:
         w = random_weights(dim, classes)
         x = rng.uniform(0, 1, size=dim)
         label = 2
-        grad = learn.loss_gradient_sum(w, x[None, :], np.array([label]))
+        grad = learn.loss_gradient_sum(w, np.append(x, 1.0)[None, :], np.array([label]))
         h = 1e-5
         probes = rng.choice(len(w), size=100, replace=False)
         for i in probes:
@@ -119,7 +119,7 @@ class TestSatLearnProc:
         hp = learn.HyperParams(learning_rate=eta, local_epochs=1, batch_size=len(ds))
         w0 = random_weights()
         w1 = learn.sat_learn_proc(w0, ds, hp, np.random.default_rng(0))
-        grad = learn.loss_gradient_sum(w0, ds.features, ds.labels) / len(ds)
+        grad = learn.loss_gradient_sum(w0, ds.rows, ds.labels) / len(ds)
         np.testing.assert_allclose(w1, w0 - eta * grad, rtol=1e-12)
 
     def test_descent_on_easy_data(self):

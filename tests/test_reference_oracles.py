@@ -9,6 +9,7 @@ agree with them byte for byte.
 """
 
 import dataclasses
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -27,9 +28,12 @@ from leofl.link import LinkParams, data_rate, dbm_to_watts, propagation_delay, t
 from leofl.orbital import (
     GroundStation,
     OrbitPlane,
+    SCREEN_STRIDE,
     VisibilityWindow,
     _gs_los_mask,
+    _screened_los_mask,
     gs_position_vec,
+    max_visible_latitude,
     propagate_vec,
     visibility_windows,
 )
@@ -387,8 +391,11 @@ class TestStepsAgainstReference:
             assert err.residual.tobytes() == residual.tobytes()  # input state untouched
 
 
-# three geometries: the default Bremen ring, a low inclined shell and a
-# sun-synchronous plane over a southern station
+# the default Bremen ring, a low inclined shell, a sun-synchronous plane over
+# a southern station, a 0 deg elevation mask, a high retrograde plane, a low
+# shell behind a 25 deg mask, and a station 0.5 deg inside the plane's reach,
+# which sees only grazing passes, some shorter than one screen stride
+_EDGE_PLANE = OrbitPlane(550e3, math.radians(53.0), 0.3, 10)
 GEOMETRIES = [
     (OrbitPlane(2000e3, math.radians(85.0), 0.0, 8),
      GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0))),
@@ -396,8 +403,33 @@ GEOMETRIES = [
      GroundStation(math.radians(40.0), math.radians(-75.0), math.radians(5.0))),
     (OrbitPlane(1200e3, math.radians(97.6), 2.3, 12),
      GroundStation(math.radians(-33.9), math.radians(18.4), math.radians(15.0))),
+    (OrbitPlane(1000e3, math.radians(70.0), 0.4, 9),
+     GroundStation(math.radians(10.0), math.radians(100.0), 0.0)),
+    (OrbitPlane(8000e3, math.radians(150.0), 0.7, 7),
+     GroundStation(math.radians(-20.0), math.radians(-40.0), math.radians(10.0))),
+    (OrbitPlane(550e3, math.radians(53.0), 1.9, 22),
+     GroundStation(math.radians(35.0), math.radians(139.0), math.radians(25.0))),
+    (_EDGE_PLANE,
+     GroundStation(max_visible_latitude(_EDGE_PLANE, math.radians(10.0)) - math.radians(0.5),
+                   math.radians(60.0), math.radians(10.0))),
 ]
 TEN_DAYS = 10 * 86400.0
+
+
+def grid(t_start, t_end, step):
+    """The sample times visibility_windows takes: step apart, the last clipped to t_end."""
+    times = np.arange(t_start, t_end + step, step)
+    times[-1] = min(times[-1], t_end)
+    return times
+
+
+@functools.cache
+def window_openings(geometry, sat):
+    """Times (on a 1 s grid) at which the satellite rises above the mask in two days."""
+    plane, gs = GEOMETRIES[geometry]
+    times = grid(0.0, 2 * 86400.0, 1.0)
+    mask = _gs_los_mask(plane, sat, gs, times)
+    return times[1:][mask[1:] & ~mask[:-1]]
 
 
 class TestWindowsAgainstReference:
@@ -419,6 +451,31 @@ class TestWindowsAgainstReference:
         t_end = t_start + span
         assert (visibility_windows(plane, sat, gs, t_start, t_end, step)
                 == reference_visibility_windows(plane, sat, gs, t_start, t_end, step))
+
+    @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+    def test_screened_mask_is_the_full_mask_over_ten_days(self, geometry):
+        plane, gs = GEOMETRIES[geometry]
+        for sat in range(0, plane.num_sats, 3):
+            # at 400 s a stride outruns half a turn: every sample is tested
+            for offset, step in ((0.0, 5.0), (1.7, 5.0), (3.1, 7.0), (0.0, 400.0)):
+                times = grid(offset, TEN_DAYS, step)
+                full = _gs_los_mask(plane, sat, gs, times)
+                assert full.any() or step == 400.0
+                assert np.array_equal(_screened_los_mask(plane, sat, gs, times, step), full)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, len(GEOMETRIES) - 1), st.integers(0, 21), st.integers(0, 10**6),
+           st.floats(-2 * SCREEN_STRIDE * 7.0, 0.0), st.floats(0.01, 4 * SCREEN_STRIDE * 7.0),
+           st.sampled_from([2.5, 5.0, 7.0]))
+    def test_screened_mask_on_short_spans(self, geometry, sat, pick, lead, span, step):
+        # spans from under one stride to a few strides, starting off the grid
+        # shortly before a pass opens
+        plane, gs = GEOMETRIES[geometry]
+        sat %= plane.num_sats
+        opens = window_openings(geometry, sat)
+        times = grid(opens[pick % len(opens)] + lead, opens[pick % len(opens)] + lead + span, step)
+        assert np.array_equal(_screened_los_mask(plane, sat, gs, times, step),
+                              _gs_los_mask(plane, sat, gs, times))
 
     def test_window_cache_matches_linear_scan(self):
         plane, gs = GEOMETRIES[0]
