@@ -310,7 +310,6 @@ def build_planes_geometry(cfg: ExperimentConfig) -> list[OrbitPlane]:
             inclination_rad=math.radians(c.inclination_deg),
             raan_rad=p * math.pi / c.planes,
             num_sats=c.sats_per_plane,
-            phase_offset_rad=0.0,
         )
         for p in range(c.planes)
     ]

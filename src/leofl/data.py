@@ -22,23 +22,10 @@ class Dataset:
     """Samples stored once as (n, feature_dim + 1) rows whose last column is 1.
 
     The constant column is the model's bias feature, so training and
-    evaluation read the rows as they are. `Dataset(features, labels)` copies
-    (n, feature_dim) features into that layout; `Dataset.from_rows` adopts
-    rows already in it.
+    evaluation read the rows as they are.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray):
-        rows = _bias_rows(*np.shape(features))
-        rows[:, :-1] = features
-        self._adopt(rows, labels)
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, labels: np.ndarray) -> "Dataset":
-        ds = cls.__new__(cls)
-        ds._adopt(rows, labels)
-        return ds
-
-    def _adopt(self, rows: np.ndarray, labels: np.ndarray):
+    def __init__(self, rows: np.ndarray, labels: np.ndarray):
         if len(rows) != len(labels):
             raise ValueError("feature/label counts differ")
         self.rows = rows  # (n, feature_dim + 1): features in [0, 1], then 1
@@ -92,7 +79,7 @@ def load_mnist(images_path: str | Path, labels_path: str | Path) -> Dataset:
     rows = _bias_rows(len(images), int(np.prod(images.shape[1:])))
     rows[:, :-1] = images.reshape(len(images), -1)
     rows[:, :-1] /= 255.0
-    return Dataset.from_rows(rows, labels.astype(np.int64))
+    return Dataset(rows, labels.astype(np.int64))
 
 
 def _bias_rows(num_samples: int, feature_dim: int) -> np.ndarray:
@@ -120,7 +107,7 @@ def synthetic_dataset(
     feats = means[labels] + rng.normal(0.0, noise_std, size=(num_samples, feature_dim))
     rows = _bias_rows(num_samples, feature_dim)
     np.clip(feats, 0.0, 1.0, out=rows[:, :-1])
-    return Dataset.from_rows(rows, labels.astype(np.int64))
+    return Dataset(rows, labels.astype(np.int64))
 
 
 def partition(dataset: Dataset, k: int, seed: int) -> list[Dataset]:
@@ -132,6 +119,6 @@ def partition(dataset: Dataset, k: int, seed: int) -> list[Dataset]:
         raise ValueError(f"cannot split {n} samples into {k} shards")
     perm = np.random.default_rng(seed).permutation(n)
     return [
-        Dataset.from_rows(dataset.rows[chunk], dataset.labels[chunk])
+        Dataset(dataset.rows[chunk], dataset.labels[chunk])
         for chunk in np.array_split(perm, k)
     ]

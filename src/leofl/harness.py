@@ -47,7 +47,6 @@ class MetricsLog:
 def run_experiment(
     cfg: ExperimentConfig,
     max_rounds: int | None = None,
-    stop_at_accuracy: float | None = None,
     progress=None,
 ) -> MetricsLog:
     """Run the configured number of global iterations and collect metrics."""
@@ -68,8 +67,6 @@ def run_experiment(
         log.append(MetricsRow(n, t, metrics.accuracy, metrics.total_bits, cum_bits))
         if progress is not None:
             progress(n, metrics)
-        if stop_at_accuracy is not None and metrics.accuracy >= stop_at_accuracy:
-            break
     return log
 
 
@@ -81,18 +78,20 @@ class SweepRow:
     mean_bits_per_iteration: float
 
 
+SWEEP_WARMUP = 1  # leading iterations a sweep discards; see run_sweep
+
+
 def run_sweep(
     base_cfg: ExperimentConfig,
     kp_values: list[int],
     q_values: list[float],
     schemes: tuple[str, ...] = ("SIA", "CLSIA", "NO_ISL_DIRECT"),
     iterations: int = 11,
-    warmup: int = 1,
 ) -> list[SweepRow]:
     """Steady-state data volume per iteration for a single-plane constellation.
 
-    The first `warmup` iterations are discarded: with empty error states the
-    sparse message sizes are not yet typical of the steady state.
+    The first SWEEP_WARMUP iterations are discarded: with empty error states
+    the sparse message sizes are not yet typical of the steady state.
     """
     rows = []
     for kp in kp_values:
@@ -107,7 +106,7 @@ def run_sweep(
                     q=q,
                 )
                 log = run_experiment(cfg, max_rounds=iterations)
-                kept = log.rows[warmup:]
+                kept = log.rows[SWEEP_WARMUP:]
                 mean_bits = sum(r.plane_bits for r in kept) / len(kept)
                 rows.append(SweepRow(kp, q, scheme, mean_bits))
     return rows

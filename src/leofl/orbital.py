@@ -25,7 +25,6 @@ class OrbitPlane:
     inclination_rad: float
     raan_rad: float
     num_sats: int
-    phase_offset_rad: float = 0.0
 
     def __post_init__(self):
         if self.altitude_m <= 0:
@@ -94,11 +93,7 @@ def propagate_vec(plane: OrbitPlane, sat_index: int, time_s) -> np.ndarray:
         raise IndexError(f"satellite index {sat_index} out of range for K_p={plane.num_sats}")
     t = np.asarray(time_s, dtype=float)
     # argument of latitude
-    u = (
-        plane.phase_offset_rad
-        + 2.0 * math.pi * sat_index / plane.num_sats
-        + 2.0 * math.pi * t / plane.period_s
-    )
+    u = 2.0 * math.pi * sat_index / plane.num_sats + 2.0 * math.pi * t / plane.period_s
     u0, u1 = _plane_basis(plane)
     r = plane.radius_m
     return r * (np.cos(u)[..., None] * u0 + np.sin(u)[..., None] * u1)
@@ -158,15 +153,19 @@ def _gs_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np
     return _elevation_ok(sats, stations, gs.min_elevation_rad)
 
 
+# visibility is sampled every STEP_S seconds and each LOS transition is then
+# bisected to within EDGE_TOL_S
+STEP_S = 5.0
+EDGE_TOL_S = 1.0
 # the window screen: one grid sample in SCREEN_STRIDE has its central angle
 # tested; the slack absorbs rounding in the angle and in the grid times
 SCREEN_STRIDE = 12
 _SCREEN_SLACK_RAD = 1e-6
 
 
-def _screened_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np.ndarray,
-                       step_s: float) -> np.ndarray:
-    """`_gs_los_mask` on a grid of times step_s apart, evaluated only near the station.
+def _screened_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation,
+                       times: np.ndarray) -> np.ndarray:
+    """`_gs_los_mask` on a grid of times STEP_S apart, evaluated only near the station.
 
     The central angle between satellite and station changes by at most
     2 pi / T + |omega_E| rad/s. Every SCREEN_STRIDE-th sample and the last one
@@ -174,12 +173,12 @@ def _screened_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, tim
     rate times a stride is followed and preceded by a stride of invisible
     samples. A sample is tested exactly when a screened sample bracketing it
     passes; the others are invisible, so the result equals the full mask.
+    The screen limit stays below pi: the reach angle is at most pi / 2, and
+    a 60 s stride adds at most 0.079 rad at any altitude above 0.
     """
-    stride_s = SCREEN_STRIDE * step_s
     rate = 2.0 * math.pi / plane.period_s + abs(CONSTANTS.earth_rotation_rate)
-    limit = _reach_angle(plane, gs.min_elevation_rad) + rate * stride_s + _SCREEN_SLACK_RAD
-    if limit >= math.pi:
-        return _gs_los_mask(plane, sat_index, gs, times)
+    limit = (_reach_angle(plane, gs.min_elevation_rad) + rate * (SCREEN_STRIDE * STEP_S)
+             + _SCREEN_SLACK_RAD)
     n = len(times)
     coarse = np.append(np.arange(0, n - 1, SCREEN_STRIDE), n - 1)
     cos_angle = np.sum(propagate_vec(plane, sat_index, times[coarse])
@@ -194,40 +193,33 @@ def _screened_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, tim
 
 
 def _refine_edges(
-    plane, sat_index, gs, t_lo: np.ndarray, t_hi: np.ndarray, rising: np.ndarray, tol_s: float = 1.0
+    plane, sat_index, gs, t_lo: np.ndarray, t_hi: np.ndarray, rising: np.ndarray
 ) -> np.ndarray:
-    """Bisect every LOS transition in (t_lo, t_hi] together to within tol_s.
+    """Bisect every LOS transition in (t_lo, t_hi] together to within EDGE_TOL_S.
 
     Each halving evaluates all still-wide edges in one call; a rising edge
     resolves to its upper bound, a falling one to its lower bound.
     """
     lo, hi = t_lo.copy(), t_hi.copy()
-    active = np.flatnonzero(hi - lo > tol_s)
+    active = np.flatnonzero(hi - lo > EDGE_TOL_S)
     while len(active):
         mid = 0.5 * (lo[active] + hi[active])
         up = _gs_los_mask(plane, sat_index, gs, mid) == rising[active]
         hi[active[up]] = mid[up]
         lo[active[~up]] = mid[~up]
-        active = active[hi[active] - lo[active] > tol_s]
+        active = active[hi[active] - lo[active] > EDGE_TOL_S]
     return np.where(rising, hi, lo)
 
 
 def visibility_windows(
-    plane: OrbitPlane,
-    sat_index: int,
-    gs: GroundStation,
-    t_start: float,
-    t_end: float,
-    step_s: float = 5.0,
+    plane: OrbitPlane, sat_index: int, gs: GroundStation, t_start: float, t_end: float
 ) -> list[VisibilityWindow]:
     """Maximal LOS intervals of one satellite to the station within [t_start, t_end]."""
     if t_start >= t_end:
         return []
-    if step_s <= 0:
-        raise GeometryError("step must be positive")
-    times = np.arange(t_start, t_end + step_s, step_s)
+    times = np.arange(t_start, t_end + STEP_S, STEP_S)
     times[-1] = min(times[-1], t_end)
-    mask = _screened_los_mask(plane, sat_index, gs, times, step_s)
+    mask = _screened_los_mask(plane, sat_index, gs, times)
 
     # edge k lies between samples k and k+1; windows open at rising edges
     edges = np.flatnonzero(mask[1:] != mask[:-1])

@@ -31,6 +31,7 @@ from .link import (
 from .orbital import (
     GroundStation,
     OrbitPlane,
+    STEP_S,
     VisibilityWindow,
     gs_position_vec,
     propagate_vec,
@@ -98,12 +99,16 @@ class RoundPlan:
 @dataclass
 class RoundMetrics:
     wallclock_s: float
-    gs_bits: int
     hop_records: list[tuple[int, int, int]]  # (src, dst, bits) in send order
 
     @property
     def total_plane_bits(self) -> int:
         return sum(bits for _, _, bits in self.hop_records)
+
+    @property
+    def gs_bits(self) -> int:
+        """Bits on the ground links: every hop to or from the station."""
+        return sum(bits for src, dst, bits in self.hop_records if GS_ID in (src, dst))
 
 
 @dataclass
@@ -119,7 +124,6 @@ class SatelliteNode:
 class WindowCache:
     """Lazily extended per-satellite visibility windows over a growing horizon."""
 
-    STEP_S = 5.0
     HORIZON_S = 5 * 86400.0
     _MERGE_GAP_S = 30.0
 
@@ -136,7 +140,7 @@ class WindowCache:
         while self._covered_to[sat] < until:
             t0 = self._covered_to[sat]
             t1 = t0 + self._chunk
-            fresh = visibility_windows(self.plane, sat, self.gs, t0, t1, self.STEP_S)
+            fresh = visibility_windows(self.plane, sat, self.gs, t0, t1)
             existing, ends = self._windows[sat], self._ends[sat]
             for w in fresh:
                 if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
@@ -146,7 +150,7 @@ class WindowCache:
                     existing.append(w)
                     ends.append(w.end_s)
             # overlap the next chunk so windows straddling the edge are merged
-            self._covered_to[sat] = t1 - 2 * self.STEP_S
+            self._covered_to[sat] = t1 - 2 * STEP_S
 
     def next_window(self, sat: int, t: float) -> VisibilityWindow:
         """The first window that ends after t; it may already be open at t."""
@@ -348,7 +352,7 @@ def run_round(
     t_done = state.ground_transfer(sink, t_ready, bits)
 
     hop_records = [rec for _, rec in sorted(hops)] + [(sink, GS_ID, bits)]
-    return aggregate, RoundMetrics(t_done - t0, bits, hop_records), t_done
+    return aggregate, RoundMetrics(t_done - t0, hop_records), t_done
 
 
 def run_no_isl_round(
@@ -384,10 +388,7 @@ def run_no_isl_round(
 
         aggregate += out.densify()
         t_done = max(t_done, t_sat_done)
-
-    # every bit of this round crosses a ground link
-    gs_bits = sum(bits for _, _, bits in hop_records)
-    return aggregate, RoundMetrics(t_done - t0, gs_bits, hop_records), t_done
+    return aggregate, RoundMetrics(t_done - t0, hop_records), t_done
 
 
 @dataclass
@@ -409,7 +410,7 @@ def run_global_iteration(
     t0: float,
     round_n: int,
     q_count: int,
-    test_set: Dataset | None = None,
+    test_set: Dataset,
 ) -> tuple[np.ndarray, IterationMetrics, float]:
     """One synchronous FL iteration across all planes, PS update included."""
     total = np.zeros_like(w_global)
@@ -425,5 +426,5 @@ def run_global_iteration(
         t_end = max(t_end, t_done)
     total_data = sum(node.data_size for state in planes for node in state.nodes)
     w_next = learn.global_update(w_global, total, total_data)
-    accuracy = learn.evaluate(w_next, test_set) if test_set is not None else float("nan")
+    accuracy = learn.evaluate(w_next, test_set)
     return w_next, IterationMetrics(t_end, accuracy, plane_metrics), t_end

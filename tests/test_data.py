@@ -200,8 +200,11 @@ class TestStorage:
         assert sum(s.rows.nbytes for s in shards) == ds.rows.nbytes
 
     def test_from_features(self):
+        # the constructor adopts rows that already carry the bias column
         feats = np.random.default_rng(0).uniform(size=(5, 3))
-        ds = Dataset(feats, np.zeros(5, dtype=np.int64))
+        rows = np.hstack([feats, np.ones((5, 1))])
+        ds = Dataset(rows, np.zeros(5, dtype=np.int64))
+        assert ds.rows is rows
         assert_stored_once(ds, 5, 3)
         assert ds.features.tobytes() == feats.tobytes()
 

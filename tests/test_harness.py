@@ -264,7 +264,7 @@ class TestSweep:
     def test_small_sweep_shapes(self):
         rows = run_sweep(
             tiny_config(), kp_values=[6, 8], q_values=[0.1],
-            schemes=("CLSIA",), iterations=3, warmup=1,
+            schemes=("CLSIA",), iterations=3,
         )
         assert len(rows) == 2
         by_kp = {r.sats_per_plane: r.mean_bits_per_iteration for r in rows}

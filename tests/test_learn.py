@@ -7,11 +7,16 @@ from leofl import learn
 from leofl.data import Dataset, synthetic_dataset
 
 
+def with_bias(feats, labels):
+    """A dataset of (n, dim) features, stored with the constant bias column."""
+    return Dataset(np.hstack([feats, np.ones((len(feats), 1))]), labels)
+
+
 def toy_dataset(n=30, dim=12, classes=4, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.uniform(0, 1, size=(n, dim))
     labels = rng.integers(0, classes, size=n)
-    return Dataset(feats, labels.astype(np.int64))
+    return with_bias(feats, labels.astype(np.int64))
 
 
 def random_weights(dim=12, classes=4, seed=1, scale=0.5):
@@ -81,7 +86,7 @@ class TestLocalLoss:
 
     def test_duplication_invariance(self):
         ds = toy_dataset(n=8)
-        doubled = Dataset(
+        doubled = with_bias(
             np.concatenate([ds.features, ds.features]),
             np.concatenate([ds.labels, ds.labels]),
         )
@@ -101,7 +106,8 @@ class TestLocalLoss:
     def test_empty_rejected(self):
         # an empty shard is rejected where the simulator trains on it
         with pytest.raises(ValueError):
-            learn.sat_learn_proc(random_weights(), Dataset(np.empty((0, 12)), np.empty(0, dtype=int)),
+            learn.sat_learn_proc(random_weights(),
+                                 with_bias(np.empty((0, 12)), np.empty(0, dtype=int)),
                                  learn.HyperParams(), np.random.default_rng(0))
 
 
@@ -177,7 +183,7 @@ class TestEvaluate:
         # with w=0 every argmax resolves to class 0; one sample per class
         feats = np.eye(10, 784)
         labels = np.arange(10)
-        ds = Dataset(feats, labels)
+        ds = with_bias(feats, labels)
         assert learn.evaluate(learn.init_weights(784, 10), ds) == pytest.approx(0.1)
 
     def test_perfect_oracle_weights(self):
@@ -186,7 +192,7 @@ class TestEvaluate:
         labels = np.arange(classes)
         w = np.zeros((classes, dim + 1))
         w[np.arange(classes), np.arange(classes)] = 10.0
-        assert learn.evaluate(w.ravel(), Dataset(feats, labels)) == 1.0
+        assert learn.evaluate(w.ravel(), with_bias(feats, labels)) == 1.0
 
     def test_bounded(self):
         ds = toy_dataset()

@@ -44,7 +44,7 @@ def toy_plane_state(gradients, dim, h_km=8000.0, compute_time=0.0):
     k = len(gradients)
     plane = OrbitPlane(h_km * 1e3, math.radians(85.0), 0.0, k)
     nodes = [
-        SatelliteNode(Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(dim))
+        SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(dim))
         for _ in range(k)
     ]
     return PlaneState(
@@ -110,7 +110,7 @@ class TestRingHelpers:
 def selection_state():
     plane = OrbitPlane(2000e3, math.radians(85.0), 0.0, 8)
     nodes = [
-        SatelliteNode(Dataset(np.zeros((1, 4)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(10))
+        SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(10))
         for _ in range(8)
     ]
     return PlaneState(0, plane, BREMEN, PARAMS, SizeModel(32, 10), nodes)
@@ -305,7 +305,7 @@ class TestSchemeRecord:
         """Every hop sent from arc position j (1 = far end) carries at most the
         record's worst-case bits at j, which the sink estimate sums; the dense
         and constant-length schemes reach it exactly."""
-        planes, hp, w, _, m = build_simulation(ExperimentConfig(scheme=scheme.value))
+        planes, hp, w, test, m = build_simulation(ExperimentConfig(scheme=scheme.value))
         q_count = q_to_count(0.01, m.dim)
         plans = []
 
@@ -318,7 +318,7 @@ class TestSchemeRecord:
         checked, t = 0, 0.0
         for n in range(1, 4):
             plans.clear()
-            w, metrics, t = run_global_iteration(planes, scheme, w, hp, t, n, q_count)
+            w, metrics, t = run_global_iteration(planes, scheme, w, hp, t, n, q_count, test)
             for plan, pm in zip(plans, metrics.plane_metrics, strict=True):
                 for src, dst, bits in pm.hop_records:
                     if dst == GS_ID:
@@ -347,7 +347,7 @@ class TestSchemeEquivalenceAtQ1:
         for scheme in ("DENSE_IA", "SIA", "CLSIA"):
             planes, hp, w0, test, m = self.build(scheme)
             w1, _, _ = run_global_iteration(
-                planes, Scheme[scheme], w0, hp, 0.0, 1, q_count=m.dim, test_set=None
+                planes, Scheme[scheme], w0, hp, 0.0, 1, q_count=m.dim, test_set=test
             )
             results[scheme] = w1
 
@@ -434,6 +434,6 @@ class TestGlobalIteration:
     def test_clock_advances_to_latest_plane(self):
         planes, hp, w0, test, m = self.small_planes()
         _, metrics, t_end = run_global_iteration(
-            planes, Scheme.SIA, w0, hp, 0.0, 1, q_count=79, test_set=None
+            planes, Scheme.SIA, w0, hp, 0.0, 1, q_count=79, test_set=test
         )
         assert t_end == max(0.0 + pm.wallclock_s for pm in metrics.plane_metrics)

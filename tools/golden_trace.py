@@ -10,8 +10,10 @@ else, runs every config family below under every aggregation scheme, and prints
 one line per global iteration and one per plane-round: hop records, simulated
 times, bit counts and accuracies as exact values (floats in `float.hex`), the
 SHA-256 of the global weights and of every satellite's residual, and every
-`plan_round` result. Two trees simulate identically exactly when their digests
-are equal, so a refactor is checked with
+`plan_round` result. For the first plane of each family it also prints the
+SHA-256 of every satellite's visibility windows over ten days, as `float.hex`
+pairs. Two trees simulate identically exactly when their digests are equal,
+so a refactor is checked with
 
     diff <(python3 tools/golden_trace.py --src ../parent/src) \
          <(python3 tools/golden_trace.py --src src)
@@ -54,18 +56,35 @@ def import_program(src: Path):
         sys.exit(f"golden_trace: no leofl sources under {src}")
     sys.path.insert(0, str(src))
     import leofl
-    from leofl import config, protocol, sparsify
+    from leofl import config, orbital, protocol, sparsify
 
     if Path(leofl.__file__).resolve().parent != src / "leofl":
         sys.exit(f"golden_trace: imported leofl from {leofl.__file__}, not from {src}")
-    return config, protocol, sparsify
+    return config, orbital, protocol, sparsify
 
 
 def sha(array) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def digest(config, protocol, sparsify, out):
+TEN_DAYS_S = 10 * 86400.0
+
+
+def window_digest(config, orbital, out):
+    """One line per family: the first plane's visibility windows over ten days."""
+    for family, raw, _ in FAMILIES:
+        cfg = config.config_from_dict(raw)
+        plane = config.build_planes_geometry(cfg)[0]
+        gs = config.build_ground_station(cfg)
+        lines = [f"{sat} {w.start_s.hex()} {w.end_s.hex()}"
+                 for sat in range(plane.num_sats)
+                 for w in orbital.visibility_windows(plane, sat, gs, 0.0, TEN_DAYS_S)]
+        text = "\n".join(lines).encode()
+        print(f"{family} windows n={len(lines)} sha={hashlib.sha256(text).hexdigest()}",
+              file=out)
+
+
+def digest(config, orbital, protocol, sparsify, out):
     plans = []  # the plan_round results of the current iteration, in call order
     plan_round = protocol.plan_round
 
@@ -103,6 +122,7 @@ def digest(config, protocol, sparsify, out):
                           f"gs={pm.gs_bits}{plan} hops={pm.hop_records} residuals={residuals}",
                           file=out)
     protocol.plan_round = plan_round
+    window_digest(config, orbital, out)
 
 
 def main():
