@@ -5,14 +5,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
 from . import data, learn
-from .link import (LinkError, LinkParams, data_rate, db_to_linear, dbm_to_watts,
-                   ring_neighbor_distance, ring_neighbors_visible, tx_duration)
+from .link import (LinkParams, data_rate, db_to_linear, dbm_to_watts, ring_neighbor_distance,
+                   ring_neighbors_visible, tx_duration)
 from .orbital import GroundStation, OrbitPlane, max_slant_range, max_visible_latitude
 from .protocol import SCHEMES, PlaneState, SatelliteNode, Scheme, WindowCache, _distribution_bits
 from .sparsify import ErrorState, SizeModel
@@ -20,14 +20,6 @@ from .sparsify import ErrorState, SizeModel
 
 class ValidationError(ValueError):
     """Raised when a configuration document is invalid."""
-
-
-class RingGeometryError(ValidationError, LinkError):
-    """The configured ring cannot form: neighbor chords intersect the Earth.
-
-    It is both a configuration error and a link error, so a caller that
-    catches either one sees it.
-    """
 
 
 @dataclass
@@ -46,24 +38,6 @@ class GroundStationConfig:
 
 
 @dataclass
-class LinkConfig:
-    tx_power_dbm: float = 40.0
-    gain_tx_dbi: float = 32.13
-    gain_rx_dbi: float = 32.13
-    bandwidth_hz: float = 500e6
-    carrier_hz: float = 20e9
-    noise_temp_k: float = 354.0
-
-
-@dataclass
-class TrainingConfig:
-    learning_rate: float = 0.1
-    local_epochs: int = 1
-    batch_size: int = 32
-    rounds: int = 500
-
-
-@dataclass
 class DatasetConfig:
     source: str = "synthetic"  # "synthetic" | "mnist"
     mnist_dir: str | None = None
@@ -76,8 +50,8 @@ class DatasetConfig:
 class ExperimentConfig:
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
     ground_station: GroundStationConfig = field(default_factory=GroundStationConfig)
-    link: LinkConfig = field(default_factory=LinkConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+    link: LinkParams = field(default_factory=LinkParams)
+    training: learn.HyperParams = field(default_factory=learn.HyperParams)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     scheme: str = "SIA"
     q: float = 0.01
@@ -147,7 +121,7 @@ class ExperimentConfig:
             )
         ring = SCHEMES[Scheme[self.scheme]].ring
         if ring and not ring_neighbors_visible(plane):
-            raise RingGeometryError(
+            raise ValidationError(
                 f"constellation.sats_per_plane: ring of {c.sats_per_plane} satellites at "
                 f"{c.altitude_km:g} km: neighbor chord intersects the Earth, no ring can form; "
                 "use more satellites per plane or a higher constellation.altitude_km"
@@ -159,8 +133,8 @@ class ExperimentConfig:
 _SECTION_TYPES = {
     "constellation": ConstellationConfig,
     "ground_station": GroundStationConfig,
-    "link": LinkConfig,
-    "training": TrainingConfig,
+    "link": LinkParams,
+    "training": learn.HyperParams,
     "dataset": DatasetConfig,
 }
 
@@ -224,7 +198,6 @@ def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
                             "which must be positive and finite")
     if problems:
         raise ValidationError("; ".join(problems))
-    params = build_link_params(cfg)
     station = "the station at the elevation mask"
     ranges = {station: max_slant_range(plane, math.radians(cfg.ground_station.min_elevation_deg))}
     if ring:
@@ -232,12 +205,12 @@ def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
     rates = {}
     for what, distance_m in ranges.items():
         try:
-            rates[what] = data_rate(params, distance_m)
+            rates[what] = data_rate(cfg.link, distance_m)
         except ArithmeticError:
             rates[what] = math.nan
         if not 0 < rates[what] < math.inf:
             problems.append(f"to {what} ({distance_m / 1e3:.0f} km) is {rates[what]!r} bit/s")
-    budget = ", ".join(f"link.{f.name}" for f in dataclasses.fields(LinkConfig))
+    budget = ", ".join(f"link.{f.name}" for f in dataclasses.fields(LinkParams))
     if problems:
         raise ValidationError(f"link: the rate {' and '.join(problems)}; "
                               f"{budget} must give a positive, finite rate")
@@ -275,21 +248,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     if raw is not None and not isinstance(raw, dict):
         raise ValidationError("config document must be a mapping")
     return config_from_dict({**(raw or {}), **overrides})
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
-def build_link_params(cfg: ExperimentConfig) -> LinkParams:
-    return LinkParams(
-        tx_power_w=dbm_to_watts(cfg.link.tx_power_dbm),
-        gain_tx_dbi=cfg.link.gain_tx_dbi,
-        gain_rx_dbi=cfg.link.gain_rx_dbi,
-        bandwidth_hz=cfg.link.bandwidth_hz,
-        carrier_hz=cfg.link.carrier_hz,
-        noise_temp_k=cfg.link.noise_temp_k,
-    )
 
 
 def build_ground_station(cfg: ExperimentConfig) -> GroundStation:
@@ -354,7 +312,6 @@ def build_simulation(cfg: ExperimentConfig):
     total_sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
     shards = data.partition(train, total_sats, seed=cfg.seed)
     gs = build_ground_station(cfg)
-    params = build_link_params(cfg)
     size_model = SizeModel(value_bits=cfg.value_bits, dim=dim)
 
     k = cfg.constellation.sats_per_plane
@@ -367,7 +324,7 @@ def build_simulation(cfg: ExperimentConfig):
                 plane_id=plane_id,
                 plane=geometry,
                 gs=gs,
-                params=params,
+                params=cfg.link,
                 size_model=size_model,
                 nodes=nodes,
                 compute_time_s=cfg.compute_time_s,
@@ -375,6 +332,5 @@ def build_simulation(cfg: ExperimentConfig):
             )
         )
 
-    hp = learn.HyperParams(**asdict(cfg.training))
     w0 = learn.init_weights(feature_dim, num_classes)
-    return planes, hp, w0, test, size_model
+    return planes, cfg.training, w0, test, size_model

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, config_to_dict
-from .config import build_simulation
+from .config import ExperimentConfig, build_simulation
 from .protocol import Scheme, run_global_iteration
 from .sparsify import q_to_count
 
@@ -132,7 +131,7 @@ def export(log: MetricsLog, out_dir: str | Path, name: str = "run") -> tuple[Pat
             )
     manifest_path = out / f"{name}.manifest.json"
     manifest = {
-        "config": config_to_dict(log.config),
+        "config": dataclasses.asdict(log.config),
         "seed": log.config.seed,
         "code_version": __version__,
         "iterations": len(log.rows),

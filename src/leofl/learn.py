@@ -16,16 +16,12 @@ from .data import Dataset
 
 @dataclass(frozen=True)
 class HyperParams:
+    """The config's `training` section."""
+
     learning_rate: float = 0.1
     local_epochs: int = 1
     batch_size: int = 32
     rounds: int = 500
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
-        if min(self.local_epochs, self.batch_size, self.rounds) < 1:
-            raise ValueError("epochs, batch size, and rounds must be positive")
 
 
 def model_dim(feature_dim: int, num_classes: int) -> int:

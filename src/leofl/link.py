@@ -27,17 +27,14 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class LinkParams:
-    tx_power_w: float
-    gain_tx_dbi: float
-    gain_rx_dbi: float
-    bandwidth_hz: float
-    carrier_hz: float
-    noise_temp_k: float
+    """The config's `link` section."""
 
-    def __post_init__(self):
-        for name in ("tx_power_w", "bandwidth_hz", "carrier_hz", "noise_temp_k"):
-            if getattr(self, name) <= 0:
-                raise LinkError(f"{name} must be strictly positive")
+    tx_power_dbm: float = 40.0
+    gain_tx_dbi: float = 32.13
+    gain_rx_dbi: float = 32.13
+    bandwidth_hz: float = 500e6
+    carrier_hz: float = 20e9
+    noise_temp_k: float = 354.0
 
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:
@@ -53,7 +50,7 @@ def snr(params: LinkParams, distance_m: float) -> float:
     loss = path_loss(distance_m, params.carrier_hz)
     gain = db_to_linear(params.gain_tx_dbi) * db_to_linear(params.gain_rx_dbi)
     noise_w = CONSTANTS.boltzmann * params.noise_temp_k * params.bandwidth_hz
-    return params.tx_power_w * gain / (noise_w * loss)
+    return dbm_to_watts(params.tx_power_dbm) * gain / (noise_w * loss)
 
 
 def data_rate(params: LinkParams, distance_m: float) -> float:

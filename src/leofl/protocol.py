@@ -179,9 +179,9 @@ class PlaneState:
     params: LinkParams
     size_model: SizeModel
     nodes: list[SatelliteNode]
-    compute_time_s: float = 1.0
+    compute_time_s: float
+    seed: int
     trainer: Trainer = default_trainer
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.nodes) != self.plane.num_sats:
@@ -282,7 +282,6 @@ def run_round(
     t0: float,
     round_n: int,
     q_count: int,
-    plan: RoundPlan | None = None,
 ) -> tuple[np.ndarray, RoundMetrics, float]:
     """Fold one ring round over its two arcs; returns (dense plane aggregate, metrics, t_done)."""
     spec = SCHEMES[scheme]
@@ -292,12 +291,7 @@ def run_round(
     k = state.plane.num_sats
     rate, hop_prop = state.isl_rate_bps, state.isl_prop_s
 
-    if plan is None:
-        plan, t_source_rx, dist_bits = plan_round(state, scheme, t0, q_count)
-    else:
-        # externally supplied plan: the source receives immediately (toy configs)
-        t_source_rx = t0
-        dist_bits = _distribution_bits(m, k)
+    plan, t_source_rx, dist_bits = plan_round(state, scheme, t0, q_count)
 
     # the global weights flood both ways from the source, one hop per
     # dist_hop_s; a satellite trains as soon as it holds them

@@ -9,11 +9,9 @@ from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, main
 from leofl.config import (
     _SECTION_TYPES,
     ExperimentConfig,
-    LinkConfig,
     ValidationError,
     build_simulation,
     config_from_dict,
-    config_to_dict,
     load_config,
 )
 from leofl.harness import (
@@ -24,7 +22,7 @@ from leofl.harness import (
     run_experiment,
     run_sweep,
 )
-from leofl.link import LinkError
+from leofl.link import LinkParams
 from leofl.protocol import Scheme
 
 
@@ -40,6 +38,21 @@ NON_FINITE = [
     ({"training": {"learning_rate": float("inf")}}, "training.learning_rate"),
     ({"dataset": {"noise_std": -1.0}}, "dataset.noise_std"),
     ({"dataset": {"noise_std": float("nan")}}, "dataset.noise_std"),
+]
+
+
+# a wrong type and an out-of-range value in the ground_station, link and
+# training sections; link and training are the simulator's own records, so
+# nothing but validate checks them
+SECTION_WRONG_TYPE = [
+    ({"ground_station": {"longitude_deg": "x"}}, "ground_station.longitude_deg"),
+    ({"link": {"noise_temp_k": "354"}}, "link.noise_temp_k"),
+    ({"training": {"local_epochs": "2"}}, "training.local_epochs"),
+]
+SECTION_OUT_OF_RANGE = [
+    ({"ground_station": {"min_elevation_deg": -1.0}}, "ground_station.min_elevation_deg"),
+    ({"link": {"carrier_hz": -1.0}}, "link.carrier_hz"),
+    ({"training": {"rounds": 0}}, "training.rounds"),
 ]
 
 
@@ -65,7 +78,7 @@ SLOW_LINK = {"scheme": "NO_ISL_DIRECT", "constellation": {"planes": 1},
 
 
 def write_config(cfg, path):
-    path.write_text(yaml.safe_dump(config_to_dict(cfg)))
+    path.write_text(yaml.safe_dump(dataclasses.asdict(cfg)))
 
 
 def tiny_config(**overrides):
@@ -112,7 +125,7 @@ class TestConfig:
         ({"training": {"learning_rate": "1e6"}}, "training.learning_rate"),
         ({"constellation": {"sats_per_plane": 8.0}}, "constellation.sats_per_plane"),
         ({"dataset": {"mnist_dir": 3}}, "dataset.mnist_dir"),
-    ])
+    ] + SECTION_WRONG_TYPE)
     def test_wrong_type_names_key(self, raw, key):
         with pytest.raises(ValidationError, match=rf"^{key} must be"):
             config_from_dict(raw)
@@ -126,7 +139,7 @@ class TestConfig:
         ({"training": {"learning_rate": -0.1}}, "training.learning_rate"),
         ({"dataset": {"test_samples": 0}}, "dataset.test_samples"),
         ({"compute_time_s": float("nan")}, "compute_time_s"),
-    ])
+    ] + SECTION_OUT_OF_RANGE)
     def test_out_of_range_names_key(self, raw, key):
         with pytest.raises(ValidationError, match=rf"{key} must be"):
             config_from_dict(raw)
@@ -170,7 +183,7 @@ class TestConfig:
             return
         with pytest.raises(ValidationError, match="window search horizon") as exc:
             config_from_dict(raw)
-        assert all(f"link.{f.name}" in str(exc.value) for f in dataclasses.fields(LinkConfig))
+        assert all(f"link.{f.name}" in str(exc.value) for f in dataclasses.fields(LinkParams))
 
     def test_shards_must_fit(self):
         with pytest.raises(ValidationError, match="dataset.train_samples"):
@@ -272,7 +285,7 @@ class TestSweep:
         assert by_kp[8] / by_kp[6] == pytest.approx(8 / 6)
 
     def test_too_small_ring_surfaces_los_error(self):
-        with pytest.raises(LinkError, match="no ring"):
+        with pytest.raises(ValidationError, match="constellation.sats_per_plane.*no ring"):
             run_sweep(tiny_config(), kp_values=[4], q_values=[0.1],
                       schemes=("SIA",), iterations=2)
 
@@ -296,7 +309,7 @@ class TestCli:
           "ground_station": {"latitude_deg": -89.0}}, "ground_station.latitude_deg"),
         ({"constellation": {"inclination_deg": 30.0},
           "ground_station": {"latitude_deg": 61.65}}, "ground_station.latitude_deg"),
-    ])
+    ] + SECTION_WRONG_TYPE + SECTION_OUT_OF_RANGE)
     def test_validate_rejects_unrunnable_config(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(raw))

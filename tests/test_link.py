@@ -19,7 +19,7 @@ from leofl.orbital import OrbitPlane
 
 # link parameters of the reference constellation
 PARAMS = LinkParams(
-    tx_power_w=dbm_to_watts(40.0),
+    tx_power_dbm=40.0,
     gain_tx_dbi=32.13,
     gain_rx_dbi=32.13,
     bandwidth_hz=500e6,

@@ -8,7 +8,7 @@ from leofl import learn, protocol
 from leofl.config import ExperimentConfig, build_simulation
 from leofl.data import Dataset
 from leofl.constants import CONSTANTS
-from leofl.link import LinkParams, data_rate, dbm_to_watts
+from leofl.link import LinkParams, data_rate
 from leofl.orbital import GroundStation, OrbitPlane, gs_position_vec, propagate_vec
 from leofl.protocol import (
     GS_ID,
@@ -25,8 +25,9 @@ from leofl.protocol import (
     split_arcs,
 )
 from leofl.sparsify import ErrorState, SizeModel, q_to_count
+from test_reference_oracles import fixed_plan
 
-PARAMS = LinkParams(dbm_to_watts(40.0), 32.13, 32.13, 500e6, 20e9, 354.0)
+PARAMS = LinkParams(40.0, 32.13, 32.13, 500e6, 20e9, 354.0)
 BREMEN = GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0))
 
 
@@ -55,13 +56,21 @@ def toy_plane_state(gradients, dim, h_km=8000.0, compute_time=0.0):
         size_model=SizeModel(32, dim),
         nodes=nodes,
         compute_time_s=compute_time,
+        seed=0,
         trainer=make_trainer({id(node.dataset): g for node, g in zip(nodes, gradients)}),
     )
 
 
-def chain_plan(k, sink):
-    arc = tuple(i for i in range(k) if i != sink)
-    return RoundPlan(source_id=0, sink_id=sink, arcs=(arc, ()))
+@pytest.fixture
+def chain_plan(monkeypatch):
+    """Plan every round as one chain into `sink`, from source 0."""
+
+    def install(k, sink):
+        arc = tuple(i for i in range(k) if i != sink)
+        monkeypatch.setattr(protocol, "plan_round",
+                            fixed_plan(RoundPlan(source_id=0, sink_id=sink, arcs=(arc, ()))))
+
+    return install
 
 
 def hop_bits(metrics):
@@ -113,7 +122,7 @@ def selection_state():
         SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(10))
         for _ in range(8)
     ]
-    return PlaneState(0, plane, BREMEN, PARAMS, SizeModel(32, 10), nodes)
+    return PlaneState(0, plane, BREMEN, PARAMS, SizeModel(32, 10), nodes, 1.0, 0)
 
 
 class TestSourceSinkSelection:
@@ -182,22 +191,22 @@ class TestGroundTransfer:
 
 
 class TestDenseRound:
-    def test_three_satellite_exact_sum(self):
+    def test_three_satellite_exact_sum(self, chain_plan):
         rng = np.random.default_rng(1)
         gradients = [rng.normal(size=20) for _ in range(3)]
         state = toy_plane_state(gradients, dim=20)
-        plan = chain_plan(3, sink=2)
+        chain_plan(3, sink=2)
         agg, metrics, _ = run_round(
-            state, Scheme.DENSE_IA, np.zeros(20), HP, 0.0, 1, q_count=20, plan=plan
+            state, Scheme.DENSE_IA, np.zeros(20), HP, 0.0, 1, q_count=20
         )
         np.testing.assert_allclose(agg, sum(gradients), rtol=1e-12)
 
-    def test_hop_bits_all_dense(self):
+    def test_hop_bits_all_dense(self, chain_plan):
         gradients = [np.ones(20)] * 3
         state = toy_plane_state(gradients, dim=20)
-        plan = chain_plan(3, sink=2)
+        chain_plan(3, sink=2)
         _, metrics, _ = run_round(
-            state, Scheme.DENSE_IA, np.zeros(20), HP, 0.0, 1, q_count=20, plan=plan
+            state, Scheme.DENSE_IA, np.zeros(20), HP, 0.0, 1, q_count=20
         )
         assert hop_bits(metrics) == [20 * 32] * 3
         assert metrics.total_plane_bits == 3 * 20 * 32
@@ -217,22 +226,22 @@ def fig_gradients(dim=12):
 
 
 class TestSparseRounds:
-    def test_sia_hop_sizes_grow(self):
+    def test_sia_hop_sizes_grow(self, chain_plan):
         state = toy_plane_state(fig_gradients(), dim=12)
-        plan = chain_plan(3, sink=2)
+        chain_plan(3, sink=2)
         agg, metrics, _ = run_round(
-            state, Scheme.SIA, np.zeros(12), HP, 0.0, 1, q_count=3, plan=plan
+            state, Scheme.SIA, np.zeros(12), HP, 0.0, 1, q_count=3
         )
         entry = 32 + state.size_model.index_bits
         # satellite 1 sends 3 entries, satellite 2 sends 5 (one common index)
         assert hop_bits(metrics)[0] == 3 * entry
         assert hop_bits(metrics)[1] == 5 * entry
 
-    def test_clsia_constant_hops(self):
+    def test_clsia_constant_hops(self, chain_plan):
         state = toy_plane_state(fig_gradients(), dim=12)
-        plan = chain_plan(3, sink=2)
+        chain_plan(3, sink=2)
         _, metrics, _ = run_round(
-            state, Scheme.CLSIA, np.zeros(12), HP, 0.0, 1, q_count=3, plan=plan
+            state, Scheme.CLSIA, np.zeros(12), HP, 0.0, 1, q_count=3
         )
         entry = 32 + state.size_model.index_bits
         assert hop_bits(metrics) == [3 * entry] * 3

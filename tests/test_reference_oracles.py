@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from leofl import learn, protocol
 from leofl.config import build_simulation, config_from_dict
 from leofl.data import Dataset
-from leofl.link import LinkParams, data_rate, dbm_to_watts, propagation_delay, tx_duration
+from leofl.link import LinkParams, data_rate, propagation_delay, tx_duration
 from leofl.orbital import (
     GroundStation,
     OrbitPlane,
@@ -113,7 +113,7 @@ def reference_visibility_windows(plane, sat_index, gs, t_start, t_end, step_s=5.
         return []
     times = np.arange(t_start, t_end + step_s, step_s)
     times[-1] = min(times[-1], t_end)
-    mask = _gs_los_mask(plane, sat_index, gs, times)
+    mask = los_mask(plane, sat_index, gs, t_start, t_end, step_s)
     windows = []
     i, n = 0, len(times)
     while i < n:
@@ -186,17 +186,13 @@ class _Message:
         self.bits = bits
 
 
-def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count, plan=None):
+def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count):
     """One ring round as a discrete-event simulation; returns (aggregate, hop records, t_done)."""
     m = state.size_model
     k = state.plane.num_sats
     rate_bps, hop_prop = state.isl_rate_bps, state.isl_prop_s
 
-    if plan is None:
-        plan, t_source_rx, dist_bits = protocol.plan_round(state, scheme, t0, q_count)
-    else:
-        t_source_rx = t0
-        dist_bits = protocol._distribution_bits(m, k)
+    plan, t_source_rx, dist_bits = protocol.plan_round(state, scheme, t0, q_count)
 
     dist_hop_s = tx_duration(dist_bits, rate_bps) + hop_prop
 
@@ -431,6 +427,15 @@ def grid(t_start, t_end, step=STEP_S):
 
 
 @functools.cache
+def los_mask(plane, sat_index, gs, t_start, t_end, step_s=STEP_S):
+    """The unscreened LOS mask on `grid(t_start, t_end, step_s)`, computed once per argument
+    tuple: the reference windows and the screened-mask check share each ten-day mask."""
+    mask = _gs_los_mask(plane, sat_index, gs, grid(t_start, t_end, step_s))
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.cache
 def window_openings(geometry, sat):
     """Grid times at which the satellite has risen above the mask in two days."""
     plane, gs = GEOMETRIES[geometry]
@@ -465,7 +470,7 @@ class TestWindowsAgainstReference:
         for sat in range(0, plane.num_sats, 3):
             for offset in (0.0, 1.7, 3.1):
                 times = grid(offset, TEN_DAYS)
-                full = _gs_los_mask(plane, sat, gs, times)
+                full = los_mask(plane, sat, gs, offset, TEN_DAYS)
                 assert full.any()
                 assert np.array_equal(_screened_los_mask(plane, sat, gs, times), full)
 
@@ -495,10 +500,19 @@ class TestWindowsAgainstReference:
 # -- ring rounds: arc fold against the heap event loop -----------------------
 
 
-def assert_round_matches(state, ref_state, scheme, w, hp, t0, round_n, q_count, plan=None):
-    agg, metrics, t_done = run_round(state, scheme, w, hp, t0, round_n, q_count, plan=plan)
+def fixed_plan(plan):
+    """A `plan_round` stand-in that plans every round as `plan`, the source holding the model at t0.
+
+    Both `run_round` and `reference_run_round` look `protocol.plan_round` up at call time.
+    """
+    return lambda state, scheme, t0, q_count: (
+        plan, t0, protocol._distribution_bits(state.size_model, state.plane.num_sats))
+
+
+def assert_round_matches(state, ref_state, scheme, w, hp, t0, round_n, q_count):
+    agg, metrics, t_done = run_round(state, scheme, w, hp, t0, round_n, q_count)
     want_agg, want_hops, want_t_done = reference_run_round(
-        ref_state, scheme, w, hp, t0, round_n, q_count, plan=plan)
+        ref_state, scheme, w, hp, t0, round_n, q_count)
     assert metrics.hop_records == want_hops
     assert t_done.hex() == want_t_done.hex()
     assert metrics.wallclock_s == want_t_done - t0
@@ -562,15 +576,15 @@ def stub_ring(k, dim, compute_time_s, seed):
     return PlaneState(
         0, OrbitPlane(8000e3, math.radians(85.0), 0.0, k),
         GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0)),
-        LinkParams(dbm_to_watts(40.0), 32.13, 32.13, 500e6, 20e9, 354.0),
-        SizeModel(32, dim), nodes, compute_time_s=compute_time_s,
+        LinkParams(40.0, 32.13, 32.13, 500e6, 20e9, 354.0),
+        SizeModel(32, dim), nodes, compute_time_s=compute_time_s, seed=0,
         trainer=lambda w, node, hp, r: w + grads_by_shard[id(node.dataset)],
     )
 
 
 @pytest.mark.parametrize("compute_time_s", [0.0, 1.0])
 @pytest.mark.parametrize("k", range(3, 9))
-def test_fold_matches_event_loop_for_every_sink_and_plan(k, compute_time_s):
+def test_fold_matches_event_loop_for_every_sink_and_plan(monkeypatch, k, compute_time_s):
     hp = learn.HyperParams(rounds=1)
     state = stub_ring(k, 24, compute_time_s, seed=k)
     ref_state = twin(state)
@@ -583,4 +597,5 @@ def test_fold_matches_event_loop_for_every_sink_and_plan(k, compute_time_s):
                 w, t = np.zeros(24), 0.0
                 for n in range(1, 6):
                     plan = RoundPlan(source_id=(sink + n) % k, sink_id=sink, arcs=arcs)
-                    _, t = assert_round_matches(state, ref_state, scheme, w, hp, t, n, 4, plan)
+                    monkeypatch.setattr(protocol, "plan_round", fixed_plan(plan))
+                    _, t = assert_round_matches(state, ref_state, scheme, w, hp, t, n, 4)
