@@ -55,7 +55,6 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     scheme: str = "SIA"
     q: float = 0.01
-    value_bits: int = 32
     compute_time_s: float = 1.0
     seed: int = 0
     output_dir: str = "runs"
@@ -68,10 +67,10 @@ class ExperimentConfig:
             problems.append(f"scheme must be one of {sorted(Scheme.__members__)}")
         if not 0 < self.q <= 1:
             problems.append("q must be in (0, 1]")
-        if self.value_bits <= 0:
-            problems.append("value_bits must be positive")
         if not self.compute_time_s >= 0:
             problems.append("compute_time_s must be non-negative")
+        if self.seed < 0:
+            problems.append("seed must be non-negative")
         c, gs, t, d = self.constellation, self.ground_station, self.training, self.dataset
         if c.planes < 1 or c.sats_per_plane < 2:
             problems.append("need at least one plane of at least two satellites")
@@ -215,7 +214,7 @@ def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
         raise ValidationError(f"link: the rate {' and '.join(problems)}; "
                               f"{budget} must give a positive, finite rate")
     dim = learn.model_dim(data.FEATURE_DIM, data.NUM_CLASSES)
-    upload_bits = _distribution_bits(SizeModel(cfg.value_bits, dim), plane.num_sats)
+    upload_bits = _distribution_bits(SizeModel(dim), plane.num_sats)
     upload_s = tx_duration(upload_bits, rates[station])
     if upload_s > WindowCache.HORIZON_S:
         raise ValidationError(
@@ -312,7 +311,7 @@ def build_simulation(cfg: ExperimentConfig):
     total_sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
     shards = data.partition(train, total_sats, seed=cfg.seed)
     gs = build_ground_station(cfg)
-    size_model = SizeModel(value_bits=cfg.value_bits, dim=dim)
+    size_model = SizeModel(dim)
 
     k = cfg.constellation.sats_per_plane
     planes = []

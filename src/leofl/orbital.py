@@ -15,22 +15,12 @@ import numpy as np
 from .constants import CONSTANTS
 
 
-class GeometryError(ValueError):
-    """Raised for invalid orbital geometry inputs."""
-
-
 @dataclass(frozen=True)
 class OrbitPlane:
     altitude_m: float
     inclination_rad: float
     raan_rad: float
     num_sats: int
-
-    def __post_init__(self):
-        if self.altitude_m <= 0:
-            raise GeometryError(f"altitude must be positive, got {self.altitude_m}")
-        if self.num_sats < 2:
-            raise GeometryError(f"need at least 2 satellites, got {self.num_sats}")
 
     @property
     def radius_m(self) -> float:
@@ -47,27 +37,15 @@ class GroundStation:
     longitude_rad: float
     min_elevation_rad: float = math.radians(10.0)
 
-    def __post_init__(self):
-        if abs(self.latitude_rad) > math.pi / 2:
-            raise GeometryError("latitude out of range")
-        if not 0 <= self.min_elevation_rad < math.pi / 2:
-            raise GeometryError("min elevation must be in [0, pi/2)")
-
 
 @dataclass(frozen=True)
 class VisibilityWindow:
     start_s: float
     end_s: float
 
-    def __post_init__(self):
-        if self.start_s >= self.end_s:
-            raise GeometryError("window start must precede end")
-
 
 def orbital_speed(altitude_m: float) -> float:
     """Circular-orbit speed at the given altitude, m/s."""
-    if altitude_m < 0:
-        raise GeometryError(f"altitude must be non-negative, got {altitude_m}")
     return math.sqrt(CONSTANTS.mu / (CONSTANTS.earth_radius_m + altitude_m))
 
 
@@ -89,8 +67,6 @@ def _plane_basis(plane: OrbitPlane) -> tuple[np.ndarray, np.ndarray]:
 
 def propagate_vec(plane: OrbitPlane, sat_index: int, time_s) -> np.ndarray:
     """ECI position(s) of one satellite; vectorized over time_s, shape (..., 3)."""
-    if not 0 <= sat_index < plane.num_sats:
-        raise IndexError(f"satellite index {sat_index} out of range for K_p={plane.num_sats}")
     t = np.asarray(time_s, dtype=float)
     # argument of latitude
     u = 2.0 * math.pi * sat_index / plane.num_sats + 2.0 * math.pi * t / plane.period_s

@@ -74,18 +74,18 @@ class SchemeSpec:
 
 
 # the steps look sia_step and clsia_step up at call time, so rebinding them
-# on this module reaches every round; a sparse entry costs value plus index bits
+# on this module reaches every round
 SCHEMES = {
     Scheme.DENSE_IA: SchemeSpec(None, sparse=False, ring=True,
                                 hop_bits=lambda j, m, q: m.dense_bits()),
     # the support grows by at most Q entries per hop
     Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a), sparse=True, ring=True,
-                           hop_bits=lambda j, m, q: min(m.dim, j * q) * (m.value_bits + m.index_bits)),
+                           hop_bits=lambda j, m, q: min(m.dim, j * q) * m.entry_bits),
     Scheme.CLSIA: SchemeSpec(lambda *a: clsia_step(*a), sparse=True, ring=True,
-                             hop_bits=lambda j, m, q: q * (m.value_bits + m.index_bits)),
+                             hop_bits=lambda j, m, q: q * m.entry_bits),
     # each satellite sends its own Top-Q straight down: an SIA step onto nothing
     Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a), sparse=True, ring=False,
-                                     hop_bits=lambda j, m, q: q * (m.value_bits + m.index_bits)),
+                                     hop_bits=lambda j, m, q: q * m.entry_bits),
 }
 
 
@@ -184,8 +184,6 @@ class PlaneState:
     trainer: Trainer = default_trainer
 
     def __post_init__(self):
-        if len(self.nodes) != self.plane.num_sats:
-            raise ValueError("one node per satellite required")
         self.windows = WindowCache(self.plane, self.gs)
 
     # the ISL figures are computed on first use: the no-ISL baseline never
@@ -215,8 +213,6 @@ class PlaneState:
 
 def shortest_path_hops(k: int, a: int, b: int) -> int:
     """Hops between ring positions a and b of a ring of k satellites."""
-    if not (0 <= a < k and 0 <= b < k):
-        raise ValueError(f"positions {a}, {b} are not on a ring of {k}")
     d = (b - a) % k
     return min(d, k - d)
 
@@ -248,8 +244,6 @@ def split_arcs(num_sats: int, sink: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 def plan_round(state: PlaneState, scheme: Scheme, t: float, q_count: int):
     """Pick source and sink for this round and fix the arc split."""
-    if not SCHEMES[scheme].ring:
-        raise ValueError(f"{scheme.value} does not use ring rounds")
     k = state.plane.num_sats
     source = first_visible(state, t)
     dist_bits = _distribution_bits(state.size_model, k)
@@ -285,8 +279,6 @@ def run_round(
 ) -> tuple[np.ndarray, RoundMetrics, float]:
     """Fold one ring round over its two arcs; returns (dense plane aggregate, metrics, t_done)."""
     spec = SCHEMES[scheme]
-    if not spec.ring:
-        raise ValueError(f"{scheme.value} forms no ring; use run_no_isl_round")
     m = state.size_model
     k = state.plane.num_sats
     rate, hop_prop = state.isl_rate_bps, state.isl_prop_s

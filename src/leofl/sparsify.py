@@ -11,34 +11,23 @@ Two in-network schemes operate on sparse index/value messages:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SparseGradient:
-    """Immutable index/value view of a sparse vector of dimension `dim`."""
+    """Immutable index/value view of a sparse vector of dimension `dim`.
+
+    Only `top_q`, `sparse_add`, `empty` and `from_dense` build one, and each
+    gives 1-d int64 indices, strictly increasing and in [0, dim), with float64
+    values of the same length; the message bit count relies on it.
+    """
 
     dim: int
-    indices: np.ndarray  # int64, strictly increasing
-    values: np.ndarray  # float64, same length
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-d arrays of equal length")
-        if len(idx) and (idx[0] < 0 or idx[-1] >= self.dim):
-            raise ValueError("indices out of range")
-        if len(idx) > 1 and not np.all(np.diff(idx) > 0):
-            raise ValueError("indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
+    indices: np.ndarray
+    values: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -70,22 +59,27 @@ class ErrorState:
         return cls(np.zeros(dim))
 
 
+# bits per transmitted value, the paper's count for a 32-bit float
+VALUE_BITS = 32
+
+
 @dataclass(frozen=True)
 class SizeModel:
     """Wire-size accounting: each entry costs value bits plus index bits."""
 
-    value_bits: int
     dim: int
-    index_bits: int = field(init=False)
 
-    def __post_init__(self):
-        if self.value_bits <= 0 or self.dim <= 0:
-            raise ValueError("value_bits and dim must be positive")
+    @property
+    def index_bits(self) -> int:
         # smallest b with 2**b >= dim
-        object.__setattr__(self, "index_bits", (self.dim - 1).bit_length())
+        return (self.dim - 1).bit_length()
+
+    @property
+    def entry_bits(self) -> int:
+        return VALUE_BITS + self.index_bits
 
     def dense_bits(self) -> int:
-        return self.dim * self.value_bits
+        return self.dim * VALUE_BITS
 
 
 def top_q(v: np.ndarray, q_count: int) -> SparseGradient:
@@ -96,8 +90,6 @@ def top_q(v: np.ndarray, q_count: int) -> SparseGradient:
     entry above it is kept and the remaining slots go to the lowest-index
     entries equal to it.
     """
-    if q_count < 0:
-        raise ValueError("Q must be non-negative")
     v = np.asarray(v, dtype=np.float64)
     n = len(v)
     if q_count >= n:
@@ -119,8 +111,6 @@ def sparse_add(a: SparseGradient, b: SparseGradient) -> SparseGradient:
 
     Entries that sum to exactly 0.0 stay in the support: they were sent.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
     summed = np.zeros(a.dim)
     summed[a.indices] += a.values
     summed[b.indices] += b.values
@@ -132,10 +122,6 @@ def sparse_add(a: SparseGradient, b: SparseGradient) -> SparseGradient:
 
 
 def _error_compensated(g: np.ndarray, data_size: float, err: ErrorState) -> np.ndarray:
-    if data_size <= 0:
-        raise ValueError("data size must be positive")
-    if len(g) != len(err.residual):
-        raise DimensionMismatch("gradient and residual dims differ")
     return data_size * np.asarray(g, dtype=np.float64) + err.residual
 
 
@@ -148,8 +134,6 @@ def sia_step(
 ) -> tuple[SparseGradient, ErrorState]:
     """One satellite's SIA step: compensate, Top-Q, merge into the aggregate."""
     compensated = _error_compensated(g, data_size, err)
-    if incoming.dim != len(compensated):
-        raise DimensionMismatch("incoming aggregate dim differs")
     own = top_q(compensated, q_count)
     # the residual is what was not sent: x - x == +0.0 on the kept support
     compensated[own.indices] = 0.0
@@ -165,8 +149,6 @@ def clsia_step(
 ) -> tuple[SparseGradient, ErrorState]:
     """One satellite's CL-SIA step: compensate, merge, then Top-Q the total."""
     compensated = _error_compensated(g, data_size, err)
-    if incoming.dim != len(compensated):
-        raise DimensionMismatch("incoming aggregate dim differs")
     merged = incoming.densify() + compensated
     outgoing = top_q(merged, q_count)
     merged[outgoing.indices] = 0.0
@@ -174,9 +156,7 @@ def clsia_step(
 
 
 def message_bits(s: SparseGradient, m: SizeModel) -> int:
-    if s.dim != m.dim:
-        raise DimensionMismatch(f"dims differ: {s.dim} vs {m.dim}")
-    return s.nnz * (m.value_bits + m.index_bits)
+    return s.nnz * m.entry_bits
 
 
 def q_to_count(q: float, dim: int) -> int:

@@ -121,7 +121,6 @@ class TestConfig:
     @pytest.mark.parametrize("raw, key", [
         ({"q": "0.1"}, "q"),
         ({"seed": 1.5}, "seed"),
-        ({"value_bits": True}, "value_bits"),
         ({"training": {"learning_rate": "1e6"}}, "training.learning_rate"),
         ({"constellation": {"sats_per_plane": 8.0}}, "constellation.sats_per_plane"),
         ({"dataset": {"mnist_dir": 3}}, "dataset.mnist_dir"),
@@ -139,7 +138,7 @@ class TestConfig:
         ({"training": {"learning_rate": -0.1}}, "training.learning_rate"),
         ({"dataset": {"test_samples": 0}}, "dataset.test_samples"),
         ({"compute_time_s": float("nan")}, "compute_time_s"),
-    ] + SECTION_OUT_OF_RANGE)
+    ] + SECTION_OUT_OF_RANGE + [({"seed": -1}, "seed")])
     def test_out_of_range_names_key(self, raw, key):
         with pytest.raises(ValidationError, match=rf"{key} must be"):
             config_from_dict(raw)
@@ -309,7 +308,7 @@ class TestCli:
           "ground_station": {"latitude_deg": -89.0}}, "ground_station.latitude_deg"),
         ({"constellation": {"inclination_deg": 30.0},
           "ground_station": {"latitude_deg": 61.65}}, "ground_station.latitude_deg"),
-    ] + SECTION_WRONG_TYPE + SECTION_OUT_OF_RANGE)
+    ] + SECTION_WRONG_TYPE + SECTION_OUT_OF_RANGE + [({"seed": -1}, "seed")])
     def test_validate_rejects_unrunnable_config(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(raw))

@@ -53,7 +53,7 @@ def toy_plane_state(gradients, dim, h_km=8000.0, compute_time=0.0):
         plane=plane,
         gs=BREMEN,
         params=PARAMS,
-        size_model=SizeModel(32, dim),
+        size_model=SizeModel(dim),
         nodes=nodes,
         compute_time_s=compute_time,
         seed=0,
@@ -93,10 +93,6 @@ class TestRingHelpers:
                 for b in range(k):
                     assert shortest_path_hops(k, a, b) <= k // 2
 
-    def test_unknown_member(self):
-        with pytest.raises(ValueError):
-            shortest_path_hops(4, 0, 9)
-
     def test_split_covers_ring(self):
         for k in range(2, 11):
             for sink in range(k):
@@ -122,7 +118,7 @@ def selection_state():
         SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(10))
         for _ in range(8)
     ]
-    return PlaneState(0, plane, BREMEN, PARAMS, SizeModel(32, 10), nodes, 1.0, 0)
+    return PlaneState(0, plane, BREMEN, PARAMS, SizeModel(10), nodes, 1.0, 0)
 
 
 class TestSourceSinkSelection:
@@ -386,7 +382,7 @@ class TestNoIslRound:
         q = 4
         agg, metrics, t_done = run_no_isl_round(state, np.zeros(30), HP, 0.0, 1, q)
         m = state.size_model
-        expected = 5 * m.dense_bits() + 5 * q * (m.value_bits + m.index_bits)
+        expected = 5 * m.dense_bits() + 5 * q * (32 + m.index_bits)
         assert metrics.total_plane_bits == expected
         assert metrics.gs_bits == expected
 
@@ -446,3 +442,34 @@ class TestGlobalIteration:
             planes, Scheme.SIA, w0, hp, 0.0, 1, q_count=79, test_set=test
         )
         assert t_end == max(0.0 + pm.wallclock_s for pm in metrics.plane_metrics)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SIA, Scheme.CLSIA, Scheme.NO_ISL_DIRECT])
+    def test_counted_messages_and_cached_windows_are_well_formed(self, monkeypatch, scheme):
+        """The records trust their builders: every message whose bits are counted
+        has sorted, unique, in-range int64 indices and float64 values of equal
+        length, and every cached window is non-empty, ordered and disjoint."""
+        planes, hp, w, test, m = self.small_planes(scheme.value)
+        messages = []
+
+        def recorded(s, size_model, _message_bits=protocol.message_bits):
+            messages.append(s)
+            return _message_bits(s, size_model)
+
+        monkeypatch.setattr(protocol, "message_bits", recorded)
+        t = 0.0
+        for n in range(1, 4):
+            w, _, t = run_global_iteration(planes, scheme, w, hp, t, n, 79, test)
+        assert len(messages) == 3 * 2 * 6  # one counted message per satellite and round
+        for s in messages:
+            assert s.dim == m.dim
+            assert s.indices.dtype == np.int64 and s.values.dtype == np.float64
+            assert s.indices.ndim == 1 and s.indices.shape == s.values.shape
+            assert np.all(np.diff(s.indices) > 0)
+            assert len(s.indices) == 0 or (s.indices[0] >= 0 and s.indices[-1] < m.dim)
+        for state in planes:
+            for windows in state.windows._windows:
+                assert windows
+                for window in windows:
+                    assert window.start_s < window.end_s
+                for a, b in zip(windows, windows[1:]):
+                    assert a.end_s < b.start_s

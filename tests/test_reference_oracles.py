@@ -577,7 +577,7 @@ def stub_ring(k, dim, compute_time_s, seed):
         0, OrbitPlane(8000e3, math.radians(85.0), 0.0, k),
         GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0)),
         LinkParams(40.0, 32.13, 32.13, 500e6, 20e9, 354.0),
-        SizeModel(32, dim), nodes, compute_time_s=compute_time_s, seed=0,
+        SizeModel(dim), nodes, compute_time_s=compute_time_s, seed=0,
         trainer=lambda w, node, hp, r: w + grads_by_shard[id(node.dataset)],
     )
 
