@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .config import (ExperimentConfig, ValidationError, build_ground_station,
@@ -11,7 +10,7 @@ from .config import (ExperimentConfig, ValidationError, build_ground_station,
 from .data import IngestionError
 from .harness import export, export_sweep, run_experiment, run_sweep
 from .orbital import visibility_windows
-from .protocol import Scheme
+from .protocol import Scheme, WindowCache
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,13 +84,15 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
+def _hours(text: str) -> float:
+    """A positive number of hours, at most the simulator's own window search horizon."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    limit = WindowCache.HORIZON_S / 3600.0
+    if not 0 < value <= limit:
+        raise argparse.ArgumentTypeError(f"must be in (0, {limit:g}], got {value}")
     return value
 
 
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_win = sub.add_parser("windows", help="print visibility windows for debugging")
     common(p_win)
     p_win.add_argument("--plane", type=_int_at_least(0), default=0)
-    p_win.add_argument("--hours", type=_positive_float, default=24.0)
+    p_win.add_argument("--hours", type=_hours, default=24.0)
     p_win.set_defaults(func=_cmd_windows)
 
     p_val = sub.add_parser("validate", help="check a config file")

@@ -276,9 +276,14 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
     d = cfg.dataset
     if d.source == "mnist":
         base = Path(d.mnist_dir)
-        train = data.load_mnist(
-            _find_idx(base, "train-images"), _find_idx(base, "train-labels")
-        )
+        train_images = _find_idx(base, "train-images")
+        train = data.load_mnist(train_images, _find_idx(base, "train-labels"))
+        sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
+        if len(train) < sats:
+            raise data.IngestionError(
+                f"dataset.mnist_dir {base}: {train_images} holds {len(train)} training samples, "
+                f"fewer than planes * sats_per_plane = {sats}, one per satellite shard"
+            )
         test = data.load_mnist(_find_idx(base, "t10k-images"), _find_idx(base, "t10k-labels"))
         return train, test
     train = data.synthetic_dataset(
@@ -305,7 +310,7 @@ def build_simulation(cfg: ExperimentConfig):
     """Assemble plane states, shards, and hyperparameters from a config."""
     train, test = load_datasets(cfg)
     num_classes = data.NUM_CLASSES
-    feature_dim = train.features.shape[1]
+    feature_dim = data.FEATURE_DIM
     dim = learn.model_dim(feature_dim, num_classes)
 
     total_sats = cfg.constellation.planes * cfg.constellation.sats_per_plane

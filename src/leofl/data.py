@@ -26,8 +26,6 @@ class Dataset:
     """
 
     def __init__(self, rows: np.ndarray, labels: np.ndarray):
-        if len(rows) != len(labels):
-            raise ValueError("feature/label counts differ")
         self.rows = rows  # (n, feature_dim + 1): features in [0, 1], then 1
         self.labels = labels  # (n,), ints in [0, num_classes)
 
@@ -67,16 +65,25 @@ def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
 
 
 def load_mnist(images_path: str | Path, labels_path: str | Path) -> Dataset:
-    """Read an MNIST-format IDX image/label pair, scaling pixels to [0, 1]."""
+    """Read an MNIST-format IDX image/label pair, scaling pixels to [0, 1].
+
+    The images must be 28 x 28: validate prices the model upload at FEATURE_DIM.
+    """
     images = _read_idx(Path(images_path), IDX_IMAGES_MAGIC)
     labels = _read_idx(Path(labels_path), IDX_LABELS_MAGIC)
+    if len(images) == 0:
+        raise IngestionError(f"{images_path}: the file holds no samples")
+    if images.shape[1:] != (28, 28):
+        raise IngestionError(
+            f"{images_path}: images are {images.shape[1]} x {images.shape[2]}, expected 28 x 28"
+        )
     if len(images) != len(labels):
         raise IngestionError("image and label counts differ")
     if np.any(labels >= NUM_CLASSES):
         raise IngestionError(
             f"{labels_path}: label {int(labels.max())} outside [0, {NUM_CLASSES})"
         )
-    rows = _bias_rows(len(images), int(np.prod(images.shape[1:])))
+    rows = _bias_rows(len(images), FEATURE_DIM)
     rows[:, :-1] = images.reshape(len(images), -1)
     rows[:, :-1] /= 255.0
     return Dataset(rows, labels.astype(np.int64))
@@ -112,12 +119,7 @@ def synthetic_dataset(
 
 def partition(dataset: Dataset, k: int, seed: int) -> list[Dataset]:
     """Split into k disjoint shards of near-equal size, deterministically."""
-    if k < 1:
-        raise ValueError("need at least one shard")
-    n = len(dataset)
-    if k > n:
-        raise ValueError(f"cannot split {n} samples into {k} shards")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(len(dataset))
     return [
         Dataset(dataset.rows[chunk], dataset.labels[chunk])
         for chunk in np.array_split(perm, k)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,10 +14,6 @@ from .protocol import Scheme, run_global_iteration
 from .sparsify import q_to_count
 
 CSV_HEADER = ["iter", "time_s", "accuracy", "plane_bits", "cum_bits"]
-
-
-class ExportError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -34,13 +29,6 @@ class MetricsRow:
 class MetricsLog:
     config: ExperimentConfig
     rows: list[MetricsRow] = field(default_factory=list)
-
-    def append(self, row: MetricsRow):
-        if self.rows:
-            last = self.rows[-1]
-            if row.iteration <= last.iteration or row.time_s <= last.time_s:
-                raise ValueError("iterations and wallclock must be strictly increasing")
-        self.rows.append(row)
 
 
 def run_experiment(
@@ -63,7 +51,7 @@ def run_experiment(
             planes, scheme, w, hp, t, n, q_count, test_set
         )
         cum_bits += metrics.total_bits
-        log.append(MetricsRow(n, t, metrics.accuracy, metrics.total_bits, cum_bits))
+        log.rows.append(MetricsRow(n, t, metrics.accuracy, metrics.total_bits, cum_bits))
         if progress is not None:
             progress(n, metrics)
     return log
@@ -113,12 +101,6 @@ def run_sweep(
 
 def export(log: MetricsLog, out_dir: str | Path, name: str = "run") -> tuple[Path, Path]:
     """Write the metrics CSV and a JSON manifest sufficient to reproduce the run."""
-    if not log.rows:
-        raise ExportError("refusing to export an empty metrics log")
-    for row in log.rows:
-        for value in (row.time_s, row.accuracy):
-            if not math.isfinite(value):
-                raise ExportError(f"non-finite metric in iteration {row.iteration}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
@@ -143,8 +125,6 @@ def export(log: MetricsLog, out_dir: str | Path, name: str = "run") -> tuple[Pat
 
 
 def export_sweep(rows: list[SweepRow], out_dir: str | Path, name: str = "sweep") -> Path:
-    if not rows:
-        raise ExportError("refusing to export an empty sweep table")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"

@@ -13,10 +13,6 @@ from .constants import CONSTANTS
 from .orbital import OrbitPlane
 
 
-class LinkError(ValueError):
-    """Raised for invalid link-budget inputs or impossible link configurations."""
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -39,8 +35,6 @@ class LinkParams:
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:
     """Free-space path loss (4*pi*f*d/c)^2 as a linear power ratio."""
-    if distance_m <= 0:
-        raise LinkError(f"distance must be positive, got {distance_m}")
     x = 4.0 * math.pi * carrier_hz * distance_m / CONSTANTS.light_speed
     return x * x
 
@@ -68,22 +62,8 @@ def ring_neighbors_visible(plane: OrbitPlane) -> bool:
     return plane.radius_m * math.cos(math.pi / plane.num_sats) > CONSTANTS.earth_radius_m
 
 
-def fixed_link_rate(params: LinkParams, plane: OrbitPlane) -> float:
-    """Fixed ISL rate: the rate at the worst (here: constant) neighbor distance."""
-    if not ring_neighbors_visible(plane):
-        raise LinkError(
-            f"ring of {plane.num_sats} satellites at {plane.altitude_m/1e3:.0f} km: "
-            "neighbor chord intersects the Earth, no ring can form"
-        )
-    return data_rate(params, ring_neighbor_distance(plane))
-
-
 def tx_duration(bits: float, rate_bps: float) -> float:
     """Serialization delay of a message; propagation delay is the caller's job."""
-    if bits < 0:
-        raise LinkError("bit count must be non-negative")
-    if rate_bps <= 0:
-        raise LinkError("cannot transmit over a zero-rate link")
     return bits / rate_bps
 
 

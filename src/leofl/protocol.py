@@ -23,7 +23,6 @@ from .data import Dataset
 from .link import (
     LinkParams,
     data_rate,
-    fixed_link_rate,
     propagation_delay,
     ring_neighbor_distance,
     tx_duration,
@@ -187,10 +186,10 @@ class PlaneState:
         self.windows = WindowCache(self.plane, self.gs)
 
     # the ISL figures are computed on first use: the no-ISL baseline never
-    # forms a ring, and a ring too small for neighbor LOS raises LinkError
+    # forms a ring; validate rejects a ring too small for neighbor LOS
     @cached_property
     def isl_rate_bps(self) -> float:
-        return fixed_link_rate(self.params, self.plane)
+        return data_rate(self.params, ring_neighbor_distance(self.plane))
 
     @cached_property
     def isl_prop_s(self) -> float:

@@ -161,6 +161,4 @@ def message_bits(s: SparseGradient, m: SizeModel) -> int:
 
 def q_to_count(q: float, dim: int) -> int:
     """Map a sparsification ratio in (0, 1] to an entry count, at least 1."""
-    if not 0 < q <= 1:
-        raise ValueError(f"sparsification ratio must be in (0, 1], got {q}")
     return max(1, math.ceil(q * dim))

@@ -103,12 +103,6 @@ class TestLocalLoss:
         )
         assert local_loss(w, ds) == pytest.approx(direct, rel=1e-12)
 
-    def test_empty_rejected(self):
-        # an empty shard is rejected where the simulator trains on it
-        with pytest.raises(ValueError):
-            learn.sat_learn_proc(random_weights(),
-                                 with_bias(np.empty((0, 12)), np.empty(0, dtype=int)),
-                                 learn.HyperParams(), np.random.default_rng(0))
 
 
 class TestSatLearnProc:
@@ -173,9 +167,6 @@ class TestGradientAndUpdate:
             learn.global_update(w0, agg, 10.0), 0.5 * (wa + wb), rtol=1e-9
         )
 
-    def test_invalid_total(self):
-        with pytest.raises(ValueError):
-            learn.global_update(random_weights(), np.zeros(52), 0.0)
 
 
 class TestEvaluate:

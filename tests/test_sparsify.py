@@ -219,8 +219,3 @@ class TestRatioMapping:
 
     def test_never_zero(self):
         assert q_to_count(1e-9, 10) == 1
-
-    def test_out_of_range(self):
-        for q in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                q_to_count(q, 100)
