@@ -77,6 +77,22 @@ class TestMnistIngestion:
         with pytest.raises(IngestionError, match="counts differ"):
             load_mnist(img_path, lbl_path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        img_path, lbl_path = tmp_path / "imgs", tmp_path / "lbls"
+        write_idx_images(img_path, np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx_labels(lbl_path, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(IngestionError, match=r"imgs: the file holds no samples"):
+            load_mnist(img_path, lbl_path)
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (28, 27), (32, 32)])
+    def test_wrong_image_size_rejected(self, tmp_path, rows, cols):
+        # the model upload is priced at 28 x 28 features, so no other size may run
+        img_path, lbl_path = tmp_path / "imgs", tmp_path / "lbls"
+        write_idx_images(img_path, np.zeros((3, rows, cols), dtype=np.uint8))
+        write_idx_labels(lbl_path, np.zeros(3, dtype=np.uint8))
+        with pytest.raises(IngestionError, match=rf"imgs: images are {rows} x {cols}, expected 28 x 28"):
+            load_mnist(img_path, lbl_path)
+
 
     def test_label_outside_class_range(self, tmp_path, idx_pair):
         img_path, _, _, _ = idx_pair
@@ -135,6 +151,13 @@ class TestPartition:
         shards = partition(ds, 7, seed=2)
         rebuilt = np.concatenate([s.features for s in shards])
         assert sorted(map(tuple, rebuilt)) == sorted(map(tuple, ds.features))
+
+    def test_one_sample_per_shard(self):
+        # the fewest training samples the loaders admit: one per satellite
+        ds = synthetic_dataset(6, seed=0, feature_dim=4)
+        shards = partition(ds, 6, seed=2)
+        assert [len(s) for s in shards] == [1] * 6
+        assert sorted(int(s.labels[0]) for s in shards) == sorted(ds.labels.tolist())
 
     def test_deterministic(self):
         ds = synthetic_dataset(60, seed=0, feature_dim=4)

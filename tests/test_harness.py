@@ -14,7 +14,9 @@ from leofl.config import (
     build_simulation,
     config_from_dict,
     load_config,
+    load_datasets,
 )
+from leofl.data import IngestionError
 from leofl.harness import (
     CSV_HEADER,
     export,
@@ -188,6 +190,21 @@ class TestConfig:
         with pytest.raises(ValidationError, match="dataset.train_samples"):
             config_from_dict({"dataset": {"train_samples": 20}})
         config_from_dict({"dataset": {"train_samples": 40}})
+
+    # the MNIST training file is only counted once read: one sample per satellite is the least
+    @pytest.mark.parametrize("n_train, accepted", [(39, False), (40, True)])
+    def test_mnist_shards_must_fit(self, tmp_path, n_train, accepted):
+        for split, n in (("train", n_train), ("t10k", 3)):
+            write_idx_images(tmp_path / f"{split}-images-idx3-ubyte",
+                             np.zeros((n, 28, 28), dtype=np.uint8))
+            write_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte", np.arange(n) % 10)
+        cfg = config_from_dict({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}})
+        if accepted:
+            train, test = load_datasets(cfg)
+            assert (len(train), len(test)) == (40, 3)
+            return
+        with pytest.raises(IngestionError, match=r"^dataset\.mnist_dir .* 39 training samples.* 40"):
+            load_datasets(cfg)
 
     def test_station_the_plane_never_sees_rejected(self):
         with pytest.raises(ValidationError, match="^ground_station.latitude_deg"):

@@ -186,6 +186,29 @@ class TestGroundTransfer:
         assert state.ground_transfer(5, t, self.BITS) == self.expected_arrival(state, 5, w.start_s)
 
 
+class TestIslLink:
+    """The ring hop is priced at the rate and delay of the propagated adjacent pair."""
+
+    @pytest.fixture
+    def state(self, selection_state):
+        return selection_state
+
+    def pair_distance(self, state, a, b, t):
+        return float(np.linalg.norm(propagate_vec(state.plane, a, t) - propagate_vec(state.plane, b, t)))
+
+    def test_equals_adjacent_pair_rate(self, state):
+        for t in (0.0, 1234.5, 0.61 * state.plane.period_s):
+            d = self.pair_distance(state, 3, 4, t)
+            assert state.isl_rate_bps == pytest.approx(data_rate(PARAMS, d), rel=1e-9)
+            assert state.isl_prop_s == pytest.approx(d / CONSTANTS.light_speed, rel=1e-9)
+
+    def test_never_exceeds_neighbor_rate(self, state):
+        # every other pair in the plane is farther apart, so the ring hop is the fastest link
+        for other in range(2, 7):
+            d = self.pair_distance(state, 0, other, 500.0)
+            assert data_rate(PARAMS, d) < state.isl_rate_bps
+
+
 class TestDenseRound:
     def test_three_satellite_exact_sum(self, chain_plan):
         rng = np.random.default_rng(1)
