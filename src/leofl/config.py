@@ -94,10 +94,11 @@ class ExperimentConfig:
             problems.append("dataset.noise_std must be non-negative")
         if d.source not in ("synthetic", "mnist"):
             problems.append("dataset.source must be 'synthetic' or 'mnist'")
-        if d.source == "mnist" and not d.mnist_dir:
-            problems.append("dataset.mnist_dir is required for dataset.source=mnist")
+        sats = c.planes * c.sats_per_plane
+        if d.source == "mnist":
+            problems += (_mnist_problems(Path(d.mnist_dir), sats) if d.mnist_dir
+                         else ["dataset.mnist_dir is required for dataset.source=mnist"])
         if d.source == "synthetic":
-            sats = c.planes * c.sats_per_plane
             if d.train_samples < sats:
                 problems.append(
                     f"dataset.train_samples must be at least planes * sats_per_plane = {sats}, "
@@ -223,6 +224,33 @@ def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
             f"window search horizon; {budget} must give a faster rate")
 
 
+def _mnist_problems(base: Path, sats: int) -> list[str]:
+    """What the IDX headers under `base` show a run cannot use; the pixels are not read."""
+    if not base.is_dir():
+        return [f"dataset.mnist_dir {base} is not a directory"]
+    try:
+        dims = {stem: data.idx_dims(_find_idx(base, stem), magic) for stem, magic in (
+            ("train-images", data.IDX_IMAGES_MAGIC), ("train-labels", data.IDX_LABELS_MAGIC),
+            ("t10k-images", data.IDX_IMAGES_MAGIC), ("t10k-labels", data.IDX_LABELS_MAGIC))}
+    except data.IngestionError as exc:
+        return [f"dataset.mnist_dir: {exc}"]
+    problems = []
+    for split in ("train", "t10k"):
+        images, labels = dims[f"{split}-images"], dims[f"{split}-labels"]
+        if images[1:] != (28, 28):
+            problems.append(f"dataset.mnist_dir {base}: {split}-images are {images[1]} x "
+                            f"{images[2]}, expected 28 x 28")
+        if images[0] != labels[0]:
+            problems.append(f"dataset.mnist_dir {base}: {split} image and label counts differ, "
+                            f"{images[0]} against {labels[0]}")
+    if dims["train-images"][0] < sats:
+        problems.append(f"dataset.mnist_dir {base}: {dims['train-images'][0]} training samples, "
+                        f"fewer than planes * sats_per_plane = {sats}, one per satellite shard")
+    if dims["t10k-images"][0] < 1:
+        problems.append(f"dataset.mnist_dir {base}: the t10k-images file holds no samples")
+    return problems
+
+
 def _build(cls, raw: dict, keys: str):
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
@@ -276,14 +304,7 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
     d = cfg.dataset
     if d.source == "mnist":
         base = Path(d.mnist_dir)
-        train_images = _find_idx(base, "train-images")
-        train = data.load_mnist(train_images, _find_idx(base, "train-labels"))
-        sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
-        if len(train) < sats:
-            raise data.IngestionError(
-                f"dataset.mnist_dir {base}: {train_images} holds {len(train)} training samples, "
-                f"fewer than planes * sats_per_plane = {sats}, one per satellite shard"
-            )
+        train = data.load_mnist(_find_idx(base, "train-images"), _find_idx(base, "train-labels"))
         test = data.load_mnist(_find_idx(base, "t10k-images"), _find_idx(base, "t10k-labels"))
         return train, test
     train = data.synthetic_dataset(
@@ -292,6 +313,36 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
     test = data.synthetic_dataset(
         d.test_samples, seed=cfg.seed + 1, noise_std=d.noise_std, blob_seed=cfg.seed
     )
+    return train, test
+
+
+# the one (dataset section, seed) whose sets were drawn last, and those sets
+_drawn: dict[tuple, tuple[data.Dataset, data.Dataset]] = {}
+
+
+def _shared_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
+    """The shuffled training set and the test set, drawn once per (dataset section, seed).
+
+    Builds that differ only in the constellation, the scheme or q, as the cells
+    of a sweep do, share one read-only draw. The last draw is dropped before the
+    next one is made. The sample count depends on the constellation, not on the
+    key, so it is checked on every call.
+    """
+    key = (dataclasses.astuple(cfg.dataset), cfg.seed)
+    if key not in _drawn:
+        _drawn.clear()
+        train, test = load_datasets(cfg)
+        train = data.shuffle(train, cfg.seed)
+        for array in (train.rows, train.labels, test.rows, test.labels):
+            array.flags.writeable = False
+        _drawn[key] = train, test
+    train, test = _drawn[key]
+    sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
+    if cfg.dataset.source == "mnist" and len(train) < sats:
+        raise data.IngestionError(
+            f"dataset.mnist_dir {cfg.dataset.mnist_dir}: {len(train)} training samples, fewer "
+            f"than planes * sats_per_plane = {sats}, one per satellite shard"
+        )
     return train, test
 
 
@@ -307,14 +358,18 @@ def _find_idx(base: Path, stem: str) -> Path:
 
 
 def build_simulation(cfg: ExperimentConfig):
-    """Assemble plane states, shards, and hyperparameters from a config."""
-    train, test = load_datasets(cfg)
+    """Assemble plane states, shards, and hyperparameters from a config.
+
+    The datasets are shared, read-only, with every build of the same dataset
+    section and seed in this process.
+    """
+    train, test = _shared_datasets(cfg)
     num_classes = data.NUM_CLASSES
     feature_dim = data.FEATURE_DIM
     dim = learn.model_dim(feature_dim, num_classes)
 
     total_sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
-    shards = data.partition(train, total_sats, seed=cfg.seed)
+    shards = data.partition(train, total_sats)
     gs = build_ground_station(cfg)
     size_model = SizeModel(dim)
 

@@ -1,9 +1,11 @@
-"""Datasets: MNIST IDX ingestion, a synthetic fallback, and even partitioning."""
+"""Datasets: MNIST IDX ingestion, a synthetic fallback, a seeded shuffle and even partitioning."""
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,12 @@ class Dataset:
         return len(self.labels)
 
 
-def _open_maybe_gzip(path: Path):
+def _open_idx(path: Path):
+    if not path.exists():
+        raise IngestionError(
+            f"dataset file not found: {path}; download the MNIST IDX files or "
+            "switch the config to the synthetic dataset"
+        )
     with open(path, "rb") as f:
         magic = f.read(2)
     if magic == b"\x1f\x8b":
@@ -46,22 +53,35 @@ def _open_maybe_gzip(path: Path):
     return open(path, "rb")
 
 
+def _read_exactly(f, size: int, path: Path, what: str) -> bytes:
+    try:
+        chunk = f.read(size)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise IngestionError(f"{path}: damaged gzip stream in the IDX {what}: {exc}") from None
+    if len(chunk) != size:
+        raise IngestionError(f"{path}: truncated IDX {what}, {len(chunk)} of {size} bytes")
+    return chunk
+
+
+def _read_dims(f, path: Path, expected_magic: int) -> tuple[int, ...]:
+    magic, = struct.unpack(">i", _read_exactly(f, 4, path, "header"))
+    if magic != expected_magic:
+        raise IngestionError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
+    ndim = magic % 256
+    return struct.unpack(f">{ndim}i", _read_exactly(f, 4 * ndim, path, "header"))
+
+
+def idx_dims(path: Path, expected_magic: int) -> tuple[int, ...]:
+    """The dimensions an IDX file's header declares, without reading its payload."""
+    with _open_idx(path) as f:
+        return _read_dims(f, path, expected_magic)
+
+
 def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
-    if not path.exists():
-        raise IngestionError(
-            f"dataset file not found: {path}; download the MNIST IDX files or "
-            "switch the config to the synthetic dataset"
-        )
-    with _open_maybe_gzip(path) as f:
-        magic, = struct.unpack(">i", f.read(4))
-        if magic != expected_magic:
-            raise IngestionError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
-        ndim = magic % 256
-        dims = struct.unpack(f">{ndim}i", f.read(4 * ndim))
-        data = np.frombuffer(f.read(int(np.prod(dims))), dtype=np.uint8)
-    if len(data) != int(np.prod(dims)):
-        raise IngestionError(f"{path}: truncated IDX payload")
-    return data.reshape(dims)
+    with _open_idx(path) as f:
+        dims = _read_dims(f, path, expected_magic)
+        payload = _read_exactly(f, math.prod(dims), path, "payload")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def load_mnist(images_path: str | Path, labels_path: str | Path) -> Dataset:
@@ -117,10 +137,15 @@ def synthetic_dataset(
     return Dataset(rows, labels.astype(np.int64))
 
 
-def partition(dataset: Dataset, k: int, seed: int) -> list[Dataset]:
-    """Split into k disjoint shards of near-equal size, deterministically."""
+def shuffle(dataset: Dataset, seed: int) -> Dataset:
+    """A copy of the samples in a seeded random order that does not depend on the shard count."""
     perm = np.random.default_rng(seed).permutation(len(dataset))
+    return Dataset(dataset.rows[perm], dataset.labels[perm])
+
+
+def partition(dataset: Dataset, k: int) -> list[Dataset]:
+    """Split into k contiguous shards of near-equal size, each a view of the dataset's arrays."""
     return [
-        Dataset(dataset.rows[chunk], dataset.labels[chunk])
-        for chunk in np.array_split(perm, k)
+        Dataset(rows, labels)
+        for rows, labels in zip(np.array_split(dataset.rows, k), np.array_split(dataset.labels, k))
     ]

@@ -14,9 +14,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "leofl"
 ALLOWED = {
     "config": {
         "ExperimentConfig.validate", "_check_link", "_build", "config_from_dict",
-        "load_config", "load_datasets", "_find_idx",
+        "load_config", "_shared_datasets", "_find_idx",
     },
-    "data": {"_read_idx", "load_mnist"},
+    "data": {"_open_idx", "_read_exactly", "_read_dims", "load_mnist"},
     # the commands and the argument parsers
     "cli": {"_cmd_sweep", "_cmd_windows", "_int_at_least.parse", "_hours", "_float_list"},
     # nothing shows that a window always exists within the search horizon

@@ -7,8 +7,10 @@ import pytest
 from leofl.data import (
     Dataset,
     IngestionError,
+    idx_dims,
     load_mnist,
     partition,
+    shuffle,
     synthetic_dataset,
 )
 
@@ -84,6 +86,47 @@ class TestMnistIngestion:
         with pytest.raises(IngestionError, match=r"imgs: the file holds no samples"):
             load_mnist(img_path, lbl_path)
 
+    # each of these raised struct.error or EOFError out of the reader
+    def test_empty_file_rejected_naming_it(self, tmp_path, idx_pair):
+        _, lbl_path, _, _ = idx_pair
+        img_path = tmp_path / "t10k-images-idx3-ubyte"
+        img_path.write_bytes(b"")
+        with pytest.raises(IngestionError, match=r"t10k-images-idx3-ubyte: truncated IDX header, 0 of 4"):
+            load_mnist(img_path, lbl_path)
+
+    def test_short_header_rejected_naming_it(self, tmp_path, idx_pair):
+        img_path, _, _, _ = idx_pair
+        lbl_path = tmp_path / "short-labels"
+        lbl_path.write_bytes(struct.pack(">i", 2049)[:3])
+        with pytest.raises(IngestionError, match=r"short-labels: truncated IDX header, 3 of 4"):
+            load_mnist(img_path, lbl_path)
+        lbl_path.write_bytes(struct.pack(">i", 2049) + b"\x00\x00")  # the count cut short
+        with pytest.raises(IngestionError, match=r"short-labels: truncated IDX header, 2 of 4"):
+            load_mnist(img_path, lbl_path)
+
+    @pytest.mark.parametrize("keep", [5, 30, -10])
+    def test_truncated_gzip_rejected_naming_it(self, tmp_path, keep):
+        whole, img_path = tmp_path / "whole.gz", tmp_path / "cut.gz"
+        write_idx_images(whole, np.ones((3, 28, 28), dtype=np.uint8), compress=True)
+        img_path.write_bytes(whole.read_bytes()[:keep])
+        write_idx_labels(tmp_path / "lbls", np.zeros(3, dtype=np.uint8))
+        with pytest.raises(IngestionError, match=r"cut\.gz: damaged gzip stream in the IDX"):
+            load_mnist(img_path, tmp_path / "lbls")
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        img_path = tmp_path / "imgs"
+        write_idx_images(img_path, np.zeros((3, 28, 28), dtype=np.uint8))
+        img_path.write_bytes(img_path.read_bytes()[:-1])
+        write_idx_labels(tmp_path / "lbls", np.zeros(3, dtype=np.uint8))
+        with pytest.raises(IngestionError, match=r"imgs: truncated IDX payload, 2351 of 2352 bytes"):
+            load_mnist(img_path, tmp_path / "lbls")
+
+    def test_idx_dims_reads_the_header_only(self, tmp_path):
+        img_path = tmp_path / "imgs"
+        write_idx_images(img_path, np.zeros((3, 28, 28), dtype=np.uint8))
+        img_path.write_bytes(img_path.read_bytes()[:20])  # the pixels cut away
+        assert idx_dims(img_path, 2051) == (3, 28, 28)
+
     @pytest.mark.parametrize("rows, cols", [(4, 4), (28, 27), (32, 32)])
     def test_wrong_image_size_rejected(self, tmp_path, rows, cols):
         # the model upload is priced at 28 x 28 features, so no other size may run
@@ -132,39 +175,48 @@ class TestSynthetic:
 class TestPartition:
     def test_single_shard(self):
         ds = synthetic_dataset(20, seed=0)
-        (shard,) = partition(ds, 1, seed=0)
+        (shard,) = partition(shuffle(ds, 0), 1)
         assert len(shard) == 20
 
     def test_even_split_sizes(self):
         ds = synthetic_dataset(1000, seed=0, feature_dim=8)
-        shards = partition(ds, 40, seed=1)
+        shards = partition(shuffle(ds, 1), 40)
         assert all(len(s) == 25 for s in shards)
 
     def test_near_even_split(self):
         ds = synthetic_dataset(103, seed=0, feature_dim=8)
-        sizes = [len(s) for s in partition(ds, 10, seed=1)]
+        sizes = [len(s) for s in partition(shuffle(ds, 1), 10)]
         assert sum(sizes) == 103
         assert max(sizes) - min(sizes) <= 1
 
     def test_union_is_original_multiset(self):
         ds = synthetic_dataset(60, seed=0, feature_dim=4)
-        shards = partition(ds, 7, seed=2)
+        shards = partition(shuffle(ds, 2), 7)
         rebuilt = np.concatenate([s.features for s in shards])
         assert sorted(map(tuple, rebuilt)) == sorted(map(tuple, ds.features))
 
     def test_one_sample_per_shard(self):
         # the fewest training samples the loaders admit: one per satellite
         ds = synthetic_dataset(6, seed=0, feature_dim=4)
-        shards = partition(ds, 6, seed=2)
+        shards = partition(shuffle(ds, 2), 6)
         assert [len(s) for s in shards] == [1] * 6
         assert sorted(int(s.labels[0]) for s in shards) == sorted(ds.labels.tolist())
 
     def test_deterministic(self):
         ds = synthetic_dataset(60, seed=0, feature_dim=4)
-        a = partition(ds, 5, seed=3)
-        b = partition(ds, 5, seed=3)
+        a = partition(shuffle(ds, 3), 5)
+        b = partition(shuffle(ds, 3), 5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
+
+    @pytest.mark.parametrize("k", [1, 7, 10])
+    def test_shard_i_holds_chunk_i_of_the_permutation(self, k):
+        # the rows each shard held when partition drew its own permutation
+        ds = synthetic_dataset(103, seed=0, feature_dim=4)
+        perm = np.random.default_rng(1).permutation(103)
+        for shard, chunk in zip(partition(shuffle(ds, 1), k), np.array_split(perm, k), strict=True):
+            assert shard.rows.tobytes() == ds.rows[chunk].tobytes()
+            np.testing.assert_array_equal(shard.labels, ds.labels[chunk])
 
 
 # the forms in use before samples were stored with their bias column, kept as oracles
@@ -211,11 +263,16 @@ class TestStorage:
         assert ds.features.tobytes() == want.tobytes()
 
     def test_shards_hold_one_copy(self):
+        # one shuffled block, shared by the shards as views, apart from the drawn set
         ds = synthetic_dataset(103, seed=0)
-        shards = partition(ds, 10, seed=1)
+        shuffled = shuffle(ds, 1)
+        assert_stored_once(shuffled, 103, 784)
+        assert not np.shares_memory(shuffled.rows, ds.rows)
+        assert not np.shares_memory(shuffled.labels, ds.labels)
+        shards = partition(shuffled, 10)
         for shard in shards:
-            assert_stored_once(shard, len(shard), 784)
-            assert not np.shares_memory(shard.rows, ds.rows)
+            assert shard.rows.base is shuffled.rows and shard.labels.base is shuffled.labels
+            assert shard.features.base is shuffled.rows
         assert sum(s.rows.nbytes for s in shards) == ds.rows.nbytes
 
     def test_from_features(self):
@@ -233,7 +290,7 @@ class TestStorage:
         ds = synthetic_dataset(400, seed=5, blob_seed=1)
         rng = np.random.default_rng(3)
         w = 0.01 * rng.normal(size=learn.model_dim(784, 10))
-        for shard in partition(ds, 4, seed=2):
+        for shard in partition(shuffle(ds, 2), 4):
             batch = rng.permutation(len(shard))[:32]
             got = learn.loss_gradient_sum(w, shard.rows[batch], shard.labels[batch])
             want = hstack_loss_gradient_sum(w, shard.features[batch], shard.labels[batch])

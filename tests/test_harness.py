@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from leofl import data
 from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from leofl.config import (
     _SECTION_TYPES,
@@ -77,6 +79,14 @@ UNUSABLE_LINK = [
 SLOW_LINK = {"scheme": "NO_ISL_DIRECT", "constellation": {"planes": 1},
              "dataset": {"train_samples": 80, "test_samples": 10},
              "link": {"tx_power_dbm": -117.0}}
+
+
+def write_mnist(directory, n_train, n_test, side=28):
+    """The four MNIST IDX files, with blank images and labels counting 0 to 9."""
+    for split, n in (("train", n_train), ("t10k", n_test)):
+        write_idx_images(directory / f"{split}-images-idx3-ubyte",
+                         np.zeros((n, side, side), dtype=np.uint8))
+        write_idx_labels(directory / f"{split}-labels-idx1-ubyte", np.arange(n) % 10)
 
 
 def write_config(cfg, path):
@@ -191,20 +201,28 @@ class TestConfig:
             config_from_dict({"dataset": {"train_samples": 20}})
         config_from_dict({"dataset": {"train_samples": 40}})
 
-    # the MNIST training file is only counted once read: one sample per satellite is the least
+    # validate counts the MNIST training samples from the IDX header: one per satellite is the least
     @pytest.mark.parametrize("n_train, accepted", [(39, False), (40, True)])
     def test_mnist_shards_must_fit(self, tmp_path, n_train, accepted):
-        for split, n in (("train", n_train), ("t10k", 3)):
-            write_idx_images(tmp_path / f"{split}-images-idx3-ubyte",
-                             np.zeros((n, 28, 28), dtype=np.uint8))
-            write_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte", np.arange(n) % 10)
-        cfg = config_from_dict({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}})
+        write_mnist(tmp_path, n_train, 3)
+        raw = {"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}
         if accepted:
-            train, test = load_datasets(cfg)
+            train, test = load_datasets(config_from_dict(raw))
             assert (len(train), len(test)) == (40, 3)
             return
-        with pytest.raises(IngestionError, match=r"^dataset\.mnist_dir .* 39 training samples.* 40"):
-            load_datasets(cfg)
+        with pytest.raises(ValidationError, match=r"^dataset\.mnist_dir .* 39 training samples.* 40"):
+            config_from_dict(raw)
+
+    def test_mnist_sample_count_checked_on_every_build(self, tmp_path):
+        # the second build reuses the first one's draw, and its 40 satellites do not fit
+        write_mnist(tmp_path, 10, 3)
+        one_plane = dataclasses.replace(tiny_config(), dataset=dataclasses.replace(
+            tiny_config().dataset, source="mnist", mnist_dir=str(tmp_path)))
+        build_simulation(one_plane)
+        five_planes = dataclasses.replace(one_plane, constellation=dataclasses.replace(
+            one_plane.constellation, planes=5))
+        with pytest.raises(IngestionError, match=r"^dataset\.mnist_dir .* 10 training samples.* 40"):
+            build_simulation(five_planes)
 
     def test_station_the_plane_never_sees_rejected(self):
         with pytest.raises(ValidationError, match="^ground_station.latitude_deg"):
@@ -230,6 +248,53 @@ class TestConfig:
         cfg = config_from_dict({"constellation": {"planes": 1}, "dataset": {"train_samples": 8}})
         planes, hp, w0, test, size_model = build_simulation(cfg)
         assert size_model.dim == len(w0) == 7850
+
+
+class TestSharedDatasets:
+    """Builds of one dataset section and seed share one read-only draw."""
+
+    @staticmethod
+    def counting_draws(monkeypatch):
+        calls = []
+        real = data.synthetic_dataset
+        monkeypatch.setattr(data, "synthetic_dataset",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        return calls
+
+    def test_built_datasets_are_read_only(self):
+        planes, _, _, test, _ = build_simulation(tiny_config(seed=11))
+        shard = planes[0].nodes[3].dataset
+        for array in (shard.rows, shard.labels, test.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_cells_of_one_ring_size_share_the_arrays(self, monkeypatch):
+        calls = self.counting_draws(monkeypatch)
+        sia = build_simulation(tiny_config(seed=12, scheme="SIA"))
+        clsia = build_simulation(tiny_config(seed=12, scheme="CLSIA", q=0.1))
+        assert clsia[3] is sia[3]
+        for a, b in zip(sia[0][0].nodes, clsia[0][0].nodes, strict=True):
+            assert a.dataset.rows.base is b.dataset.rows.base is not None
+        assert len(calls) == 2  # one train and one test set, for both builds
+
+    def test_another_seed_or_dataset_section_misses(self, monkeypatch):
+        calls = self.counting_draws(monkeypatch)
+        base = tiny_config(seed=13)
+        build_simulation(base)
+        build_simulation(dataclasses.replace(base, seed=14))
+        noisier = dataclasses.replace(base.dataset, noise_std=0.5)
+        _, _, _, test, _ = build_simulation(dataclasses.replace(base, dataset=noisier))
+        assert len(calls) == 6
+        assert len(test) == 40
+
+    def test_one_entry_only(self, monkeypatch):
+        calls = self.counting_draws(monkeypatch)
+        a, b = tiny_config(seed=15), tiny_config(seed=16)
+        first = build_simulation(a)[3]
+        build_simulation(b)
+        again = build_simulation(a)[3]
+        assert len(calls) == 6
+        assert again is not first and again.rows.tobytes() == first.rows.tobytes()
 
 
 class TestRunExperiment:
@@ -382,40 +447,61 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_missing_mnist_gives_ingestion_exit(self, tmp_path):
-        path = tmp_path / "cfg.yaml"
-        cfg = tiny_config()
-        cfg = dataclasses.replace(
-            cfg, dataset=dataclasses.replace(
-                cfg.dataset, source="mnist", mnist_dir=str(tmp_path / "missing")
-            )
-        )
-        write_config(cfg, path)
-        assert main(["run", "--config", str(path), "--rounds", "1",
-                     "--out", str(tmp_path)]) == EXIT_INGESTION
-
     # (train images, test images, image side, what the message names); each of
-    # these passed `leofl validate` and then failed mid-run or ran on the wrong size
+    # these passed `leofl validate`, and `leofl run` failed on it with exit 3
     @pytest.mark.parametrize("n_train, n_test, side, named", [
-        (10, 5, 28, "dataset.mnist_dir"),  # fewer samples than the 40 satellites
-        (40, 0, 28, "t10k-images-idx3-ubyte"),
-        (40, 5, 4, "train-images-idx3-ubyte"),
+        (None, None, 28, "missing is not a directory"),
+        (10, 5, 28, "10 training samples, fewer than planes * sats_per_plane = 40"),
+        (40, 0, 28, "t10k-images file holds no samples"),
+        (40, 5, 4, "train-images are 4 x 4, expected 28 x 28"),
+        (40, 5, 32, "t10k-images are 32 x 32, expected 28 x 28"),
     ])
-    def test_unusable_mnist_gives_ingestion_exit(self, tmp_path, capsys,
+    def test_unusable_mnist_rejected_at_validate(self, tmp_path, capsys,
                                                  n_train, n_test, side, named):
-        for split, n in (("train", n_train), ("t10k", n_test)):
-            write_idx_images(tmp_path / f"{split}-images-idx3-ubyte",
-                             np.zeros((n, side, side), dtype=np.uint8))
-            write_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte", np.arange(n) % 10)
+        mnist_dir = tmp_path / "missing"
+        if n_train is not None:
+            mnist_dir = tmp_path
+            write_mnist(tmp_path, n_train, n_test, side)
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist",
-                                                    "mnist_dir": str(tmp_path)}}))
+                                                    "mnist_dir": str(mnist_dir)}}))
+        for command in (["validate"], ["run", "--rounds", "1", "--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", str(path)]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("invalid configuration: dataset.mnist_dir") and named in err
+            assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stem", ["train-images", "t10k-labels"])
+    def test_missing_or_headless_mnist_file_rejected_at_validate(self, tmp_path, capsys, stem):
+        write_mnist(tmp_path, 40, 5)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
+        (file,) = tmp_path.glob(f"{stem}-*")
+        file.write_bytes(b"")
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert f"dataset.mnist_dir: {file}: truncated IDX header" in capsys.readouterr().err
+        file.unlink()
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert f"no IDX file matching '{stem}-*'" in capsys.readouterr().err
+
+    def test_damaged_mnist_payload_gives_ingestion_exit(self, tmp_path, capsys):
+        # the headers pass validate; the cut-short pixels are found when a run reads them
+        write_mnist(tmp_path, 40, 5)
+        images = tmp_path / "train-images-idx3-ubyte"
+        with gzip.open(tmp_path / "train-images-idx3-ubyte.gz", "wb") as f:
+            f.write(images.read_bytes())
+        images.unlink()
+        gz = tmp_path / "train-images-idx3-ubyte.gz"
+        gz.write_bytes(gz.read_bytes()[:-10])
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
         assert main(["validate", "--config", str(path)]) == EXIT_OK
         capsys.readouterr()
         assert main(["run", "--config", str(path), "--rounds", "1",
                      "--out", str(tmp_path / "out")]) == EXIT_INGESTION
         err = capsys.readouterr().err
-        assert err.startswith("dataset ingestion failed:") and named in err
+        assert err.startswith("dataset ingestion failed:") and str(gz) in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

@@ -192,10 +192,10 @@ class TestEvaluate:
 
 class TestGlobalObjective:
     def test_partition_preserves_pooled_loss(self):
-        from leofl.data import partition
+        from leofl.data import partition, shuffle
 
         ds = toy_dataset(n=50)
-        shards = partition(ds, 5, seed=0)
+        shards = partition(shuffle(ds, 0), 5)
         w = random_weights()
         weighted = sum(len(s) / len(ds) * local_loss(w, s) for s in shards)
         assert weighted == pytest.approx(local_loss(w, ds), rel=1e-12)
