@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import (ExperimentConfig, ValidationError, build_ground_station,
                      build_planes_geometry, config_from_dict, load_config)
 from .data import IngestionError
@@ -58,8 +60,9 @@ def _cmd_windows(args) -> int:
             f"--plane {args.plane}: the constellation has planes 0 to {len(planes) - 1}")
     plane = planes[args.plane]
     horizon = args.hours * 3600.0
-    for sat in range(plane.num_sats):
-        for w in visibility_windows(plane, sat, gs, 0.0, horizon):
+    per_sat = visibility_windows(plane, np.arange(plane.num_sats), gs, 0.0, horizon)
+    for sat, windows in enumerate(per_sat):
+        for w in windows:
             print(f"plane {args.plane} sat {sat}: "
                   f"{w.start_s/3600:.3f} h -> {w.end_s/3600:.3f} h "
                   f"({w.end_s - w.start_s:.0f} s)")

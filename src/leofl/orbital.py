@@ -55,43 +55,59 @@ def orbital_period(altitude_m: float) -> float:
     return 2.0 * math.pi * r / orbital_speed(altitude_m)
 
 
-def _plane_basis(plane: OrbitPlane) -> tuple[np.ndarray, np.ndarray]:
+def _plane_basis(plane: OrbitPlane) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Orthonormal in-plane basis: node direction and the 90-deg-ahead direction."""
     co, so = math.cos(plane.raan_rad), math.sin(plane.raan_rad)
     ci, si = math.cos(plane.inclination_rad), math.sin(plane.inclination_rad)
     # ascending-node direction and its in-plane orthogonal (argument of latitude 90 deg)
-    u0 = np.array([co, so, 0.0])
-    u1 = np.array([-so * ci, co * ci, si])
-    return u0, u1
+    return (co, so, 0.0), (-so * ci, co * ci, si)
+
+
+# The geometry below works on columns: x, y and z are separate arrays. A sum
+# over three components is written (x + y) + z, which is the order numpy's
+# reduction over a length-3 axis uses, so a column result equals the row form
+# np.sum(..., axis=-1) bit for bit at a fraction of its per-call cost.
+
+def _sat_xyz(plane: OrbitPlane, sat_index, time_s) -> tuple[np.ndarray, ...]:
+    """ECI x, y, z of satellites; sat_index (int or array) broadcasts against time_s."""
+    t = np.asarray(time_s, dtype=float)
+    # argument of latitude
+    u = 2.0 * math.pi * sat_index / plane.num_sats + 2.0 * math.pi * t / plane.period_s
+    c, s = np.cos(u), np.sin(u)
+    r = plane.radius_m
+    (ax, ay, az), (bx, by, bz) = _plane_basis(plane)
+    # spelled out: on CPython 3.11 each tuple(generator) call leaves one count
+    # in the cyclic GC's youngest generation, which moves its collections
+    return r * (c * ax + s * bx), r * (c * ay + s * by), r * (c * az + s * bz)
+
+
+def _gs_xyz(gs: GroundStation, time_s) -> tuple:
+    """ECI x, y arrays and the constant z of the station on the rotating Earth."""
+    t = np.asarray(time_s, dtype=float)
+    lon = gs.longitude_rad + CONSTANTS.earth_rotation_rate * t
+    clat = math.cos(gs.latitude_rad)
+    r = CONSTANTS.earth_radius_m
+    return r * (clat * np.cos(lon)), r * (clat * np.sin(lon)), r * math.sin(gs.latitude_rad)
 
 
 def propagate_vec(plane: OrbitPlane, sat_index: int, time_s) -> np.ndarray:
     """ECI position(s) of one satellite; vectorized over time_s, shape (..., 3)."""
-    t = np.asarray(time_s, dtype=float)
-    # argument of latitude
-    u = 2.0 * math.pi * sat_index / plane.num_sats + 2.0 * math.pi * t / plane.period_s
-    u0, u1 = _plane_basis(plane)
-    r = plane.radius_m
-    return r * (np.cos(u)[..., None] * u0 + np.sin(u)[..., None] * u1)
+    return np.stack(_sat_xyz(plane, sat_index, time_s), axis=-1)
 
 
 def gs_position_vec(gs: GroundStation, time_s) -> np.ndarray:
     """ECI position(s) of the station on the rotating Earth; shape (..., 3)."""
-    t = np.asarray(time_s, dtype=float)
-    lon = gs.longitude_rad + CONSTANTS.earth_rotation_rate * t
-    clat = math.cos(gs.latitude_rad)
-    slat = math.sin(gs.latitude_rad)
-    r = CONSTANTS.earth_radius_m
-    return r * np.stack(
-        [clat * np.cos(lon), clat * np.sin(lon), slat * np.ones_like(lon)], axis=-1
-    )
+    x, y, z = _gs_xyz(gs, time_s)
+    return np.stack([x, y, np.full_like(x, z)], axis=-1)
 
 
-def _elevation_ok(sat: np.ndarray, station: np.ndarray, min_elevation_rad) -> np.ndarray:
-    rel = sat - station
-    rng = np.linalg.norm(rel, axis=-1)
-    up = station / np.linalg.norm(station, axis=-1, keepdims=True)
-    sin_el = np.sum(rel * up, axis=-1) / rng
+def _elevation_ok(sat: tuple, station: tuple, min_elevation_rad) -> np.ndarray:
+    """Whether each satellite is at or above the mask; sat and station are (x, y, z) columns."""
+    (sx, sy, sz), (gx, gy, gz) = sat, station
+    rx, ry, rz = sx - gx, sy - gy, sz - gz
+    rng = np.sqrt(rx * rx + ry * ry + rz * rz)
+    norm = np.sqrt(gx * gx + gy * gy + gz * gz)
+    sin_el = (rx * (gx / norm) + ry * (gy / norm) + rz * (gz / norm)) / rng
     return np.arcsin(np.clip(sin_el, -1.0, 1.0)) >= min_elevation_rad
 
 
@@ -123,10 +139,10 @@ def max_slant_range(plane: OrbitPlane, min_elevation_rad: float) -> float:
             - r_e * math.sin(min_elevation_rad))
 
 
-def _gs_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation, times: np.ndarray) -> np.ndarray:
-    sats = propagate_vec(plane, sat_index, times)
-    stations = gs_position_vec(gs, times)
-    return _elevation_ok(sats, stations, gs.min_elevation_rad)
+def _gs_los_mask(plane: OrbitPlane, sat_index, gs: GroundStation, times: np.ndarray) -> np.ndarray:
+    """LOS of satellite(s) sat_index at times; an index array pairs element-wise with times."""
+    return _elevation_ok(_sat_xyz(plane, sat_index, times), _gs_xyz(gs, times),
+                         gs.min_elevation_rad)
 
 
 # visibility is sampled every STEP_S seconds and each LOS transition is then
@@ -139,9 +155,10 @@ SCREEN_STRIDE = 12
 _SCREEN_SLACK_RAD = 1e-6
 
 
-def _screened_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation,
+def _screened_los_mask(plane: OrbitPlane, sats: np.ndarray, gs: GroundStation,
                        times: np.ndarray) -> np.ndarray:
-    """`_gs_los_mask` on a grid of times STEP_S apart, evaluated only near the station.
+    """`_gs_los_mask` of each satellite in sats on a grid of times STEP_S apart, shape
+    (len(sats), len(times)), evaluated only near the station.
 
     The central angle between satellite and station changes by at most
     2 pi / T + |omega_E| rad/s. Every SCREEN_STRIDE-th sample and the last one
@@ -157,61 +174,65 @@ def _screened_los_mask(plane: OrbitPlane, sat_index: int, gs: GroundStation,
              + _SCREEN_SLACK_RAD)
     n = len(times)
     coarse = np.append(np.arange(0, n - 1, SCREEN_STRIDE), n - 1)
-    cos_angle = np.sum(propagate_vec(plane, sat_index, times[coarse])
-                       * gs_position_vec(gs, times[coarse]), axis=-1)
+    sx, sy, sz = _sat_xyz(plane, sats[:, None], times[coarse])
+    gx, gy, gz = _gs_xyz(gs, times[coarse])
+    cos_angle = sx * gx + sy * gy + sz * gz
     near = cos_angle >= math.cos(limit) * plane.radius_m * CONSTANTS.earth_radius_m
     # sample i lies between screened samples j and j + 1, the last one is screened itself
-    test = np.append(np.repeat(near[:-1] | near[1:], np.diff(coarse)), near[-1])
-    idx = np.flatnonzero(test)
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = _gs_los_mask(plane, sat_index, gs, times[idx])
+    test = np.concatenate([np.repeat(near[:, :-1] | near[:, 1:], np.diff(coarse), axis=1),
+                           near[:, -1:]], axis=1)
+    rows, cols = np.nonzero(test)
+    mask = np.zeros(test.shape, dtype=bool)
+    mask[rows, cols] = _gs_los_mask(plane, sats[rows], gs, times[cols])
     return mask
 
 
-def _refine_edges(
-    plane, sat_index, gs, t_lo: np.ndarray, t_hi: np.ndarray, rising: np.ndarray
-) -> np.ndarray:
-    """Bisect every LOS transition in (t_lo, t_hi] together to within EDGE_TOL_S.
+def _refine_edges(plane, sats, gs, lo: np.ndarray, hi: np.ndarray,
+                  rising: np.ndarray) -> np.ndarray:
+    """Bisect every LOS transition of satellite sats[i] in (lo[i], hi[i]] to within EDGE_TOL_S.
 
-    Each halving evaluates all still-wide edges in one call; a rising edge
-    resolves to its upper bound, a falling one to its lower bound.
+    Each halving evaluates all still-wide edges of every satellite in one call;
+    a rising edge resolves to its upper bound, a falling one to its lower
+    bound. lo and hi are updated in place.
     """
-    lo, hi = t_lo.copy(), t_hi.copy()
     active = np.flatnonzero(hi - lo > EDGE_TOL_S)
     while len(active):
         mid = 0.5 * (lo[active] + hi[active])
-        up = _gs_los_mask(plane, sat_index, gs, mid) == rising[active]
+        up = _gs_los_mask(plane, sats[active], gs, mid) == rising[active]
         hi[active[up]] = mid[up]
         lo[active[~up]] = mid[~up]
         active = active[hi[active] - lo[active] > EDGE_TOL_S]
     return np.where(rising, hi, lo)
 
 
-def visibility_windows(
-    plane: OrbitPlane, sat_index: int, gs: GroundStation, t_start: float, t_end: float
-) -> list[VisibilityWindow]:
-    """Maximal LOS intervals of one satellite to the station within [t_start, t_end]."""
-    if t_start >= t_end:
-        return []
-    times = np.arange(t_start, t_end + STEP_S, STEP_S)
-    times[-1] = min(times[-1], t_end)
-    mask = _screened_los_mask(plane, sat_index, gs, times)
+def visibility_windows(plane: OrbitPlane, sat_index, gs: GroundStation,
+                       t_start: float, t_end: float) -> list:
+    """Maximal LOS intervals to the station within [t_start, t_end].
 
-    # edge k lies between samples k and k+1; windows open at rising edges
-    edges = np.flatnonzero(mask[1:] != mask[:-1])
-    rising = mask[edges + 1]
-    refined = _refine_edges(plane, sat_index, gs, times[edges], times[edges + 1], rising)
-    starts = refined[rising]
-    ends = refined[~rising]
-    if mask[0]:
-        starts = np.concatenate([times[:1], starts])
-    if mask[-1]:
-        ends = np.concatenate([ends, times[-1:]])
-
-    windows = []
-    for start, end in zip(starts, ends):
-        start = max(start, t_start)
-        end = min(end, t_end)
-        if start < end:
-            windows.append(VisibilityWindow(float(start), float(end)))
-    return windows
+    For an int sat_index, that satellite's windows; for a 1-d array of
+    indices, one list per satellite, all found in one pass over the plane.
+    """
+    sats = np.atleast_1d(sat_index)
+    windows = [[] for _ in sats]
+    if t_start < t_end:
+        times = np.arange(t_start, t_end + STEP_S, STEP_S)
+        times[-1] = min(times[-1], t_end)
+        n = len(times)
+        padded = np.zeros((len(sats), n + 2), dtype=bool)
+        padded[:, 1:-1] = _screened_los_mask(plane, sats, gs, times)
+        # transition p of a row lies between samples p - 1 and p; each row
+        # rises first and then alternates, so windows are consecutive pairs
+        row, p = np.nonzero(padded[:, 1:] != padded[:, :-1])
+        rising = np.arange(len(p)) % 2 == 0
+        # p == 0 and p == n are a window open at the first or the last sample
+        at = np.where(p == 0, times[0], times[-1])
+        inner = np.flatnonzero((p > 0) & (p < n))
+        at[inner] = _refine_edges(plane, sats[row[inner]], gs, times[p[inner] - 1],
+                                  times[p[inner]], rising[inner])
+        starts = np.maximum(at[0::2], t_start)
+        ends = np.minimum(at[1::2], t_end)
+        keep = starts < ends
+        for k, start, end in zip(row[0::2][keep].tolist(), starts[keep].tolist(),
+                                 ends[keep].tolist()):
+            windows[k].append(VisibilityWindow(start, end))
+    return windows if np.ndim(sat_index) else windows[0]

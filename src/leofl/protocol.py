@@ -121,7 +121,14 @@ class SatelliteNode:
 
 
 class WindowCache:
-    """Lazily extended per-satellite visibility windows over a growing horizon."""
+    """Lazily extended visibility windows of every satellite of a plane over a growing horizon.
+
+    The plane's satellites are extended together, one `visibility_windows`
+    search per chunk for all of them; every satellite sees the same chunk
+    sequence as it would alone, so its windows do not depend on the queries.
+    The search is looked up on this module at call time, so rebinding
+    `protocol.visibility_windows` reaches every cache.
+    """
 
     HORIZON_S = 5 * 86400.0
     _MERGE_GAP_S = 30.0
@@ -130,33 +137,34 @@ class WindowCache:
         self.plane = plane
         self.gs = gs
         k = plane.num_sats
+        self._sats = np.arange(k)
         self._windows: list[list[VisibilityWindow]] = [[] for _ in range(k)]
         self._ends: list[list[float]] = [[] for _ in range(k)]  # end_s of each window
-        self._covered_to = [0.0] * k
+        self._covered_to = 0.0
         self._chunk = max(4 * plane.period_s, 3600.0)
 
-    def _extend(self, sat: int, until: float):
-        while self._covered_to[sat] < until:
-            t0 = self._covered_to[sat]
+    def _extend(self, until: float):
+        while self._covered_to < until:
+            t0 = self._covered_to
             t1 = t0 + self._chunk
-            fresh = visibility_windows(self.plane, sat, self.gs, t0, t1)
-            existing, ends = self._windows[sat], self._ends[sat]
-            for w in fresh:
-                if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
-                    existing[-1] = VisibilityWindow(existing[-1].start_s, w.end_s)
-                    ends[-1] = w.end_s
-                else:
-                    existing.append(w)
-                    ends.append(w.end_s)
+            fresh = visibility_windows(self.plane, self._sats, self.gs, t0, t1)
+            for existing, ends, found in zip(self._windows, self._ends, fresh):
+                for w in found:
+                    if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
+                        existing[-1] = VisibilityWindow(existing[-1].start_s, w.end_s)
+                        ends[-1] = w.end_s
+                    else:
+                        existing.append(w)
+                        ends.append(w.end_s)
             # overlap the next chunk so windows straddling the edge are merged
-            self._covered_to[sat] = t1 - 2 * STEP_S
+            self._covered_to = t1 - 2 * STEP_S
 
     def next_window(self, sat: int, t: float) -> VisibilityWindow:
         """The first window that ends after t; it may already be open at t."""
         target = t
         while target < t + self.HORIZON_S:
             target += self._chunk
-            self._extend(sat, target)
+            self._extend(target)
             i = bisect.bisect_right(self._ends[sat], t)
             if i < len(self._ends[sat]):
                 return self._windows[sat][i]

@@ -3,9 +3,11 @@ against the straightforward implementations they replace.
 
 The reference functions below are the simple forms: a stable argsort for
 Top-Q, `np.unique` + `np.add.at` for the sparse merge, a dense subtraction
-for the error-feedback residual, one bisection per edge for visibility
-windows, and a heap event loop for a ring round. The code under test must
-agree with them byte for byte.
+for the error-feedback residual, the row-wise LOS mask (positions as (n, 3)
+rows, reductions over axis -1) and one bisection per edge of one satellite
+for visibility windows, a window cache that extends each satellite alone,
+and a heap event loop for a ring round. The code under test must agree with
+them byte for byte.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from hypothesis.extra import numpy as hnp
 
 from leofl import learn, protocol
 from leofl.config import build_simulation, config_from_dict
+from leofl.constants import CONSTANTS
 from leofl.data import Dataset
 from leofl.link import LinkParams, data_rate, propagation_delay, tx_duration
 from leofl.orbital import (
@@ -98,10 +101,41 @@ def reference_clsia_step(g, data_size, err, incoming, q_count):
     return outgoing, ErrorState(merged - outgoing.densify())
 
 
+def reference_positions(plane, sat_index, times):
+    """ECI satellite positions as rows, shape (n, 3)."""
+    u = 2.0 * math.pi * sat_index / plane.num_sats + 2.0 * math.pi * times / plane.period_s
+    co, so = math.cos(plane.raan_rad), math.sin(plane.raan_rad)
+    ci, si = math.cos(plane.inclination_rad), math.sin(plane.inclination_rad)
+    u0, u1 = np.array([co, so, 0.0]), np.array([-so * ci, co * ci, si])
+    return plane.radius_m * (np.cos(u)[..., None] * u0 + np.sin(u)[..., None] * u1)
+
+
+def reference_station_positions(gs, times):
+    lon = gs.longitude_rad + CONSTANTS.earth_rotation_rate * times
+    clat, slat = math.cos(gs.latitude_rad), math.sin(gs.latitude_rad)
+    return CONSTANTS.earth_radius_m * np.stack(
+        [clat * np.cos(lon), clat * np.sin(lon), slat * np.ones_like(lon)], axis=-1)
+
+
+def reference_elevation_ok(sat, station, min_elevation_rad):
+    rel = sat - station
+    rng = np.linalg.norm(rel, axis=-1)
+    up = station / np.linalg.norm(station, axis=-1, keepdims=True)
+    sin_el = np.sum(rel * up, axis=-1) / rng
+    return np.arcsin(np.clip(sin_el, -1.0, 1.0)) >= min_elevation_rad
+
+
+def reference_los_mask(plane, sat_index, gs, times):
+    """The row-wise LOS mask: positions as (n, 3) rows, reductions over axis -1."""
+    times = np.asarray(times, dtype=float)
+    return reference_elevation_ok(reference_positions(plane, sat_index, times),
+                                  reference_station_positions(gs, times), gs.min_elevation_rad)
+
+
 def _bisect_edge(plane, sat_index, gs, t_lo, t_hi, rising, tol_s=1.0):
     while t_hi - t_lo > tol_s:
         mid = 0.5 * (t_lo + t_hi)
-        if bool(_gs_los_mask(plane, sat_index, gs, np.asarray([mid]))[0]) == rising:
+        if bool(reference_los_mask(plane, sat_index, gs, [mid])[0]) == rising:
             t_hi = mid
         else:
             t_lo = mid
@@ -113,7 +147,7 @@ def reference_visibility_windows(plane, sat_index, gs, t_start, t_end, step_s=5.
         return []
     times = np.arange(t_start, t_end + step_s, step_s)
     times[-1] = min(times[-1], t_end)
-    mask = los_mask(plane, sat_index, gs, t_start, t_end, step_s)
+    mask = los_mask(plane, sat_index, gs, t_start, t_end, step_s).tolist()
     windows = []
     i, n = 0, len(times)
     while i < n:
@@ -430,7 +464,7 @@ def grid(t_start, t_end, step=STEP_S):
 def los_mask(plane, sat_index, gs, t_start, t_end, step_s=STEP_S):
     """The unscreened LOS mask on `grid(t_start, t_end, step_s)`, computed once per argument
     tuple: the reference windows and the screened-mask check share each ten-day mask."""
-    mask = _gs_los_mask(plane, sat_index, gs, grid(t_start, t_end, step_s))
+    mask = reference_los_mask(plane, sat_index, gs, grid(t_start, t_end, step_s))
     mask.flags.writeable = False
     return mask
 
@@ -440,52 +474,104 @@ def window_openings(geometry, sat):
     """Grid times at which the satellite has risen above the mask in two days."""
     plane, gs = GEOMETRIES[geometry]
     times = grid(0.0, 2 * 86400.0)
-    mask = _gs_los_mask(plane, sat, gs, times)
+    mask = reference_los_mask(plane, sat, gs, times)
     return times[1:][mask[1:] & ~mask[:-1]]
+
+
+def test_three_term_sums_run_left_to_right():
+    """The column-wise geometry writes (x + y) + z: numpy's reduction over a
+    length-3 axis in that order, and sqrt of it for the norm. x + (y + z)
+    rounds differently."""
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((100_000, 3)) * 10.0 ** rng.integers(-3, 8, size=(100_000, 1))
+    x, y, z = rows.T
+    assert np.add.reduce(rows, axis=-1).tobytes() == ((x + y) + z).tobytes()
+    assert np.add.reduce(rows, axis=-1).tobytes() != (x + (y + z)).tobytes()
+    squares = rows * rows
+    assert (np.linalg.norm(rows, axis=-1).tobytes()
+            == np.sqrt((squares[:, 0] + squares[:, 1]) + squares[:, 2]).tobytes())
+
+
+@pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+def test_positions_are_the_row_positions(geometry):
+    """The station distance of a ground transfer is taken from these rows, so
+    they must not move by one bit, at one time or at many."""
+    plane, gs = GEOMETRIES[geometry]
+    times = np.random.default_rng(geometry).uniform(0.0, TEN_DAYS, 1000)
+    for sat in range(plane.num_sats):
+        assert (propagate_vec(plane, sat, times).tobytes()
+                == reference_positions(plane, sat, times).tobytes())
+    assert (gs_position_vec(gs, times).tobytes()
+            == reference_station_positions(gs, times).tobytes())
+    for t in times[:20].tolist():
+        at = np.asarray(t)
+        assert propagate_vec(plane, 2, t).tobytes() == reference_positions(plane, 2, at).tobytes()
+        assert gs_position_vec(gs, t).tobytes() == reference_station_positions(gs, at).tobytes()
+
+
+@pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+def test_column_los_mask_is_the_row_mask(geometry):
+    """100,000 random (satellite, time) pairs, half of them within two minutes
+    of a pass opening, against the row-wise reference."""
+    plane, gs = GEOMETRIES[geometry]
+    rng = np.random.default_rng(geometry)
+    n = 50_000
+    sats = rng.integers(0, plane.num_sats, 2 * n)
+    opens = [window_openings(geometry, sat) for sat in range(plane.num_sats)]
+    near = [opens[sat][rng.integers(len(opens[sat]))] for sat in sats[n:]]
+    times = np.concatenate([rng.uniform(0.0, TEN_DAYS, n), near + rng.uniform(-120.0, 120.0, n)])
+    want = reference_los_mask(plane, sats, gs, times)
+    assert 0.1 * n < want.sum() < n
+    assert np.array_equal(_gs_los_mask(plane, sats, gs, times), want)
 
 
 class TestWindowsAgainstReference:
     @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
     def test_ten_days_identical(self, geometry):
         plane, gs = GEOMETRIES[geometry]
-        for sat in range(0, plane.num_sats, 3):
+        plane_wide = visibility_windows(plane, np.arange(plane.num_sats), gs, 0.0, TEN_DAYS)
+        assert len(plane_wide) == plane.num_sats
+        for sat, got in enumerate(plane_wide):
             want = reference_visibility_windows(plane, sat, gs, 0.0, TEN_DAYS)
             assert want
-            assert visibility_windows(plane, sat, gs, 0.0, TEN_DAYS) == want
+            assert got == want
+        assert visibility_windows(plane, 1, gs, 0.0, TEN_DAYS) == plane_wide[1]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, len(GEOMETRIES) - 1), st.integers(0, 19),
+    @given(st.integers(0, len(GEOMETRIES) - 1),
+           st.lists(st.integers(0, 21), min_size=1, max_size=5),
            st.floats(0.0, 86400.0), st.floats(0.5, 20000.0))
-    def test_random_spans_identical(self, geometry, sat, t_start, span):
-        # spans that start or end inside a window, and clipped last samples
+    def test_random_spans_identical(self, geometry, picks, t_start, span):
+        # spans that start or end inside a window, and clipped last samples;
+        # the satellites in any order, repeats included
         plane, gs = GEOMETRIES[geometry]
-        sat %= plane.num_sats
+        sats = [pick % plane.num_sats for pick in picks]
         t_end = t_start + span
-        assert (visibility_windows(plane, sat, gs, t_start, t_end)
-                == reference_visibility_windows(plane, sat, gs, t_start, t_end))
+        want = [reference_visibility_windows(plane, sat, gs, t_start, t_end) for sat in sats]
+        assert visibility_windows(plane, np.array(sats), gs, t_start, t_end) == want
+        assert visibility_windows(plane, sats[0], gs, t_start, t_end) == want[0]
 
     @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
     def test_screened_mask_is_the_full_mask_over_ten_days(self, geometry):
         plane, gs = GEOMETRIES[geometry]
-        for sat in range(0, plane.num_sats, 3):
-            for offset in (0.0, 1.7, 3.1):
-                times = grid(offset, TEN_DAYS)
-                full = los_mask(plane, sat, gs, offset, TEN_DAYS)
-                assert full.any()
-                assert np.array_equal(_screened_los_mask(plane, sat, gs, times), full)
+        sats = np.arange(0, plane.num_sats, 3)
+        for offset in (0.0, 1.7, 3.1):
+            full = np.stack([los_mask(plane, int(sat), gs, offset, TEN_DAYS) for sat in sats])
+            assert full.any(axis=1).all()
+            assert np.array_equal(_screened_los_mask(plane, sats, gs, grid(offset, TEN_DAYS)), full)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, len(GEOMETRIES) - 1), st.integers(0, 21), st.integers(0, 10**6),
            st.floats(-2 * SCREEN_STRIDE * STEP_S, 0.0), st.floats(0.01, 4 * SCREEN_STRIDE * STEP_S))
     def test_screened_mask_on_short_spans(self, geometry, sat, pick, lead, span):
         # spans from under one stride to a few strides, starting off the grid
-        # shortly before a pass opens
+        # shortly before a pass of one satellite opens, for every satellite
         plane, gs = GEOMETRIES[geometry]
-        sat %= plane.num_sats
-        opens = window_openings(geometry, sat)
+        opens = window_openings(geometry, sat % plane.num_sats)
         times = grid(opens[pick % len(opens)] + lead, opens[pick % len(opens)] + lead + span)
-        assert np.array_equal(_screened_los_mask(plane, sat, gs, times),
-                              _gs_los_mask(plane, sat, gs, times))
+        sats = np.arange(plane.num_sats)
+        assert np.array_equal(_screened_los_mask(plane, sats, gs, times),
+                              np.stack([reference_los_mask(plane, k, gs, times) for k in sats]))
 
     def test_window_cache_matches_linear_scan(self):
         plane, gs = GEOMETRIES[0]
@@ -495,6 +581,76 @@ class TestWindowsAgainstReference:
                 got = cache.next_window(sat, float(t))
                 want = next(w for w in cache._windows[sat] if w.end_s > t)
                 assert got is want
+
+
+class PerSatelliteWindowCache:
+    """The window cache with each satellite extended alone, one search per
+    satellite and chunk, over the same chunk sequence."""
+
+    def __init__(self, plane, gs):
+        self.plane, self.gs = plane, gs
+        self.windows = [[] for _ in range(plane.num_sats)]
+        self.covered_to = [0.0] * plane.num_sats
+        self.chunk = max(4 * plane.period_s, 3600.0)
+
+    def next_window(self, sat, t):
+        target = t
+        while target < t + WindowCache.HORIZON_S:
+            target += self.chunk
+            while self.covered_to[sat] < target:
+                t0 = self.covered_to[sat]
+                t1 = t0 + self.chunk
+                existing = self.windows[sat]
+                for w in visibility_windows(self.plane, sat, self.gs, t0, t1):
+                    if existing and w.start_s - existing[-1].end_s < WindowCache._MERGE_GAP_S:
+                        existing[-1] = VisibilityWindow(existing[-1].start_s, w.end_s)
+                    else:
+                        existing.append(w)
+                self.covered_to[sat] = t1 - 2 * STEP_S
+            found = [w for w in self.windows[sat] if w.end_s > t]
+            if found:
+                return found[0], found[0] is self.windows[sat][-1]
+        raise RuntimeError(f"no visibility window for satellite {sat} after t={t}")
+
+
+class TestWindowCache:
+    @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+    def test_plane_wide_cache_answers_as_per_satellite_caches(self, geometry):
+        """Random satellites at non-monotone times. A window the per-satellite
+        cache holds last may still grow when its next chunk is searched, and
+        the plane-wide cache may have searched that chunk for another
+        satellite, so such a window is compared by its start: the only field
+        the protocol reads."""
+        plane, gs = GEOMETRIES[geometry]
+        cache, oracle = WindowCache(plane, gs), PerSatelliteWindowCache(plane, gs)
+        rng = np.random.default_rng(100 + geometry)
+        for _ in range(200):
+            sat, t = int(rng.integers(plane.num_sats)), float(rng.uniform(0.0, 2 * 86400.0))
+            got = cache.next_window(sat, t)
+            want, last = oracle.next_window(sat, t)
+            assert got.start_s == want.start_s
+            assert got == want if not last else got.end_s >= want.end_s
+
+    def test_one_search_per_chunk_for_the_whole_plane(self, monkeypatch):
+        plane, gs = GEOMETRIES[0]
+        calls = []
+
+        def counted(plane, sat_index, gs, t_start, t_end):
+            calls.append((np.array(sat_index), t_start, t_end))
+            return visibility_windows(plane, sat_index, gs, t_start, t_end)
+
+        monkeypatch.setattr(protocol, "visibility_windows", counted)
+        cache = WindowCache(plane, gs)
+        cache.next_window(0, 0.0)
+        searched = len(calls)
+        for sat in range(1, plane.num_sats):  # answered from the chunks already searched
+            cache.next_window(sat, 0.0)
+        assert len(calls) == searched
+        cache.next_window(5, calls[-1][2])  # extends every satellite from where it stopped
+        assert len(calls) > searched
+        for (sats, _, t_end), (_, t_start, _) in zip(calls, calls[1:]):
+            assert t_start == t_end - 2 * STEP_S
+        assert all(np.array_equal(sats, np.arange(plane.num_sats)) for sats, _, _ in calls)
 
 
 # -- ring rounds: arc fold against the heap event loop -----------------------
