@@ -12,7 +12,7 @@ from .config import (ExperimentConfig, ValidationError, build_ground_station,
 from .data import IngestionError
 from .harness import export, export_sweep, run_experiment, run_sweep
 from .orbital import visibility_windows
-from .protocol import Scheme, WindowCache
+from .protocol import NoWindowError, Scheme, WindowCache
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -22,7 +22,7 @@ EXIT_INGESTION = 3
 def _load(args) -> ExperimentConfig:
     """The config file with the command-line overrides applied, validated once as a whole."""
     overrides = {key: getattr(args, key) for key in ("scheme", "q", "seed")
-                 if getattr(args, key) is not None}
+                 if getattr(args, key, None) is not None}
     if args.out:
         overrides["output_dir"] = args.out
     return load_config(args.config, **overrides) if args.config else config_from_dict(overrides)
@@ -30,11 +30,10 @@ def _load(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    def progress(n, metrics):
-        if args.verbose:
-            print(f"iter {n}: t={metrics.t_end_s:.1f} s  acc={metrics.accuracy:.4f}  "
-                  f"bits={metrics.total_bits}")
-    log = run_experiment(cfg, max_rounds=args.rounds, progress=progress)
+    def progress(row):
+        print(f"iter {row.iteration}: t={row.time_s:.1f} s  acc={row.accuracy:.4f}  "
+              f"bits={row.plane_bits}")
+    log = run_experiment(cfg, max_rounds=args.rounds, progress=progress if args.verbose else None)
     csv_path, manifest_path = export(log, cfg.output_dir, name=args.name)
     print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
@@ -45,7 +44,7 @@ def _cmd_sweep(args) -> int:
     if args.kp_min > args.kp_max:
         raise ValidationError(f"--kp-min {args.kp_min} exceeds --kp-max {args.kp_max}")
     kp_values = list(range(args.kp_min, args.kp_max + 1, args.kp_step))
-    rows = run_sweep(cfg, kp_values, args.q_list, iterations=args.iterations)
+    rows = run_sweep(cfg, kp_values, args.q_list, args.iterations)
     path = export_sweep(rows, cfg.output_dir, name=args.name)
     print(f"wrote {path}")
     return EXIT_OK
@@ -111,10 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leofl")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, scheme_and_q=True):
         p.add_argument("--config", help="YAML experiment config")
-        p.add_argument("--scheme", choices=[s.value for s in Scheme])
-        p.add_argument("--q", type=float, help="sparsification ratio in (0, 1]")
+        if scheme_and_q:
+            p.add_argument("--scheme", choices=[s.value for s in Scheme])
+            p.add_argument("--q", type=float, help="sparsification ratio in (0, 1]")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
 
@@ -126,8 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="data-volume sweep over ring sizes")
-    common(p_sweep)
+    # every cell sets its own scheme and q, so the sweep takes neither; without
+    # abbreviations, --q is not read as --q-list
+    p_sweep = sub.add_parser("sweep", help="data-volume sweep over ring sizes",
+                             allow_abbrev=False)
+    common(p_sweep, scheme_and_q=False)
     p_sweep.add_argument("--kp-min", type=_int_at_least(2), default=8)
     p_sweep.add_argument("--kp-max", type=_int_at_least(2), default=28)
     p_sweep.add_argument("--kp-step", type=_int_at_least(1), default=2)
@@ -159,6 +162,11 @@ def main(argv=None) -> int:
     except IngestionError as exc:
         print(f"dataset ingestion failed: {exc}", file=sys.stderr)
         return EXIT_INGESTION
+    except NoWindowError as exc:
+        print(f"invalid configuration: {exc}; ground_station.min_elevation_deg and "
+              "ground_station.latitude_deg must let every satellite see the station",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ import yaml
 from . import data, learn
 from .link import (LinkParams, data_rate, db_to_linear, dbm_to_watts, ring_neighbor_distance,
                    ring_neighbors_visible, tx_duration)
-from .orbital import GroundStation, OrbitPlane, max_slant_range, max_visible_latitude
+from .orbital import (GroundStation, OrbitPlane, max_slant_range, max_visible_latitude,
+                      period_altitude)
 from .protocol import SCHEMES, PlaneState, SatelliteNode, Scheme, WindowCache, _distribution_bits
 from .sparsify import ErrorState, SizeModel
 
@@ -84,6 +85,13 @@ class ExperimentConfig:
             "training.rounds": t.rounds,
         }
         problems += [f"{key} must be positive" for key, value in positive.items() if not value > 0]
+        # the window search covers several orbital periods at a time, so a
+        # period beyond its horizon neither fits in memory nor ends the search
+        top_km = period_altitude(WindowCache.HORIZON_S) / 1e3
+        if c.altitude_km > top_km:
+            problems.append(f"constellation.altitude_km must be at most {top_km:.0f}: a higher "
+                            f"orbit's period exceeds the {WindowCache.HORIZON_S:g} s window "
+                            "search horizon")
         if not abs(gs.latitude_deg) <= 90:
             problems.append("ground_station.latitude_deg must be in [-90, 90]")
         if not 0 <= gs.min_elevation_deg < 90:

@@ -36,7 +36,8 @@ def run_experiment(
     max_rounds: int | None = None,
     progress=None,
 ) -> MetricsLog:
-    """Run the configured number of global iterations and collect metrics."""
+    """Run the configured number of global iterations and collect metrics; `progress(row)`,
+    if given, sees each row as it is logged."""
     cfg.validate()
     planes, hp, w, test_set, size_model = build_simulation(cfg)
     scheme = Scheme[cfg.scheme]
@@ -53,7 +54,7 @@ def run_experiment(
         cum_bits += metrics.total_bits
         log.rows.append(MetricsRow(n, t, metrics.accuracy, metrics.total_bits, cum_bits))
         if progress is not None:
-            progress(n, metrics)
+            progress(log.rows[-1])
     return log
 
 
@@ -72,8 +73,8 @@ def run_sweep(
     base_cfg: ExperimentConfig,
     kp_values: list[int],
     q_values: list[float],
+    iterations: int,
     schemes: tuple[str, ...] = ("SIA", "CLSIA", "NO_ISL_DIRECT"),
-    iterations: int = 11,
 ) -> list[SweepRow]:
     """Steady-state data volume per iteration for a single-plane constellation.
 

@@ -35,7 +35,7 @@ class OrbitPlane:
 class GroundStation:
     latitude_rad: float
     longitude_rad: float
-    min_elevation_rad: float = math.radians(10.0)
+    min_elevation_rad: float
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,12 @@ def orbital_period(altitude_m: float) -> float:
     """Orbital period at the given altitude, seconds."""
     r = CONSTANTS.earth_radius_m + altitude_m
     return 2.0 * math.pi * r / orbital_speed(altitude_m)
+
+
+def period_altitude(period_s: float) -> float:
+    """Altitude of the circular orbit with the given period, m; the inverse of orbital_period."""
+    radius_m = (CONSTANTS.mu * (period_s / (2.0 * math.pi)) ** 2) ** (1.0 / 3.0)
+    return radius_m - CONSTANTS.earth_radius_m
 
 
 def _plane_basis(plane: OrbitPlane) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -90,15 +96,11 @@ def _gs_xyz(gs: GroundStation, time_s) -> tuple:
     return r * (clat * np.cos(lon)), r * (clat * np.sin(lon)), r * math.sin(gs.latitude_rad)
 
 
-def propagate_vec(plane: OrbitPlane, sat_index: int, time_s) -> np.ndarray:
-    """ECI position(s) of one satellite; vectorized over time_s, shape (..., 3)."""
-    return np.stack(_sat_xyz(plane, sat_index, time_s), axis=-1)
-
-
-def gs_position_vec(gs: GroundStation, time_s) -> np.ndarray:
-    """ECI position(s) of the station on the rotating Earth; shape (..., 3)."""
-    x, y, z = _gs_xyz(gs, time_s)
-    return np.stack([x, y, np.full_like(x, z)], axis=-1)
+def station_distance(plane: OrbitPlane, sat_index: int, gs: GroundStation, time_s: float) -> float:
+    """Satellite-station distance at one time, m: np.linalg.norm of the 3-vector, a BLAS
+    dot that can differ from the column form sqrt((x*x + y*y) + z*z) in the last bit."""
+    return float(np.linalg.norm(np.subtract(_sat_xyz(plane, sat_index, time_s),
+                                            _gs_xyz(gs, time_s))))
 
 
 def _elevation_ok(sat: tuple, station: tuple, min_elevation_rad) -> np.ndarray:

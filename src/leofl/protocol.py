@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -32,8 +33,7 @@ from .orbital import (
     OrbitPlane,
     STEP_S,
     VisibilityWindow,
-    gs_position_vec,
-    propagate_vec,
+    station_distance,
     visibility_windows,
 )
 from .sparsify import (
@@ -67,7 +67,6 @@ class SchemeSpec:
     """
 
     step: Callable | None
-    sparse: bool
     hop_bits: Callable[[int, SizeModel, int], int]
     ring: bool
 
@@ -75,15 +74,15 @@ class SchemeSpec:
 # the steps look sia_step and clsia_step up at call time, so rebinding them
 # on this module reaches every round
 SCHEMES = {
-    Scheme.DENSE_IA: SchemeSpec(None, sparse=False, ring=True,
+    Scheme.DENSE_IA: SchemeSpec(None, ring=True,
                                 hop_bits=lambda j, m, q: m.dense_bits()),
     # the support grows by at most Q entries per hop
-    Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a), sparse=True, ring=True,
+    Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a), ring=True,
                            hop_bits=lambda j, m, q: min(m.dim, j * q) * m.entry_bits),
-    Scheme.CLSIA: SchemeSpec(lambda *a: clsia_step(*a), sparse=True, ring=True,
+    Scheme.CLSIA: SchemeSpec(lambda *a: clsia_step(*a), ring=True,
                              hop_bits=lambda j, m, q: q * m.entry_bits),
     # each satellite sends its own Top-Q straight down: an SIA step onto nothing
-    Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a), sparse=True, ring=False,
+    Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a), ring=False,
                                      hop_bits=lambda j, m, q: q * m.entry_bits),
 }
 
@@ -104,11 +103,6 @@ class RoundMetrics:
     def total_plane_bits(self) -> int:
         return sum(bits for _, _, bits in self.hop_records)
 
-    @property
-    def gs_bits(self) -> int:
-        """Bits on the ground links: every hop to or from the station."""
-        return sum(bits for src, dst, bits in self.hop_records if GS_ID in (src, dst))
-
 
 @dataclass
 class SatelliteNode:
@@ -118,6 +112,10 @@ class SatelliteNode:
     @property
     def data_size(self) -> int:
         return len(self.dataset)
+
+
+class NoWindowError(RuntimeError):
+    """A satellite sees the station in no window of the search horizon."""
 
 
 class WindowCache:
@@ -139,7 +137,6 @@ class WindowCache:
         k = plane.num_sats
         self._sats = np.arange(k)
         self._windows: list[list[VisibilityWindow]] = [[] for _ in range(k)]
-        self._ends: list[list[float]] = [[] for _ in range(k)]  # end_s of each window
         self._covered_to = 0.0
         self._chunk = max(4 * plane.period_s, 3600.0)
 
@@ -148,14 +145,12 @@ class WindowCache:
             t0 = self._covered_to
             t1 = t0 + self._chunk
             fresh = visibility_windows(self.plane, self._sats, self.gs, t0, t1)
-            for existing, ends, found in zip(self._windows, self._ends, fresh):
+            for existing, found in zip(self._windows, fresh):
                 for w in found:
                     if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
                         existing[-1] = VisibilityWindow(existing[-1].start_s, w.end_s)
-                        ends[-1] = w.end_s
                     else:
                         existing.append(w)
-                        ends.append(w.end_s)
             # overlap the next chunk so windows straddling the edge are merged
             self._covered_to = t1 - 2 * STEP_S
 
@@ -165,10 +160,12 @@ class WindowCache:
         while target < t + self.HORIZON_S:
             target += self._chunk
             self._extend(target)
-            i = bisect.bisect_right(self._ends[sat], t)
-            if i < len(self._ends[sat]):
-                return self._windows[sat][i]
-        raise RuntimeError(f"no visibility window for satellite {sat} after t={t}")
+            windows = self._windows[sat]
+            i = bisect.bisect_right(windows, t, key=attrgetter("end_s"))
+            if i < len(windows):
+                return windows[i]
+        raise NoWindowError(f"satellite {sat} sees no window in the {self.HORIZON_S:g} s "
+                            f"search horizon after t={t}")
 
 
 Trainer = Callable[[np.ndarray, SatelliteNode, learn.HyperParams, np.random.Generator], np.ndarray]
@@ -210,8 +207,7 @@ class PlaneState:
         the start of the transfer; returns the arrival time.
         """
         t_start = max(self.windows.next_window(sat, t).start_s, t)
-        dist = float(np.linalg.norm(
-            propagate_vec(self.plane, sat, t_start) - gs_position_vec(self.gs, t_start)))
+        dist = station_distance(self.plane, sat, self.gs, t_start)
         return t_start + tx_duration(bits, data_rate(self.params, dist)) + propagation_delay(dist)
 
     def round_rng(self, sat: int, round_n: int) -> np.random.Generator:
@@ -305,12 +301,13 @@ def run_round(
         for sat, node in enumerate(state.nodes)
     ]
 
-    zero = SparseGradient.empty(m.dim) if spec.sparse else np.zeros(m.dim)  # never written to
+    dense = spec.step is None
+    zero = np.zeros(m.dim) if dense else SparseGradient.empty(m.dim)  # never written to
 
     def step(sat: int, base):
         """Add the satellite's weighted gradient to `base`; returns (message, bits)."""
         node = state.nodes[sat]
-        if spec.step is None:
+        if dense:
             return base + node.data_size * gradients[sat], m.dense_bits()
         out, node.error = spec.step(gradients[sat], node.data_size, node.error, base, q_count)
         return out, message_bits(out, m)
@@ -338,9 +335,9 @@ def run_round(
     t_ready = max([trained_at[sink]] + [t for t, _ in arrivals])
     merged = zero
     for _, msg in arrivals:
-        merged = sparse_add(merged, msg) if spec.sparse else np.add(merged, msg)
+        merged = np.add(merged, msg) if dense else sparse_add(merged, msg)
     out, bits = step(sink, merged)
-    aggregate = out.densify() if spec.sparse else out
+    aggregate = out if dense else out.densify()
 
     t_done = state.ground_transfer(sink, t_ready, bits)
 
@@ -386,7 +383,6 @@ def run_no_isl_round(
 
 @dataclass
 class IterationMetrics:
-    t_end_s: float
     accuracy: float
     plane_metrics: list[RoundMetrics]
 
@@ -420,4 +416,4 @@ def run_global_iteration(
     total_data = sum(node.data_size for state in planes for node in state.nodes)
     w_next = learn.global_update(w_global, total, total_data)
     accuracy = learn.evaluate(w_next, test_set)
-    return w_next, IterationMetrics(t_end, accuracy, plane_metrics), t_end
+    return w_next, IterationMetrics(accuracy, plane_metrics), t_end

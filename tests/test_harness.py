@@ -380,6 +380,11 @@ class TestCli:
           "ground_station": {"latitude_deg": -89.0}}, "ground_station.latitude_deg"),
         ({"constellation": {"inclination_deg": 30.0},
           "ground_station": {"latitude_deg": 61.65}}, "ground_station.latitude_deg"),
+        # orbital periods beyond the window search horizon; max_slant_range
+        # overflowed from about 1.34e151 km
+        ({"constellation": {"altitude_km": 117_100.0}}, "constellation.altitude_km"),
+        ({"constellation": {"altitude_km": 1.0e+200}}, "constellation.altitude_km"),
+        ({"constellation": {"altitude_km": 1.0e+308}}, "constellation.altitude_km"),
     ] + SECTION_WRONG_TYPE + SECTION_OUT_OF_RANGE + [({"seed": -1}, "seed")])
     def test_validate_rejects_unrunnable_config(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.yaml"
@@ -387,6 +392,28 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and key in err
+
+    def test_validate_accepts_an_orbit_just_inside_the_horizon(self, tmp_path):
+        # a period of about 4.99 days; no run is made at this altitude
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"constellation": {"altitude_km": 117_000.0}}))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("scheme", ["SIA", "NO_ISL_DIRECT"])
+    def test_run_with_a_satellite_that_never_sees_the_station_exits_2(self, tmp_path, capsys,
+                                                                      scheme):
+        # validate cannot see this without searching every plane over the horizon
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"ground_station": {"min_elevation_deg": 88.0},
+                                        "dataset": {"train_samples": 400}}))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        argv = ["run", "--rounds", "2", "--config", str(path), "--scheme", scheme, "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and "no window" in err
+        assert "ground_station.min_elevation_deg" in err and "ground_station.latitude_deg" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("link, key", UNUSABLE_LINK)
     def test_validate_rejects_unusable_link(self, tmp_path, capsys, link, key):
@@ -437,6 +464,9 @@ class TestCli:
         (["sweep", "--kp-step", "0"], "--kp-step"),
         (["sweep", "--iterations", "1"], "--iterations"),
         (["sweep", "--kp-min", "10", "--kp-max", "8"], "--kp-min"),
+        # every sweep cell sets its own scheme and q
+        (["sweep", "--scheme", "DENSE_IA"], "--scheme"),
+        (["sweep", "--q", "5"], "--q"),
     ])
     def test_bad_arguments_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
         try:

@@ -9,10 +9,10 @@ from leofl.orbital import (
     GroundStation,
     OrbitPlane,
     _gs_los_mask,
-    gs_position_vec,
+    _gs_xyz,
+    _sat_xyz,
     orbital_period,
     orbital_speed,
-    propagate_vec,
     visibility_windows,
 )
 from test_reference_oracles import reference_visibility_windows
@@ -22,6 +22,16 @@ BREMEN = GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.
 
 def plane(h_km=2000.0, k=8, incl_deg=85.0, raan=0.0):
     return OrbitPlane(h_km * 1e3, math.radians(incl_deg), raan, k)
+
+
+def position(p, sat, t):
+    """ECI position of one satellite at one time, as a 3-vector."""
+    return np.array(_sat_xyz(p, sat, t))
+
+
+def station_position(gs, t):
+    """ECI position of the station at one time, as a 3-vector."""
+    return np.array(_gs_xyz(gs, t))
 
 
 def chord_perigee(a, b):
@@ -63,46 +73,46 @@ class TestSpeedAndPeriod:
 class TestPropagate:
     def test_epoch_at_ascending_node(self):
         p = plane(raan=0.0)
-        pos = propagate_vec(p, 0, 0.0)
+        pos = position(p, 0, 0.0)
         np.testing.assert_allclose(pos, [p.radius_m, 0.0, 0.0], atol=1e-6)
 
     def test_periodicity(self):
         p = plane()
-        a, b = propagate_vec(p, 3, 100.0), propagate_vec(p, 3, 100.0 + p.period_s)
+        a, b = position(p, 3, 100.0), position(p, 3, 100.0 + p.period_s)
         np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-3)
 
     def test_radius_invariant(self):
         p = plane()
         for t in np.linspace(0, 3 * p.period_s, 50):
-            assert np.linalg.norm(propagate_vec(p, 5, t)) == pytest.approx(
+            assert np.linalg.norm(position(p, 5, t)) == pytest.approx(
                 p.radius_m, rel=1e-6
             )
 
     def test_adjacent_chord_length(self):
         p = plane(k=8)
-        d = np.linalg.norm(propagate_vec(p, 0, 0.0) - propagate_vec(p, 1, 0.0))
+        d = np.linalg.norm(position(p, 0, 0.0) - position(p, 1, 0.0))
         expected = 2 * p.radius_m * math.sin(math.pi / 8)  # ~6406.9 km
         assert d == pytest.approx(expected, rel=1e-9)
         assert d == pytest.approx(6406.886e3, abs=1e3)
 
     def test_neighbor_distance_constant_over_time(self):
         p = plane(k=8)
-        d0 = np.linalg.norm(propagate_vec(p, 0, 0.0) - propagate_vec(p, 1, 0.0))
+        d0 = np.linalg.norm(position(p, 0, 0.0) - position(p, 1, 0.0))
         for t in np.linspace(0, p.period_s, 17):
-            d = np.linalg.norm(propagate_vec(p, 0, t) - propagate_vec(p, 1, t))
+            d = np.linalg.norm(position(p, 0, t) - position(p, 1, t))
             assert d == pytest.approx(d0, rel=1e-6)
 
 
 class TestGroundStation:
     def test_epoch_convention(self):
-        gs = GroundStation(0.0, 0.0)
-        pos = gs_position_vec(gs, 0.0)
+        gs = GroundStation(0.0, 0.0, math.radians(10.0))
+        pos = station_position(gs, 0.0)
         np.testing.assert_allclose(pos, [CONSTANTS.earth_radius_m, 0, 0], atol=1e-6)
 
     def test_half_sidereal_day(self):
-        gs = GroundStation(0.0, 0.0)
+        gs = GroundStation(0.0, 0.0, math.radians(10.0))
         half = math.pi / CONSTANTS.earth_rotation_rate
-        pos = gs_position_vec(gs, half)
+        pos = station_position(gs, half)
         np.testing.assert_allclose(
             pos, [-CONSTANTS.earth_radius_m, 0, 0], atol=1e-3
         )
@@ -110,7 +120,7 @@ class TestGroundStation:
     def test_on_surface_for_all_t(self):
         gs = BREMEN
         for t in np.linspace(0, 90000, 13):
-            assert np.linalg.norm(gs_position_vec(gs, float(t))) == pytest.approx(
+            assert np.linalg.norm(station_position(gs, float(t))) == pytest.approx(
                 CONSTANTS.earth_radius_m, rel=1e-12
             )
 
@@ -119,12 +129,12 @@ class TestLineOfSight:
     def test_adjacent_satellites_visible(self):
         p = plane(k=8)
         assert ring_neighbors_visible(p)
-        assert chord_perigee(propagate_vec(p, 0, 0.0), propagate_vec(p, 1, 0.0)) > (
+        assert chord_perigee(position(p, 0, 0.0), position(p, 1, 0.0)) > (
             CONSTANTS.earth_radius_m)
 
     def test_antipodal_satellites_blocked(self):
         p = plane(k=8)
-        assert chord_perigee(propagate_vec(p, 0, 0.0), propagate_vec(p, 4, 0.0)) < (
+        assert chord_perigee(position(p, 0, 0.0), position(p, 4, 0.0)) < (
             CONSTANTS.earth_radius_m)
 
     @pytest.mark.parametrize("h_km", [300.0, 550.0, 1200.0, 2000.0, 8000.0])
@@ -134,7 +144,7 @@ class TestLineOfSight:
         for k in range(3, 13):
             p = plane(h_km=h_km, k=k, raan=0.4)
             for t in (0.0, 0.37 * p.period_s):
-                clear = chord_perigee(propagate_vec(p, 0, t), propagate_vec(p, 1, t))
+                clear = chord_perigee(position(p, 0, t), position(p, 1, t))
                 assert ring_neighbors_visible(p) == (clear > CONSTANTS.earth_radius_m)
 
     def test_chord_perigee_value(self):

@@ -35,10 +35,11 @@ from leofl.orbital import (
     STEP_S,
     VisibilityWindow,
     _gs_los_mask,
+    _gs_xyz,
+    _sat_xyz,
     _screened_los_mask,
-    gs_position_vec,
     max_visible_latitude,
-    propagate_vec,
+    station_distance,
     visibility_windows,
 )
 from leofl.protocol import (
@@ -115,6 +116,13 @@ def reference_station_positions(gs, times):
     clat, slat = math.cos(gs.latitude_rad), math.sin(gs.latitude_rad)
     return CONSTANTS.earth_radius_m * np.stack(
         [clat * np.cos(lon), clat * np.sin(lon), slat * np.ones_like(lon)], axis=-1)
+
+
+def reference_station_distance(plane, sat_index, gs, t):
+    """Satellite-station distance at one time, the norm of the difference of the rows."""
+    at = np.asarray(t, dtype=float)
+    return float(np.linalg.norm(reference_positions(plane, sat_index, at)
+                                - reference_station_positions(gs, at)))
 
 
 def reference_elevation_ok(sat, station, min_elevation_rad):
@@ -326,8 +334,7 @@ def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count):
             msg = result["message"]
             w = state.windows.next_window(plan.sink_id, event.time_s)
             t_dl = max(w.start_s, event.time_s)
-            dist = float(np.linalg.norm(propagate_vec(state.plane, plan.sink_id, t_dl)
-                                        - gs_position_vec(state.gs, t_dl)))
+            dist = reference_station_distance(state.plane, plan.sink_id, state.gs, t_dl)
             rate = data_rate(state.params, dist)
             t_done = t_dl + tx_duration(msg.bits, rate) + propagation_delay(dist)
             queue.push(Event(t_done, EventKind.GS_DELIVER, msg.bits, plan.sink_id, GS_ID))
@@ -494,19 +501,22 @@ def test_three_term_sums_run_left_to_right():
 
 @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
 def test_positions_are_the_row_positions(geometry):
-    """The station distance of a ground transfer is taken from these rows, so
-    they must not move by one bit, at one time or at many."""
+    """The column positions are the rows, and the station distance of a ground
+    transfer is the norm of their difference, not one bit off, at one time or at
+    many."""
     plane, gs = GEOMETRIES[geometry]
     times = np.random.default_rng(geometry).uniform(0.0, TEN_DAYS, 1000)
     for sat in range(plane.num_sats):
-        assert (propagate_vec(plane, sat, times).tobytes()
+        assert (np.stack(_sat_xyz(plane, sat, times), axis=-1).tobytes()
                 == reference_positions(plane, sat, times).tobytes())
-    assert (gs_position_vec(gs, times).tobytes()
+    x, y, z = _gs_xyz(gs, times)
+    assert (np.stack([x, y, np.full_like(x, z)], axis=-1).tobytes()
             == reference_station_positions(gs, times).tobytes())
-    for t in times[:20].tolist():
-        at = np.asarray(t)
-        assert propagate_vec(plane, 2, t).tobytes() == reference_positions(plane, 2, at).tobytes()
-        assert gs_position_vec(gs, t).tobytes() == reference_station_positions(gs, at).tobytes()
+    for i, t in enumerate(times.tolist()):
+        sat = i % plane.num_sats
+        want = reference_station_distance(plane, sat, gs, t)
+        assert station_distance(plane, sat, gs, t).hex() == want.hex()
+        assert station_distance(plane, sat, gs, np.float64(t)).hex() == want.hex()
 
 
 @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))

@@ -106,7 +106,7 @@ def digest(config, orbital, protocol, sparsify, out):
                 w, metrics, t = protocol.run_global_iteration(
                     planes, scheme, w, hp, t, n, q_count, test)
                 print(f"{family} {scheme.value} iter {n} t={t.hex()} "
-                      f"t_end={metrics.t_end_s.hex()} acc={metrics.accuracy.hex()} "
+                      f"t_end={t.hex()} acc={metrics.accuracy.hex()} "
                       f"bits={metrics.total_bits} w={sha(w)}", file=out)
                 if len(plans) not in (0, len(planes)):
                     sys.exit(f"golden_trace: {family} {scheme.value} iter {n}: "
@@ -118,8 +118,10 @@ def digest(config, orbital, protocol, sparsify, out):
                         plan = (f" plan=({rp.source_id},{rp.sink_id},{rp.arcs},"
                                 f"{t_source_rx.hex()},{dist_bits})")
                     residuals = ",".join(sha(node.error.residual)[:16] for node in state.nodes)
+                    gs_bits = sum(bits for src, dst, bits in pm.hop_records
+                                  if protocol.GS_ID in (src, dst))
                     print(f"  plane {p} wall={pm.wallclock_s.hex()} bits={pm.total_plane_bits} "
-                          f"gs={pm.gs_bits}{plan} hops={pm.hop_records} residuals={residuals}",
+                          f"gs={gs_bits}{plan} hops={pm.hop_records} residuals={residuals}",
                           file=out)
     protocol.plan_round = plan_round
     window_digest(config, orbital, out)
