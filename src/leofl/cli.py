@@ -6,11 +6,12 @@ import argparse
 import sys
 
 import numpy as np
+import yaml
 
 from .config import (ExperimentConfig, ValidationError, build_ground_station,
                      build_planes_geometry, config_from_dict, load_config)
 from .data import IngestionError
-from .harness import export, export_sweep, run_experiment, run_sweep
+from .harness import DEFAULT_AXES, export, export_sweep, run_experiment, run_sweep
 from .orbital import visibility_windows
 from .protocol import NoWindowError, Scheme, WindowCache
 
@@ -18,10 +19,17 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INGESTION = 3
 
+# the top-level config keys a command may override, with their flags' argparse options
+_OVERRIDES = {
+    "scheme": {"choices": [s.value for s in Scheme]},
+    "q": {"type": float, "help": "sparsification ratio in (0, 1]"},
+    "seed": {"type": int},
+}
+
 
 def _load(args) -> ExperimentConfig:
     """The config file with the command-line overrides applied, validated once as a whole."""
-    overrides = {key: getattr(args, key) for key in ("scheme", "q", "seed")
+    overrides = {key: getattr(args, key) for key in _OVERRIDES
                  if getattr(args, key, None) is not None}
     if args.out:
         overrides["output_dir"] = args.out
@@ -41,11 +49,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    if args.kp_min > args.kp_max:
-        raise ValidationError(f"--kp-min {args.kp_min} exceeds --kp-max {args.kp_max}")
-    kp_values = list(range(args.kp_min, args.kp_max + 1, args.kp_step))
-    rows = run_sweep(cfg, kp_values, args.q_list, args.iterations)
-    path = export_sweep(rows, cfg.output_dir, name=args.name)
+    axes = args.axis or DEFAULT_AXES
+    rows = run_sweep(cfg, axes, args.iterations)
+    path = export_sweep(axes, rows, cfg.output_dir, name=args.name)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -98,56 +104,59 @@ def _hours(text: str) -> float:
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+class _Axis(argparse.Action):
+    """Repeated `--axis KEY=V1,V2,...` as {key: values}, each value read as a YAML scalar."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        axes = getattr(namespace, self.dest) or {}
+        key, eq, values = text.partition("=")
+        if not key or not eq:
+            raise argparse.ArgumentError(self, f"expected KEY=V1,V2,..., got {text!r}")
+        if key in axes:
+            raise argparse.ArgumentError(self, f"{key} is given twice")
+        try:
+            axes[key] = [yaml.safe_load(value) for value in values.split(",")]
+        except yaml.YAMLError:
+            raise argparse.ArgumentError(self, f"{key}: not YAML scalars: {values!r}") from None
+        setattr(namespace, self.dest, axes)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leofl")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheme_and_q=True):
+    def common(p, *overrides):
         p.add_argument("--config", help="YAML experiment config")
-        if scheme_and_q:
-            p.add_argument("--scheme", choices=[s.value for s in Scheme])
-            p.add_argument("--q", type=float, help="sparsification ratio in (0, 1]")
-        p.add_argument("--seed", type=int)
+        for key in overrides:
+            p.add_argument(f"--{key}", **_OVERRIDES[key])
         p.add_argument("--out", help="output directory")
 
     p_run = sub.add_parser("run", help="run one experiment")
-    common(p_run)
+    common(p_run, *_OVERRIDES)
     p_run.add_argument("--rounds", type=_int_at_least(1),
                        help="override the number of global iterations")
     p_run.add_argument("--name", default="run", help="output file stem")
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
-    # every cell sets its own scheme and q, so the sweep takes neither; without
-    # abbreviations, --q is not read as --q-list
-    p_sweep = sub.add_parser("sweep", help="data-volume sweep over ring sizes",
-                             allow_abbrev=False)
-    common(p_sweep, scheme_and_q=False)
-    p_sweep.add_argument("--kp-min", type=_int_at_least(2), default=8)
-    p_sweep.add_argument("--kp-max", type=_int_at_least(2), default=28)
-    p_sweep.add_argument("--kp-step", type=_int_at_least(1), default=2)
-    p_sweep.add_argument("--q-list", type=_float_list, default="0.01,0.1", dest="q_list")
+    # scheme and q are axes of the sweep (the default grid sets both), not overrides
+    p_sweep = sub.add_parser("sweep", help="data-volume sweep over config keys")
+    common(p_sweep, "seed")
+    p_sweep.add_argument("--axis", action=_Axis, metavar="KEY=V1,V2,...", help="a dotted config "
+                         "key and its values; repeatable (default: harness.DEFAULT_AXES)")
     # the first iteration is a warm-up that the mean leaves out
     p_sweep.add_argument("--iterations", type=_int_at_least(2), default=11)
     p_sweep.add_argument("--name", default="sweep")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_win = sub.add_parser("windows", help="print visibility windows for debugging")
-    common(p_win)
+    common(p_win, "scheme")
     p_win.add_argument("--plane", type=_int_at_least(0), default=0)
     p_win.add_argument("--hours", type=_hours, default=24.0)
     p_win.set_defaults(func=_cmd_windows)
 
     p_val = sub.add_parser("validate", help="check a config file")
-    common(p_val)
+    common(p_val, *_OVERRIDES)
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

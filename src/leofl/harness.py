@@ -1,15 +1,16 @@
-"""Experiment drivers: single runs, the satellites-per-plane sweep, and export."""
+"""Experiment drivers: single runs, sweeps over config keys, and export."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, build_simulation
+from .config import ExperimentConfig, ValidationError, build_simulation, config_from_dict
 from .protocol import Scheme, run_global_iteration
 from .sparsify import q_to_count
 
@@ -58,60 +59,65 @@ def run_experiment(
     return log
 
 
-@dataclass
-class SweepRow:
-    sats_per_plane: int
-    q: float
-    scheme: str
-    mean_bits_per_iteration: float
-
-
 SWEEP_WARMUP = 1  # leading iterations a sweep discards; see run_sweep
 
+# the satellites-per-plane sweep of one ring; cells in product order, last axis fastest
+DEFAULT_AXES = {
+    "constellation.planes": [1],
+    "constellation.sats_per_plane": list(range(8, 29, 2)),
+    "q": [0.01, 0.1],
+    "scheme": ["CLSIA", "NO_ISL_DIRECT", "SIA"],
+}
 
-def run_sweep(
-    base_cfg: ExperimentConfig,
-    kp_values: list[int],
-    q_values: list[float],
-    iterations: int,
-    schemes: tuple[str, ...] = ("SIA", "CLSIA", "NO_ISL_DIRECT"),
-) -> list[SweepRow]:
-    """Steady-state data volume per iteration for a single-plane constellation.
 
+def _cell_config(base: dict, cell: dict) -> ExperimentConfig:
+    """`base` (as `dataclasses.asdict` gives it) with each dotted key of `cell` set, validated."""
+    raw = dict(base)
+    for key, value in cell.items():
+        section, dot, name = key.partition(".")
+        if dot:
+            table = raw.get(section)
+            value = {**(table if isinstance(table, dict) else {}), name: value}
+        raw[section] = value
+    try:
+        return config_from_dict(raw)
+    except ValidationError as exc:
+        named = ", ".join(f"{key}={value!r}" for key, value in cell.items())
+        raise ValidationError(f"sweep cell {named}: {exc}") from None
+
+
+def run_sweep(base_cfg: ExperimentConfig, axes: dict[str, list], iterations: int) -> list[tuple]:
+    """Steady-state data volume per iteration over the product of `axes`.
+
+    `axes` maps dotted config keys to values; each cell is the base config
+    with those keys set. Every cell is validated before any cell runs. A row
+    holds the cell's values in axis order, then the mean bits per iteration.
     The first SWEEP_WARMUP iterations are discarded: with empty error states
     the sparse message sizes are not yet typical of the steady state.
     """
+    base = dataclasses.asdict(base_cfg)
+    cells = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+    configs = [_cell_config(base, cell) for cell in cells]
     rows = []
-    for kp in kp_values:
-        for q in q_values:
-            for scheme in schemes:
-                cfg = dataclasses.replace(
-                    base_cfg,
-                    constellation=dataclasses.replace(
-                        base_cfg.constellation, planes=1, sats_per_plane=kp
-                    ),
-                    scheme=scheme,
-                    q=q,
-                )
-                log = run_experiment(cfg, max_rounds=iterations)
-                kept = log.rows[SWEEP_WARMUP:]
-                mean_bits = sum(r.plane_bits for r in kept) / len(kept)
-                rows.append(SweepRow(kp, q, scheme, mean_bits))
+    for cell, cfg in zip(cells, configs):
+        kept = run_experiment(cfg, max_rounds=iterations).rows[SWEEP_WARMUP:]
+        rows.append((*cell.values(), sum(r.plane_bits for r in kept) / len(kept)))
     return rows
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def export(log: MetricsLog, out_dir: str | Path, name: str = "run") -> tuple[Path, Path]:
     """Write the metrics CSV and a JSON manifest sufficient to reproduce the run."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{name}.csv"
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for row in log.rows:
-            writer.writerow(
-                [row.iteration, repr(row.time_s), repr(row.accuracy), row.plane_bits, row.cum_bits]
-            )
+    csv_path = _write_csv(out / f"{name}.csv", CSV_HEADER, map(dataclasses.astuple, log.rows))
     manifest_path = out / f"{name}.manifest.json"
     manifest = {
         "config": dataclasses.asdict(log.config),
@@ -119,20 +125,10 @@ def export(log: MetricsLog, out_dir: str | Path, name: str = "run") -> tuple[Pat
         "code_version": __version__,
         "iterations": len(log.rows),
     }
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return csv_path, manifest_path
 
 
-def export_sweep(rows: list[SweepRow], out_dir: str | Path, name: str = "sweep") -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.csv"
-    ordered = sorted(rows, key=lambda r: (r.sats_per_plane, r.q, r.scheme))
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sats_per_plane", "q", "scheme", "mean_bits_per_iteration"])
-        for r in ordered:
-            writer.writerow([r.sats_per_plane, r.q, r.scheme, repr(r.mean_bits_per_iteration)])
-    return path
+def export_sweep(axes: dict, rows: list[tuple], out_dir: str | Path, name: str = "sweep") -> Path:
+    """Write the sweep rows, in cell order, under a header of the axis keys."""
+    return _write_csv(Path(out_dir) / f"{name}.csv", [*axes, "mean_bits_per_iteration"], rows)

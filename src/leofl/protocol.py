@@ -168,13 +168,6 @@ class WindowCache:
                             f"search horizon after t={t}")
 
 
-Trainer = Callable[[np.ndarray, SatelliteNode, learn.HyperParams, np.random.Generator], np.ndarray]
-
-
-def default_trainer(w_global, node: SatelliteNode, hp, rng) -> np.ndarray:
-    return learn.sat_learn_proc(w_global, node.dataset, hp, rng)
-
-
 @dataclass
 class PlaneState:
     plane_id: int
@@ -185,7 +178,6 @@ class PlaneState:
     nodes: list[SatelliteNode]
     compute_time_s: float
     seed: int
-    trainer: Trainer = default_trainer
 
     def __post_init__(self):
         self.windows = WindowCache(self.plane, self.gs)
@@ -297,7 +289,8 @@ def run_round(
         for sat in range(k)
     ]
     gradients = [
-        learn.gradient(state.trainer(w_global, node, hp, state.round_rng(sat, round_n)), w_global)
+        learn.gradient(learn.sat_learn_proc(w_global, node.dataset, hp,
+                                            state.round_rng(sat, round_n)), w_global)
         for sat, node in enumerate(state.nodes)
     ]
 
@@ -369,7 +362,8 @@ def run_no_isl_round(
         t_rx = state.ground_transfer(sat, t0, up_bits)
         hop_records.append((GS_ID, sat, up_bits))
 
-        g = learn.gradient(state.trainer(w_global, node, hp, state.round_rng(sat, round_n)), w_global)
+        w_local = learn.sat_learn_proc(w_global, node.dataset, hp, state.round_rng(sat, round_n))
+        g = learn.gradient(w_local, w_global)
         out, node.error = SCHEMES[Scheme.NO_ISL_DIRECT].step(
             g, node.data_size, node.error, SparseGradient.empty(m.dim), q_count)
         bits = message_bits(out, m)

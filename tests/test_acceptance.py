@@ -79,9 +79,10 @@ def test_criterion_3_bandwidth_efficiency_ratio():
         cfg, dataset=dataclasses.replace(cfg.dataset, train_samples=2800, test_samples=100)
     )
     kp_values = [8, 12, 16, 20, 24, 28]
-    rows = run_sweep(cfg, kp_values, [0.01], schemes=("SIA", "CLSIA"), iterations=11)
-    sia = {r.sats_per_plane: r.mean_bits_per_iteration for r in rows if r.scheme == "SIA"}
-    cl = {r.sats_per_plane: r.mean_bits_per_iteration for r in rows if r.scheme == "CLSIA"}
+    axes = {"constellation.sats_per_plane": kp_values, "q": [0.01], "scheme": ["SIA", "CLSIA"]}
+    rows = run_sweep(cfg, axes, iterations=11)
+    sia = {kp: bits for kp, _, scheme, bits in rows if scheme == "SIA"}
+    cl = {kp: bits for kp, _, scheme, bits in rows if scheme == "CLSIA"}
 
     ratio = sia[28] / cl[28]
     linear = all(cl[kp] == kp * 3555 for kp in kp_values)

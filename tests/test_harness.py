@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gzip
+import itertools
 import re
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from leofl import data
+from leofl import data, harness
 from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from leofl.config import (
     _SECTION_TYPES,
@@ -21,6 +23,8 @@ from leofl.config import (
 from leofl.data import IngestionError
 from leofl.harness import (
     CSV_HEADER,
+    MetricsLog,
+    MetricsRow,
     export,
     run_experiment,
     run_sweep,
@@ -346,19 +350,82 @@ class TestExport:
 
 class TestSweep:
     def test_small_sweep_shapes(self):
-        rows = run_sweep(
-            tiny_config(), kp_values=[6, 8], q_values=[0.1],
-            schemes=("CLSIA",), iterations=3,
-        )
+        axes = {"constellation.planes": [1], "constellation.sats_per_plane": [6, 8],
+                "q": [0.1], "scheme": ["CLSIA"]}
+        rows = run_sweep(tiny_config(), axes, iterations=3)
         assert len(rows) == 2
-        by_kp = {r.sats_per_plane: r.mean_bits_per_iteration for r in rows}
+        by_kp = {kp: bits for _, kp, _, _, bits in rows}
         # constant-length scheme is exactly linear in ring size
         assert by_kp[8] / by_kp[6] == pytest.approx(8 / 6)
 
     def test_too_small_ring_surfaces_los_error(self):
+        axes = {"constellation.planes": [1], "constellation.sats_per_plane": [4],
+                "q": [0.1], "scheme": ["SIA"]}
         with pytest.raises(ValidationError, match="constellation.sats_per_plane.*no ring"):
-            run_sweep(tiny_config(), kp_values=[4], q_values=[0.1],
-                      schemes=("SIA",), iterations=2)
+            run_sweep(tiny_config(), axes, iterations=2)
+
+
+@pytest.fixture
+def cells_run(monkeypatch):
+    """Stub every sweep cell's run: record its config and log bits that name the cell."""
+    seen = []
+
+    def run(cfg, max_rounds):
+        seen.append(cfg)
+        c = cfg.constellation
+        bits = c.planes * 1000 + c.sats_per_plane
+        return MetricsLog(cfg, [MetricsRow(n, 0.0, 0.0, bits * n, 0)
+                                for n in range(1, max_rounds + 1)])
+
+    monkeypatch.setattr(harness, "run_experiment", run)
+    return seen
+
+
+class TestSweepCli:
+    def test_default_grid_is_the_ring_size_sweep(self, tmp_path, cells_run):
+        assert main(["sweep", "--iterations", "3", "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["constellation.planes", "constellation.sats_per_plane", "q", "scheme",
+                          "mean_bits_per_iteration"]
+        # rows in sorted (K, q, scheme) order, as sweep.csv has always listed them
+        expected = sorted(itertools.product(range(8, 29, 2), [0.01, 0.1],
+                                            ["SIA", "CLSIA", "NO_ISL_DIRECT"]))
+        assert len(rows) == len(expected) == 66
+        assert [tuple(row[1:4]) for row in rows] == [(str(kp), repr(q), scheme)
+                                                     for kp, q, scheme in expected]
+        assert [(c.constellation.planes, c.constellation.sats_per_plane, c.q, c.scheme)
+                for c in cells_run] == [(1, *cell) for cell in expected]
+        # the warm-up iteration is left out of the mean
+        assert [row[0] for row in rows] == ["1"] * 66
+        assert [row[4] for row in rows] == [repr(2.5 * (1000 + kp)) for kp, _, _ in expected]
+
+    def test_bad_cell_exits_2_before_any_cell_runs(self, tmp_path, capsys, cells_run):
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", "q=0.01,5", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: sweep cell q=5:")
+        assert "q must be in (0, 1]" in err
+        assert cells_run == [] and not out.exists()
+
+    def test_axes_replace_the_default_grid_in_the_order_given(self, tmp_path, cells_run):
+        argv = ["sweep", "--axis", "scheme=CLSIA", "--axis", "link.tx_power_dbm=0.0,40",
+                "--axis", "q=1.0e-2", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["scheme", "link.tx_power_dbm", "q", "mean_bits_per_iteration"]
+        assert [row[:3] for row in rows] == [["CLSIA", "0.0", "0.01"], ["CLSIA", "40", "0.01"]]
+        assert [(c.scheme, c.link.tx_power_dbm, c.q) for c in cells_run] == [
+            ("CLSIA", 0.0, 0.01), ("CLSIA", 40, 0.01)]
+        # the rest of each cell is the base config
+        assert {(c.constellation.planes, c.constellation.sats_per_plane) for c in cells_run} \
+            == {(5, 8)}
+
+    def test_axis_values_are_yaml_scalars(self):
+        args = build_parser().parse_args(
+            ["sweep", "--axis", "q=1.0e-2,1e-2,0.1", "--axis", "constellation.planes=1,2"])
+        assert args.axis == {"q": [0.01, "1e-2", 0.1], "constellation.planes": [1, 2]}
 
 
 class TestCli:
@@ -460,13 +527,27 @@ class TestCli:
         (["windows", "--plane", "-1"], "--plane"),
         (["windows", "--hours", "nan"], "--hours"),
         (["windows", "--hours", "0"], "--hours"),
-        (["sweep", "--q-list", "abc"], "--q-list"),
-        (["sweep", "--kp-step", "0"], "--kp-step"),
+        # the grid flags' cases: a value that is no number, a ring of no
+        # satellites, an empty range
+        (["sweep", "--axis", "q=abc"], "q='abc': q must be a number"),
+        (["sweep", "--axis", "constellation.sats_per_plane=8,0"],
+         "constellation.sats_per_plane=0"),
+        (["sweep", "--axis", "constellation.sats_per_plane="],
+         "constellation.sats_per_plane=None"),
         (["sweep", "--iterations", "1"], "--iterations"),
-        (["sweep", "--kp-min", "10", "--kp-max", "8"], "--kp-min"),
+        (["sweep", "--axis", "q=0.01", "--axis", "q=0.1"], "--axis: q is given twice"),
+        (["sweep", "--axis", "foo.bar=1"], "sweep cell foo.bar=1: unknown top-level keys"),
+        (["sweep", "--axis", "constellation.foo=1"], "unknown keys in constellation: ['foo']"),
+        (["sweep", "--axis", "q.x=1"], "sweep cell q.x=1: q must be a number"),
+        (["sweep", "--axis", "q"], "--axis"),
+        (["sweep", "--axis", "=1"], "--axis"),
+        (["sweep", "--axis", "q=[1"], "--axis: q"),
         # every sweep cell sets its own scheme and q
         (["sweep", "--scheme", "DENSE_IA"], "--scheme"),
         (["sweep", "--q", "5"], "--q"),
+        # the window listing reads neither q nor the seed
+        (["windows", "--q", "5"], "--q"),
+        (["windows", "--seed", "7"], "--seed"),
     ])
     def test_bad_arguments_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
         try:

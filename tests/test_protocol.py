@@ -31,34 +31,38 @@ PARAMS = LinkParams(40.0, 32.13, 32.13, 500e6, 20e9, 354.0)
 BREMEN = GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0))
 
 
-def make_trainer(gradients_by_shard):
-    """Trainer stub returning w_global + a preset gradient per shard, keyed by its identity."""
+@pytest.fixture
+def toy_plane_state(monkeypatch):
+    """Build small rings high enough that any K >= 3 has neighbor LOS. Local training
+    is stubbed: it returns w_global + a preset gradient per shard, keyed by its identity."""
+    gradients_by_shard = {}
 
-    def trainer(w_global, node, hp, rng):
-        return w_global + gradients_by_shard[id(node.dataset)]
+    def trained(w_global, dataset, hp, rng):
+        return w_global + gradients_by_shard[id(dataset)]
 
-    return trainer
+    monkeypatch.setattr(learn, "sat_learn_proc", trained)
 
+    def build(gradients, dim, h_km=8000.0, compute_time=0.0):
+        k = len(gradients)
+        plane = OrbitPlane(h_km * 1e3, math.radians(85.0), 0.0, k)
+        nodes = [
+            SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)),
+                          ErrorState.zeros(dim))
+            for _ in range(k)
+        ]
+        gradients_by_shard.update((id(node.dataset), g) for node, g in zip(nodes, gradients))
+        return PlaneState(
+            plane_id=0,
+            plane=plane,
+            gs=BREMEN,
+            params=PARAMS,
+            size_model=SizeModel(dim),
+            nodes=nodes,
+            compute_time_s=compute_time,
+            seed=0,
+        )
 
-def toy_plane_state(gradients, dim, h_km=8000.0, compute_time=0.0):
-    """Small ring high enough that any K >= 3 has neighbor LOS."""
-    k = len(gradients)
-    plane = OrbitPlane(h_km * 1e3, math.radians(85.0), 0.0, k)
-    nodes = [
-        SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)), ErrorState.zeros(dim))
-        for _ in range(k)
-    ]
-    return PlaneState(
-        plane_id=0,
-        plane=plane,
-        gs=BREMEN,
-        params=PARAMS,
-        size_model=SizeModel(dim),
-        nodes=nodes,
-        compute_time_s=compute_time,
-        seed=0,
-        trainer=make_trainer({id(node.dataset): g for node, g in zip(nodes, gradients)}),
-    )
+    return build
 
 
 @pytest.fixture
@@ -216,7 +220,7 @@ class TestIslLink:
 
 
 class TestDenseRound:
-    def test_three_satellite_exact_sum(self, chain_plan):
+    def test_three_satellite_exact_sum(self, chain_plan, toy_plane_state):
         rng = np.random.default_rng(1)
         gradients = [rng.normal(size=20) for _ in range(3)]
         state = toy_plane_state(gradients, dim=20)
@@ -226,7 +230,7 @@ class TestDenseRound:
         )
         np.testing.assert_allclose(agg, sum(gradients), rtol=1e-12)
 
-    def test_hop_bits_all_dense(self, chain_plan):
+    def test_hop_bits_all_dense(self, chain_plan, toy_plane_state):
         gradients = [np.ones(20)] * 3
         state = toy_plane_state(gradients, dim=20)
         chain_plan(3, sink=2)
@@ -251,7 +255,7 @@ def fig_gradients(dim=12):
 
 
 class TestSparseRounds:
-    def test_sia_hop_sizes_grow(self, chain_plan):
+    def test_sia_hop_sizes_grow(self, chain_plan, toy_plane_state):
         state = toy_plane_state(fig_gradients(), dim=12)
         chain_plan(3, sink=2)
         agg, metrics, _ = run_round(
@@ -262,7 +266,7 @@ class TestSparseRounds:
         assert hop_bits(metrics)[0] == 3 * entry
         assert hop_bits(metrics)[1] == 5 * entry
 
-    def test_clsia_constant_hops(self, chain_plan):
+    def test_clsia_constant_hops(self, chain_plan, toy_plane_state):
         state = toy_plane_state(fig_gradients(), dim=12)
         chain_plan(3, sink=2)
         _, metrics, _ = run_round(
@@ -271,7 +275,7 @@ class TestSparseRounds:
         entry = 32 + state.size_model.index_bits
         assert hop_bits(metrics) == [3 * entry] * 3
 
-    def test_sia_aggregate_is_sum_of_contributions(self):
+    def test_sia_aggregate_is_sum_of_contributions(self, toy_plane_state):
         rng = np.random.default_rng(2)
         gradients = [rng.normal(size=30) for _ in range(6)]
         state = toy_plane_state(gradients, dim=30)
@@ -285,7 +289,7 @@ class TestSparseRounds:
         expected = sum(top_q(g, 4).densify() for g in gradients)
         np.testing.assert_allclose(agg, expected, rtol=1e-12, atol=1e-12)
 
-    def test_sia_hops_nondecreasing_per_arc(self):
+    def test_sia_hops_nondecreasing_per_arc(self, toy_plane_state):
         rng = np.random.default_rng(3)
         gradients = [rng.normal(size=60) for _ in range(8)]
         state = toy_plane_state(gradients, dim=60)
@@ -315,7 +319,8 @@ class TestTracedNames:
     run_round must look them up at call time or the traced spans read zero."""
 
     @pytest.mark.parametrize("scheme, step", [(Scheme.SIA, "sia_step"), (Scheme.CLSIA, "clsia_step")])
-    def test_steps_and_sink_merge_use_module_names(self, monkeypatch, scheme, step):
+    def test_steps_and_sink_merge_use_module_names(self, monkeypatch, toy_plane_state,
+                                                   scheme, step):
         k = 6
         rng = np.random.default_rng(6)
         state = toy_plane_state([rng.normal(size=30) for _ in range(k)], dim=30)
@@ -404,7 +409,7 @@ class TestSchemeEquivalenceAtQ1:
 
 
 class TestNoIslRound:
-    def test_bits_accounting(self):
+    def test_bits_accounting(self, toy_plane_state):
         rng = np.random.default_rng(4)
         gradients = [rng.normal(size=30) for _ in range(5)]
         state = toy_plane_state(gradients, dim=30)
@@ -415,7 +420,7 @@ class TestNoIslRound:
         assert metrics.total_plane_bits == expected
         assert gs_bits(metrics) == expected
 
-    def test_aggregate_equals_sum_of_topq(self):
+    def test_aggregate_equals_sum_of_topq(self, toy_plane_state):
         rng = np.random.default_rng(5)
         gradients = [rng.normal(size=30) for _ in range(4)]
         state = toy_plane_state(gradients, dim=30)
@@ -425,7 +430,7 @@ class TestNoIslRound:
         expected = sum(top_q(g, 4).densify() for g in gradients)
         np.testing.assert_allclose(agg, expected, rtol=1e-12, atol=1e-12)
 
-    def test_wallclock_covers_visibility_waits(self):
+    def test_wallclock_covers_visibility_waits(self, toy_plane_state):
         gradients = [np.ones(10)] * 3
         state = toy_plane_state(gradients, dim=10)
         _, metrics, _ = run_no_isl_round(state, np.zeros(10), HP, 0.0, 1, 2)

@@ -241,7 +241,7 @@ def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count):
     gradients = {}
     for sat in range(k):
         node = state.nodes[sat]
-        w_local = state.trainer(w_global, node, hp, state.round_rng(sat, round_n))
+        w_local = learn.sat_learn_proc(w_global, node.dataset, hp, state.round_rng(sat, round_n))
         gradients[sat] = learn.gradient(w_local, w_global)
 
     next_hop = {}
@@ -731,20 +731,22 @@ def test_fold_matches_event_loop_over_five_rounds(name, raw, scheme):
         w, t = learn.global_update(w, total, total_data), t_end
 
 
-def stub_ring(k, dim, compute_time_s, seed):
-    """A ring whose satellites report fixed small-integer gradients, so hop sizes and times tie."""
+def stub_ring(monkeypatch, k, dim, compute_time_s, seed):
+    """A ring whose satellites report fixed small-integer gradients, so hop sizes and times tie;
+    local training is rebound to return them."""
     rng = np.random.default_rng(seed)
     grads = [rng.integers(-3, 4, size=dim).astype(float) for _ in range(k)]
     nodes = [SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)),
                            ErrorState.zeros(dim)) for _ in range(k)]
     # keyed by shard identity, which twin() shares
     grads_by_shard = {id(node.dataset): g for node, g in zip(nodes, grads)}
+    monkeypatch.setattr(learn, "sat_learn_proc",
+                        lambda w, dataset, hp, r: w + grads_by_shard[id(dataset)])
     return PlaneState(
         0, OrbitPlane(8000e3, math.radians(85.0), 0.0, k),
         GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0)),
         LinkParams(40.0, 32.13, 32.13, 500e6, 20e9, 354.0),
         SizeModel(dim), nodes, compute_time_s=compute_time_s, seed=0,
-        trainer=lambda w, node, hp, r: w + grads_by_shard[id(node.dataset)],
     )
 
 
@@ -752,7 +754,7 @@ def stub_ring(k, dim, compute_time_s, seed):
 @pytest.mark.parametrize("k", range(3, 9))
 def test_fold_matches_event_loop_for_every_sink_and_plan(monkeypatch, k, compute_time_s):
     hp = learn.HyperParams(rounds=1)
-    state = stub_ring(k, 24, compute_time_s, seed=k)
+    state = stub_ring(monkeypatch, k, 24, compute_time_s, seed=k)
     ref_state = twin(state)
     for sink in range(k):
         chain = tuple(i for i in range(k) if i != sink)
