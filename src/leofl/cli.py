@@ -9,9 +9,10 @@ import numpy as np
 import yaml
 
 from .config import (ExperimentConfig, ValidationError, build_ground_station,
-                     build_planes_geometry, config_from_dict, load_config)
+                     build_planes_geometry, config_from_dict, load_config, set_keys)
 from .data import IngestionError
-from .harness import DEFAULT_AXES, export, export_sweep, run_experiment, run_sweep
+from .harness import (DEFAULT_AXES, SWEEP_WARMUP, export, export_sweep, run_experiment,
+                      run_sweep)
 from .orbital import visibility_windows
 from .protocol import NoWindowError, Scheme, WindowCache
 
@@ -19,53 +20,43 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INGESTION = 3
 
-# the top-level config keys a command may override, with their flags' argparse options
-_OVERRIDES = {
-    "scheme": {"choices": [s.value for s in Scheme]},
-    "q": {"type": float, "help": "sparsification ratio in (0, 1]"},
-    "seed": {"type": int},
-}
 
-
-def _load(args) -> ExperimentConfig:
-    """The config file with the command-line overrides applied, validated once as a whole."""
-    overrides = {key: getattr(args, key) for key in _OVERRIDES
-                 if getattr(args, key, None) is not None}
-    if args.out:
-        overrides["output_dir"] = args.out
-    return load_config(args.config, **overrides) if args.config else config_from_dict(overrides)
+def _document(args) -> dict:
+    """The config document (`--config`, else empty) with the key each flag given sets."""
+    keys = {key: getattr(args, dest) for dest, (key, _) in _KEY_FLAGS.items()
+            if getattr(args, dest, None) is not None}
+    return set_keys(load_config(args.config) if args.config else {}, keys)
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = config_from_dict(_document(args))
     def progress(row):
         print(f"iter {row.iteration}: t={row.time_s:.1f} s  acc={row.accuracy:.4f}  "
               f"bits={row.plane_bits}")
-    log = run_experiment(cfg, max_rounds=args.rounds, progress=progress if args.verbose else None)
+    log = run_experiment(cfg, progress=progress if args.verbose else None)
     csv_path, manifest_path = export(log, cfg.output_dir, name=args.name)
     print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    axes = args.axis or DEFAULT_AXES
-    rows = run_sweep(cfg, axes, args.iterations)
-    path = export_sweep(axes, rows, cfg.output_dir, name=args.name)
-    print(f"wrote {path}")
+    base, axes = _document(args), args.axis or DEFAULT_AXES
+    rows = run_sweep(base, axes)
+    # every cell was valid and no axis sets output_dir, so the document's is valid
+    out = base.get("output_dir", ExperimentConfig.output_dir)
+    print(f"wrote {export_sweep(axes, rows, out, name=args.name)}")
     return EXIT_OK
 
 
 def _cmd_windows(args) -> int:
-    cfg = _load(args)
-    gs = build_ground_station(cfg)
+    cfg = config_from_dict(_document(args))
     planes = build_planes_geometry(cfg)
     if args.plane >= len(planes):
         raise ValidationError(
             f"--plane {args.plane}: the constellation has planes 0 to {len(planes) - 1}")
     plane = planes[args.plane]
-    horizon = args.hours * 3600.0
-    per_sat = visibility_windows(plane, np.arange(plane.num_sats), gs, 0.0, horizon)
+    per_sat = visibility_windows(plane, np.arange(plane.num_sats), build_ground_station(cfg),
+                                 0.0, args.hours * 3600.0)
     for sat, windows in enumerate(per_sat):
         for w in windows:
             print(f"plane {args.plane} sat {sat}: "
@@ -75,7 +66,7 @@ def _cmd_windows(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _load(args)
+    config_from_dict(_document(args))
     print("config OK")
     return EXIT_OK
 
@@ -114,6 +105,8 @@ class _Axis(argparse.Action):
             raise argparse.ArgumentError(self, f"expected KEY=V1,V2,..., got {text!r}")
         if key in axes:
             raise argparse.ArgumentError(self, f"{key} is given twice")
+        if key == "output_dir":
+            raise argparse.ArgumentError(self, "output_dir: a sweep writes one file; use --out")
         try:
             axes[key] = [yaml.safe_load(value) for value in values.split(",")]
         except yaml.YAMLError:
@@ -121,31 +114,37 @@ class _Axis(argparse.Action):
         setattr(namespace, self.dest, axes)
 
 
+# each flag that sets a config key, by argparse dest: the key and the flag's options
+_KEY_FLAGS = {
+    "scheme": ("scheme", {"choices": [s.value for s in Scheme]}),
+    "q": ("q", {"type": float, "help": "sparsification ratio in (0, 1]"}),
+    "seed": ("seed", {"type": int}),
+    "out": ("output_dir", {"help": "output directory"}),
+    "rounds": ("training.rounds", {"type": _int_at_least(1), "help": "global iterations"}),
+    "iterations": ("training.rounds", {"type": _int_at_least(SWEEP_WARMUP + 1), "default": 11}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leofl")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *overrides):
+    def common(p, *dests):
         p.add_argument("--config", help="YAML experiment config")
-        for key in overrides:
-            p.add_argument(f"--{key}", **_OVERRIDES[key])
-        p.add_argument("--out", help="output directory")
+        for dest in dests:
+            p.add_argument(f"--{dest}", **_KEY_FLAGS[dest][1])
 
     p_run = sub.add_parser("run", help="run one experiment")
-    common(p_run, *_OVERRIDES)
-    p_run.add_argument("--rounds", type=_int_at_least(1),
-                       help="override the number of global iterations")
+    common(p_run, "scheme", "q", "seed", "out", "rounds")
     p_run.add_argument("--name", default="run", help="output file stem")
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
-    # scheme and q are axes of the sweep (the default grid sets both), not overrides
+    # scheme and q are axes of the sweep (the default grid sets both), not flags
     p_sweep = sub.add_parser("sweep", help="data-volume sweep over config keys")
-    common(p_sweep, "seed")
+    common(p_sweep, "seed", "out", "iterations")
     p_sweep.add_argument("--axis", action=_Axis, metavar="KEY=V1,V2,...", help="a dotted config "
                          "key and its values; repeatable (default: harness.DEFAULT_AXES)")
-    # the first iteration is a warm-up that the mean leaves out
-    p_sweep.add_argument("--iterations", type=_int_at_least(2), default=11)
     p_sweep.add_argument("--name", default="sweep")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_win.set_defaults(func=_cmd_windows)
 
     p_val = sub.add_parser("validate", help="check a config file")
-    common(p_val, *_OVERRIDES)
+    common(p_val, "scheme", "q", "seed", "out")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -276,13 +276,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, raw, "top-level keys").validate()
 
 
-def load_config(path: str | Path, **overrides) -> ExperimentConfig:
-    """Read a YAML config; top-level `overrides` replace its values before validation."""
-    with open(path) as f:
-        raw = yaml.safe_load(f)
+def load_config(path: str | Path) -> dict:
+    """The YAML config document at `path`, not yet validated; `config_from_dict` validates it."""
+    raw = yaml.safe_load(Path(path).read_text())
     if raw is not None and not isinstance(raw, dict):
         raise ValidationError("config document must be a mapping")
-    return config_from_dict({**(raw or {}), **overrides})
+    return raw or {}
+
+
+def set_keys(raw: dict, keys: dict) -> dict:
+    """A copy of the config document `raw` with each dotted key (`constellation.planes`) set."""
+    raw = dict(raw)
+    for key, value in keys.items():
+        section, dot, name = key.partition(".")
+        if dot:
+            table = raw.get(section, {})
+            if not isinstance(table, dict):
+                raise ValidationError(f"section '{section}' must be a mapping to set {key}")
+            value = {**table, name: value}
+        raw[section] = value
+    return raw
 
 
 def build_ground_station(cfg: ExperimentConfig) -> GroundStation:

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, ValidationError, build_simulation, config_from_dict
+from .config import (ExperimentConfig, ValidationError, build_simulation, config_from_dict,
+                     set_keys)
 from .protocol import Scheme, run_global_iteration
 from .sparsify import q_to_count
 
@@ -32,26 +33,18 @@ class MetricsLog:
     rows: list[MetricsRow] = field(default_factory=list)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    max_rounds: int | None = None,
-    progress=None,
-) -> MetricsLog:
-    """Run the configured number of global iterations and collect metrics; `progress(row)`,
+def run_experiment(cfg: ExperimentConfig, progress=None) -> MetricsLog:
+    """Run `cfg.training.rounds` global iterations and collect metrics; `progress(row)`,
     if given, sees each row as it is logged."""
     cfg.validate()
     planes, hp, w, test_set, size_model = build_simulation(cfg)
     scheme = Scheme[cfg.scheme]
     q_count = q_to_count(cfg.q, size_model.dim)
-    rounds = hp.rounds if max_rounds is None else max_rounds
 
     log = MetricsLog(config=cfg)
-    t = 0.0
-    cum_bits = 0
-    for n in range(1, rounds + 1):
-        w, metrics, t = run_global_iteration(
-            planes, scheme, w, hp, t, n, q_count, test_set
-        )
+    t, cum_bits = 0.0, 0
+    for n in range(1, hp.rounds + 1):
+        w, metrics, t = run_global_iteration(planes, scheme, w, hp, t, n, q_count, test_set)
         cum_bits += metrics.total_bits
         log.rows.append(MetricsRow(n, t, metrics.accuracy, metrics.total_bits, cum_bits))
         if progress is not None:
@@ -70,37 +63,31 @@ DEFAULT_AXES = {
 }
 
 
-def _cell_config(base: dict, cell: dict) -> ExperimentConfig:
-    """`base` (as `dataclasses.asdict` gives it) with each dotted key of `cell` set, validated."""
-    raw = dict(base)
-    for key, value in cell.items():
-        section, dot, name = key.partition(".")
-        if dot:
-            table = raw.get(section)
-            value = {**(table if isinstance(table, dict) else {}), name: value}
-        raw[section] = value
-    try:
-        return config_from_dict(raw)
-    except ValidationError as exc:
-        named = ", ".join(f"{key}={value!r}" for key, value in cell.items())
-        raise ValidationError(f"sweep cell {named}: {exc}") from None
-
-
-def run_sweep(base_cfg: ExperimentConfig, axes: dict[str, list], iterations: int) -> list[tuple]:
+def run_sweep(base: dict, axes: dict[str, list]) -> list[tuple]:
     """Steady-state data volume per iteration over the product of `axes`.
 
-    `axes` maps dotted config keys to values; each cell is the base config
-    with those keys set. Every cell is validated before any cell runs. A row
-    holds the cell's values in axis order, then the mean bits per iteration.
-    The first SWEEP_WARMUP iterations are discarded: with empty error states
-    the sparse message sizes are not yet typical of the steady state.
+    `axes` maps dotted config keys to values; each cell is the config
+    document `base` with those keys set. Only the cells are validated, every
+    one before any cell runs. A row holds the cell's values in axis order,
+    then the mean bits per iteration. The first SWEEP_WARMUP iterations are
+    discarded: with empty error states the sparse message sizes are not yet
+    typical of the steady state.
     """
-    base = dataclasses.asdict(base_cfg)
     cells = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
-    configs = [_cell_config(base, cell) for cell in cells]
+    configs = []
+    for cell in cells:
+        try:
+            cfg = config_from_dict(set_keys(base, cell))
+            if cfg.training.rounds <= SWEEP_WARMUP:
+                raise ValidationError(f"training.rounds must be at least {SWEEP_WARMUP + 1}: the "
+                                      f"mean leaves out the first SWEEP_WARMUP = {SWEEP_WARMUP}")
+        except ValidationError as exc:
+            named = ", ".join(f"{key}={value!r}" for key, value in cell.items())
+            raise ValidationError(f"sweep cell {named}: {exc}") from None
+        configs.append(cfg)
     rows = []
     for cell, cfg in zip(cells, configs):
-        kept = run_experiment(cfg, max_rounds=iterations).rows[SWEEP_WARMUP:]
+        kept = run_experiment(cfg).rows[SWEEP_WARMUP:]
         rows.append((*cell.values(), sum(r.plane_bits for r in kept) / len(kept)))
     return rows
 

@@ -48,7 +48,9 @@ def small_config(**overrides):
 
 
 def test_criterion_1_dense_budget_identity():
-    log = run_experiment(small_config(scheme="DENSE_IA"), max_rounds=1)
+    cfg = small_config(scheme="DENSE_IA")
+    log = run_experiment(dataclasses.replace(
+        cfg, training=dataclasses.replace(cfg.training, rounds=1)))
     bits = log.rows[0].plane_bits
     report(
         "1 dense budget identity",
@@ -76,11 +78,12 @@ def test_criterion_2_clsia_constant_budget():
 def test_criterion_3_bandwidth_efficiency_ratio():
     cfg = small_config()
     cfg = dataclasses.replace(
-        cfg, dataset=dataclasses.replace(cfg.dataset, train_samples=2800, test_samples=100)
+        cfg, dataset=dataclasses.replace(cfg.dataset, train_samples=2800, test_samples=100),
+        training=dataclasses.replace(cfg.training, rounds=11),
     )
     kp_values = [8, 12, 16, 20, 24, 28]
     axes = {"constellation.sats_per_plane": kp_values, "q": [0.01], "scheme": ["SIA", "CLSIA"]}
-    rows = run_sweep(cfg, axes, iterations=11)
+    rows = run_sweep(dataclasses.asdict(cfg), axes)
     sia = {kp: bits for kp, _, scheme, bits in rows if scheme == "SIA"}
     cl = {kp: bits for kp, _, scheme, bits in rows if scheme == "CLSIA"}
 

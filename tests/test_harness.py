@@ -19,10 +19,12 @@ from leofl.config import (
     config_from_dict,
     load_config,
     load_datasets,
+    set_keys,
 )
 from leofl.data import IngestionError
 from leofl.harness import (
     CSV_HEADER,
+    SWEEP_WARMUP,
     MetricsLog,
     MetricsRow,
     export,
@@ -108,12 +110,29 @@ def tiny_config(**overrides):
     return cfg
 
 
+def with_rounds(cfg, rounds):
+    return dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, rounds=rounds))
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(scheme="CLSIA", q=0.1, seed=7)
         path = tmp_path / "cfg.yaml"
         write_config(cfg, path)
-        assert load_config(path) == cfg
+        assert config_from_dict(load_config(path)) == cfg
+
+    def test_set_keys_copies_the_document(self):
+        raw = {"q": 0.1, "constellation": {"planes": 2}}
+        assert set_keys(raw, {"constellation.sats_per_plane": 6, "seed": 3}) == {
+            "q": 0.1, "seed": 3, "constellation": {"planes": 2, "sats_per_plane": 6}}
+        assert raw == {"q": 0.1, "constellation": {"planes": 2}}
+
+    @pytest.mark.parametrize("section", [5, None, [1]])
+    def test_set_keys_rejects_a_section_that_is_not_a_mapping(self, section):
+        with pytest.raises(ValidationError,
+                           match=r"^section 'constellation' must be a mapping to set "
+                                 r"constellation\.planes"):
+            set_keys({"constellation": section}, {"constellation.planes": 1})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown top-level"):
@@ -303,13 +322,13 @@ class TestSharedDatasets:
 
 class TestRunExperiment:
     def test_deterministic_logs(self):
-        a = run_experiment(tiny_config(), max_rounds=3)
-        b = run_experiment(tiny_config(), max_rounds=3)
+        a = run_experiment(with_rounds(tiny_config(), 3))
+        b = run_experiment(with_rounds(tiny_config(), 3))
         assert a.rows == b.rows
 
     def test_q1_schemes_agree(self):
         logs = {
-            scheme: run_experiment(tiny_config(scheme=scheme, q=1.0), max_rounds=3)
+            scheme: run_experiment(with_rounds(tiny_config(scheme=scheme, q=1.0), 3))
             for scheme in ("DENSE_IA", "SIA")
         }
         acc_dense = [r.accuracy for r in logs["DENSE_IA"].rows]
@@ -317,21 +336,21 @@ class TestRunExperiment:
         assert acc_dense == acc_sia
 
     def test_rows_strictly_increasing(self):
-        log = run_experiment(tiny_config(), max_rounds=4)
+        log = run_experiment(with_rounds(tiny_config(), 4))
         times = [r.time_s for r in log.rows]
         assert times == sorted(times) and len(set(times)) == len(times)
 
 
 class TestExport:
     def test_csv_contents(self, tmp_path):
-        log = run_experiment(tiny_config(), max_rounds=3)
+        log = run_experiment(with_rounds(tiny_config(), 3))
         csv_path, manifest_path = export(log, tmp_path)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 3
 
     def test_reexport_byte_identical(self, tmp_path):
-        log = run_experiment(tiny_config(), max_rounds=2)
+        log = run_experiment(with_rounds(tiny_config(), 2))
         csv_path, manifest_path = export(log, tmp_path / "a")
         csv2, manifest2 = export(log, tmp_path / "b")
         assert csv_path.read_bytes() == csv2.read_bytes()
@@ -340,19 +359,31 @@ class TestExport:
     def test_manifest_reproduces_run(self, tmp_path):
         import json
 
-        log = run_experiment(tiny_config(seed=11), max_rounds=2)
+        log = run_experiment(with_rounds(tiny_config(seed=11), 2))
         _, manifest_path = export(log, tmp_path)
         manifest = json.loads(manifest_path.read_text())
         cfg2 = config_from_dict(manifest["config"])
-        log2 = run_experiment(cfg2, max_rounds=2)
+        log2 = run_experiment(cfg2)
         assert log.rows == log2.rows
+
+    def test_manifest_of_a_cli_run_reproduces_it(self, tmp_path):
+        import json
+
+        path = tmp_path / "cfg.yaml"
+        write_config(tiny_config(seed=11), path)
+        argv = ["run", "--config", str(path), "--rounds", "2", "--out", str(tmp_path / "a")]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "a" / "run.manifest.json").read_text())
+        assert manifest["config"]["training"]["rounds"] == manifest["iterations"] == 2
+        csv_path, _ = export(run_experiment(config_from_dict(manifest["config"])), tmp_path / "b")
+        assert csv_path.read_bytes() == (tmp_path / "a" / "run.csv").read_bytes()
 
 
 class TestSweep:
     def test_small_sweep_shapes(self):
         axes = {"constellation.planes": [1], "constellation.sats_per_plane": [6, 8],
                 "q": [0.1], "scheme": ["CLSIA"]}
-        rows = run_sweep(tiny_config(), axes, iterations=3)
+        rows = run_sweep(dataclasses.asdict(with_rounds(tiny_config(), 3)), axes)
         assert len(rows) == 2
         by_kp = {kp: bits for _, kp, _, _, bits in rows}
         # constant-length scheme is exactly linear in ring size
@@ -362,7 +393,15 @@ class TestSweep:
         axes = {"constellation.planes": [1], "constellation.sats_per_plane": [4],
                 "q": [0.1], "scheme": ["SIA"]}
         with pytest.raises(ValidationError, match="constellation.sats_per_plane.*no ring"):
-            run_sweep(tiny_config(), axes, iterations=2)
+            run_sweep(dataclasses.asdict(with_rounds(tiny_config(), 2)), axes)
+
+    def test_a_rounds_axis_sets_each_cell_s_rounds(self):
+        base = dataclasses.asdict(tiny_config())
+        rows = run_sweep(base, {"training.rounds": [2, 3, 6]})
+        log = run_experiment(config_from_dict(set_keys(base, {"training.rounds": 6})))
+        bits = [r.plane_bits for r in log.rows]
+        assert rows == [(n, sum(bits[SWEEP_WARMUP:n]) / (n - SWEEP_WARMUP)) for n in (2, 3, 6)]
+        assert len({mean for _, mean in rows}) == 3
 
 
 @pytest.fixture
@@ -370,12 +409,12 @@ def cells_run(monkeypatch):
     """Stub every sweep cell's run: record its config and log bits that name the cell."""
     seen = []
 
-    def run(cfg, max_rounds):
+    def run(cfg):
         seen.append(cfg)
         c = cfg.constellation
         bits = c.planes * 1000 + c.sats_per_plane
         return MetricsLog(cfg, [MetricsRow(n, 0.0, 0.0, bits * n, 0)
-                                for n in range(1, max_rounds + 1)])
+                                for n in range(1, cfg.training.rounds + 1)])
 
     monkeypatch.setattr(harness, "run_experiment", run)
     return seen
@@ -421,6 +460,51 @@ class TestSweepCli:
         # the rest of each cell is the base config
         assert {(c.constellation.planes, c.constellation.sats_per_plane) for c in cells_run} \
             == {(5, 8)}
+
+    def test_base_is_validated_only_as_its_cells(self, tmp_path, cells_run):
+        # a ring of 3 cannot form, so the document alone fails as an SIA run
+        path = tmp_path / "k3.yaml"
+        path.write_text(yaml.safe_dump({"constellation": {"sats_per_plane": 3}}))
+        argv = ["sweep", "--config", str(path), "--axis", "scheme=NO_ISL_DIRECT",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            assert list(csv.reader(f)) == [["scheme", "mean_bits_per_iteration"],
+                                           ["NO_ISL_DIRECT", repr(5003 * 6.5)]]
+        assert [(c.scheme, c.constellation.sats_per_plane) for c in cells_run] == [
+            ("NO_ISL_DIRECT", 3)]
+
+    def test_a_rounds_axis_overrides_iterations(self, tmp_path, cells_run):
+        argv = ["sweep", "--iterations", "5", "--axis", "training.rounds=2,4",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert [c.training.rounds for c in cells_run] == [2, 4]
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            assert [row[1] for row in csv.reader(f)][1:] == [repr(5008.0 * 2), repr(5008.0 * 3)]
+
+    def test_a_cell_with_no_iteration_past_the_warm_up_exits_2(self, tmp_path, capsys, cells_run):
+        out = tmp_path / "out"
+        argv = ["sweep", "--axis", "training.rounds=1,3", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: sweep cell training.rounds=1: "
+                              "training.rounds must be at least 2")
+        assert cells_run == [] and not out.exists()
+
+    @pytest.mark.parametrize("section, command", [
+        ("constellation", ["sweep", "--axis", "constellation.planes=1"]),
+        ("training", ["run", "--rounds", "1"]),
+    ])
+    def test_a_dotted_key_into_a_section_that_is_not_a_mapping_exits_2(
+            self, tmp_path, capsys, cells_run, section, command):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({section: 5}))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+        assert f"section '{section}' must be a mapping" in err
+        assert cells_run == [] and not out.exists()
 
     def test_axis_values_are_yaml_scalars(self):
         args = build_parser().parse_args(
@@ -542,16 +626,21 @@ class TestCli:
         (["sweep", "--axis", "q"], "--axis"),
         (["sweep", "--axis", "=1"], "--axis"),
         (["sweep", "--axis", "q=[1"], "--axis: q"),
+        # a sweep writes one file, so no cell may move it
+        (["sweep", "--axis", "output_dir=a,b"], "--axis: output_dir"),
         # every sweep cell sets its own scheme and q
         (["sweep", "--scheme", "DENSE_IA"], "--scheme"),
         (["sweep", "--q", "5"], "--q"),
-        # the window listing reads neither q nor the seed
+        # the window listing reads neither q, the seed nor the output directory
         (["windows", "--q", "5"], "--q"),
         (["windows", "--seed", "7"], "--seed"),
+        (["windows", "--out", "listing"], "--out"),
     ])
     def test_bad_arguments_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        # only the commands that write files take --out
+        out = [] if argv[0] == "windows" else ["--out", str(tmp_path)]
         try:
-            code = main(argv + ["--out", str(tmp_path)])
+            code = main(argv + out)
         except SystemExit as exc:  # argparse rejects at parse time
             code = exc.code
         assert code == EXIT_VALIDATION
@@ -642,7 +731,7 @@ def readme_keys(text: str) -> list[str]:
 
 
 class TestReadme:
-    """The README's configuration reference lists exactly the keys load_config accepts."""
+    """The README's configuration reference lists exactly the keys config_from_dict accepts."""
 
     def test_top_level_keys(self):
         text = README.read_text()
