@@ -60,83 +60,6 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "runs"
 
-    def validate(self):
-        problems = _type_problems(self)
-        if problems:
-            raise ValidationError("; ".join(problems))
-        if self.scheme not in Scheme.__members__:
-            problems.append(f"scheme must be one of {sorted(Scheme.__members__)}")
-        if not 0 < self.q <= 1:
-            problems.append("q must be in (0, 1]")
-        if not self.compute_time_s >= 0:
-            problems.append("compute_time_s must be non-negative")
-        if self.seed < 0:
-            problems.append("seed must be non-negative")
-        c, gs, t, d = self.constellation, self.ground_station, self.training, self.dataset
-        if c.planes < 1 or c.sats_per_plane < 2:
-            problems.append("need at least one plane of at least two satellites")
-        positive = {
-            "constellation.altitude_km": c.altitude_km,
-            "link.bandwidth_hz": self.link.bandwidth_hz,
-            "link.carrier_hz": self.link.carrier_hz,
-            "link.noise_temp_k": self.link.noise_temp_k,
-            "training.local_epochs": t.local_epochs,
-            "training.batch_size": t.batch_size,
-            "training.rounds": t.rounds,
-        }
-        problems += [f"{key} must be positive" for key, value in positive.items() if not value > 0]
-        # the window search covers several orbital periods at a time, so a
-        # period beyond its horizon neither fits in memory nor ends the search
-        top_km = period_altitude(WindowCache.HORIZON_S) / 1e3
-        if c.altitude_km > top_km:
-            problems.append(f"constellation.altitude_km must be at most {top_km:.0f}: a higher "
-                            f"orbit's period exceeds the {WindowCache.HORIZON_S:g} s window "
-                            "search horizon")
-        if not abs(gs.latitude_deg) <= 90:
-            problems.append("ground_station.latitude_deg must be in [-90, 90]")
-        if not 0 <= gs.min_elevation_deg < 90:
-            problems.append("ground_station.min_elevation_deg must be in [0, 90)")
-        if not t.learning_rate >= 0:
-            problems.append("training.learning_rate must be non-negative")
-        if not d.noise_std >= 0:
-            problems.append("dataset.noise_std must be non-negative")
-        if d.source not in ("synthetic", "mnist"):
-            problems.append("dataset.source must be 'synthetic' or 'mnist'")
-        sats = c.planes * c.sats_per_plane
-        if d.source == "mnist":
-            problems += (_mnist_problems(Path(d.mnist_dir), sats) if d.mnist_dir
-                         else ["dataset.mnist_dir is required for dataset.source=mnist"])
-        if d.source == "synthetic":
-            if d.train_samples < sats:
-                problems.append(
-                    f"dataset.train_samples must be at least planes * sats_per_plane = {sats}, "
-                    "one sample per satellite shard"
-                )
-            if d.test_samples < 1:
-                problems.append("dataset.test_samples must be positive")
-        if problems:
-            raise ValidationError("; ".join(problems))
-        # the geometry checks need the values above to be valid; all planes
-        # share altitude and inclination
-        plane = build_planes_geometry(self)[0]
-        reach_deg = math.degrees(max_visible_latitude(plane, math.radians(gs.min_elevation_deg)))
-        if abs(gs.latitude_deg) > reach_deg:
-            raise ValidationError(
-                f"ground_station.latitude_deg: a station at {gs.latitude_deg:g} deg never sees a "
-                f"satellite of planes inclined {c.inclination_deg:g} deg at {c.altitude_km:g} km "
-                f"above {gs.min_elevation_deg:g} deg elevation; |latitude| must be at most "
-                f"{reach_deg:.2f} deg"
-            )
-        ring = SCHEMES[Scheme[self.scheme]].ring
-        if ring and not ring_neighbors_visible(plane):
-            raise ValidationError(
-                f"constellation.sats_per_plane: ring of {c.sats_per_plane} satellites at "
-                f"{c.altitude_km:g} km: neighbor chord intersects the Earth, no ring can form; "
-                "use more satellites per plane or a higher constellation.altitude_km"
-            )
-        _check_link(self, plane, ring)
-        return self
-
 
 _SECTION_TYPES = {
     "constellation": ConstellationConfig,
@@ -169,9 +92,6 @@ def _type_problems(cfg: ExperimentConfig) -> list[str]:
     for top in dataclasses.fields(cfg):
         value = getattr(cfg, top.name)
         if top.name in _SECTION_TYPES:
-            if not isinstance(value, _SECTION_TYPES[top.name]):
-                problems.append(f"section '{top.name}' must be a mapping")
-                continue
             checked = [(f"{top.name}.{f.name}", f.type, getattr(value, f.name))
                        for f in dataclasses.fields(value)]
         else:
@@ -183,6 +103,85 @@ def _type_problems(cfg: ExperimentConfig) -> list[str]:
             elif annotation == "float" and not _finite(item):
                 problems.append(f"{key} must be finite, got {item!r}")
     return problems
+
+
+def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """`cfg` if a run can use it, else a `ValidationError` naming each key it cannot."""
+    problems = _type_problems(cfg)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    if cfg.scheme not in Scheme.__members__:
+        problems.append(f"scheme must be one of {sorted(Scheme.__members__)}")
+    if not 0 < cfg.q <= 1:
+        problems.append("q must be in (0, 1]")
+    if not cfg.compute_time_s >= 0:
+        problems.append("compute_time_s must be non-negative")
+    if cfg.seed < 0:
+        problems.append("seed must be non-negative")
+    c, gs, t, d = cfg.constellation, cfg.ground_station, cfg.training, cfg.dataset
+    if c.planes < 1 or c.sats_per_plane < 2:
+        problems.append("need at least one plane of at least two satellites")
+    positive = {
+        "constellation.altitude_km": c.altitude_km,
+        "link.bandwidth_hz": cfg.link.bandwidth_hz,
+        "link.carrier_hz": cfg.link.carrier_hz,
+        "link.noise_temp_k": cfg.link.noise_temp_k,
+        "training.local_epochs": t.local_epochs,
+        "training.batch_size": t.batch_size,
+        "training.rounds": t.rounds,
+    }
+    problems += [f"{key} must be positive" for key, value in positive.items() if not value > 0]
+    # the window search covers several orbital periods at a time, so a
+    # period beyond its horizon neither fits in memory nor ends the search
+    top_km = period_altitude(WindowCache.HORIZON_S) / 1e3
+    if c.altitude_km > top_km:
+        problems.append(f"constellation.altitude_km must be at most {top_km:.0f}: a higher "
+                        f"orbit's period exceeds the {WindowCache.HORIZON_S:g} s window "
+                        "search horizon")
+    if not abs(gs.latitude_deg) <= 90:
+        problems.append("ground_station.latitude_deg must be in [-90, 90]")
+    if not 0 <= gs.min_elevation_deg < 90:
+        problems.append("ground_station.min_elevation_deg must be in [0, 90)")
+    if not t.learning_rate >= 0:
+        problems.append("training.learning_rate must be non-negative")
+    if not d.noise_std >= 0:
+        problems.append("dataset.noise_std must be non-negative")
+    if d.source not in ("synthetic", "mnist"):
+        problems.append("dataset.source must be 'synthetic' or 'mnist'")
+    sats = c.planes * c.sats_per_plane
+    if d.source == "mnist":
+        problems += (_mnist_problems(Path(d.mnist_dir), sats) if d.mnist_dir
+                     else ["dataset.mnist_dir is required for dataset.source=mnist"])
+    if d.source == "synthetic":
+        if d.train_samples < sats:
+            problems.append(
+                f"dataset.train_samples must be at least planes * sats_per_plane = {sats}, "
+                "one sample per satellite shard"
+            )
+        if d.test_samples < 1:
+            problems.append("dataset.test_samples must be positive")
+    if problems:
+        raise ValidationError("; ".join(problems))
+    # the geometry checks need the values above to be valid; all planes
+    # share altitude and inclination
+    plane = build_planes_geometry(cfg)[0]
+    reach_deg = math.degrees(max_visible_latitude(plane, math.radians(gs.min_elevation_deg)))
+    if abs(gs.latitude_deg) > reach_deg:
+        raise ValidationError(
+            f"ground_station.latitude_deg: a station at {gs.latitude_deg:g} deg never sees a "
+            f"satellite of planes inclined {c.inclination_deg:g} deg at {c.altitude_km:g} km "
+            f"above {gs.min_elevation_deg:g} deg elevation; |latitude| must be at most "
+            f"{reach_deg:.2f} deg"
+        )
+    ring = SCHEMES[Scheme[cfg.scheme]].ring
+    if ring and not ring_neighbors_visible(plane):
+        raise ValidationError(
+            f"constellation.sats_per_plane: ring of {c.sats_per_plane} satellites at "
+            f"{c.altitude_km:g} km: neighbor chord intersects the Earth, no ring can form; "
+            "use more satellites per plane or a higher constellation.altitude_km"
+        )
+    _check_link(cfg, plane, ring)
+    return cfg
 
 
 def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
@@ -262,23 +261,27 @@ def _mnist_problems(base: Path, sats: int) -> list[str]:
 def _build(cls, raw: dict, keys: str):
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ValidationError(f"unknown {keys}: {sorted(unknown)}")
+        raise ValidationError(f"unknown {keys}: {sorted(unknown, key=str)}")
     return cls(**raw)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config the document `raw` describes, checked once: the one way to a runnable config."""
     raw = dict(raw or {})
     for key, value in raw.items():
         if key in _SECTION_TYPES:
             if not isinstance(value, dict):
                 raise ValidationError(f"section '{key}' must be a mapping")
             raw[key] = _build(_SECTION_TYPES[key], value, f"keys in {key}")
-    return _build(ExperimentConfig, raw, "top-level keys").validate()
+    return _validate(_build(ExperimentConfig, raw, "top-level keys"))
 
 
 def load_config(path: str | Path) -> dict:
     """The YAML config document at `path`, not yet validated; `config_from_dict` validates it."""
-    raw = yaml.safe_load(Path(path).read_text())
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ValidationError(f"cannot read config {path}: {' '.join(str(exc).split())}") from None
     if raw is not None and not isinstance(raw, dict):
         raise ValidationError("config document must be a mapping")
     return raw or {}

@@ -34,9 +34,8 @@ class MetricsLog:
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> MetricsLog:
-    """Run `cfg.training.rounds` global iterations and collect metrics; `progress(row)`,
-    if given, sees each row as it is logged."""
-    cfg.validate()
+    """Run `cfg.training.rounds` global iterations of `cfg`, a config from `config_from_dict`,
+    and collect metrics; `progress(row)`, if given, sees each row as it is logged."""
     planes, hp, w, test_set, size_model = build_simulation(cfg)
     scheme = Scheme[cfg.scheme]
     q_count = q_to_count(cfg.q, size_model.dim)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from leofl import learn
-from leofl.config import ExperimentConfig, build_simulation, load_datasets
+from leofl.config import ExperimentConfig, build_simulation, config_from_dict, load_datasets
 from leofl.data import Dataset
 from leofl.harness import run_experiment, run_sweep
 from leofl.orbital import GroundStation, OrbitPlane, orbital_period, visibility_windows
@@ -39,18 +39,16 @@ def cross_entropy(w, x, label):
 
 def small_config(**overrides):
     cfg = ExperimentConfig()
-    return dataclasses.replace(
+    return config_from_dict(dataclasses.asdict(dataclasses.replace(
         cfg,
         constellation=dataclasses.replace(cfg.constellation, planes=1, sats_per_plane=8),
         dataset=dataclasses.replace(cfg.dataset, train_samples=400, test_samples=100),
         **overrides,
-    )
+    )))
 
 
 def test_criterion_1_dense_budget_identity():
-    cfg = small_config(scheme="DENSE_IA")
-    log = run_experiment(dataclasses.replace(
-        cfg, training=dataclasses.replace(cfg.training, rounds=1)))
+    log = run_experiment(small_config(scheme="DENSE_IA", training=learn.HyperParams(rounds=1)))
     bits = log.rows[0].plane_bits
     report(
         "1 dense budget identity",

@@ -13,12 +13,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "leofl"
 
 ALLOWED = {
     "config": {
-        "ExperimentConfig.validate", "_check_link", "_build", "config_from_dict",
+        "_validate", "_check_link", "_build", "config_from_dict",
         "load_config", "set_keys", "_shared_datasets", "_find_idx",
     },
     "data": {"_open_idx", "_read_exactly", "_read_dims", "load_mnist"},
     # the commands and the argument parsers
-    "cli": {"_cmd_windows", "_int_at_least.parse", "_hours", "_Axis.__call__"},
+    "cli": {"_cmd_windows", "_hours", "_Axis.__call__"},
     # a sweep cell that cannot run: its config error, re-raised naming the
     # cell, or no iteration after the warm-up
     "harness": {"run_sweep"},

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from leofl import data, harness
+from leofl import config, data, harness
 from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from leofl.config import (
     _SECTION_TYPES,
@@ -107,11 +107,11 @@ def tiny_config(**overrides):
         dataset=dataclasses.replace(cfg.dataset, train_samples=160, test_samples=40),
         **overrides,
     )
-    return cfg
+    return config_from_dict(dataclasses.asdict(cfg))
 
 
 def with_rounds(cfg, rounds):
-    return dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, rounds=rounds))
+    return config_from_dict(set_keys(dataclasses.asdict(cfg), {"training.rounds": rounds}))
 
 
 class TestConfig:
@@ -142,12 +142,20 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown keys in link"):
             config_from_dict({"link": {"tx_power_mw": 1}})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({1: 2, "foo": 3}, "unknown top-level keys: [1, 'foo']"),
+        ({"constellation": {1: 2, "x": 1}}, "unknown keys in constellation: [1, 'x']"),
+    ])
+    def test_unknown_keys_of_mixed_types_listed(self, raw, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict(raw)
+
     def test_invalid_values_listed(self):
         with pytest.raises(ValidationError, match="q must be"):
             config_from_dict({"q": 3.0})
 
     def test_defaults_valid(self):
-        ExperimentConfig().validate()
+        assert config_from_dict({}) == ExperimentConfig()
 
     def test_mnist_requires_dir(self):
         with pytest.raises(ValidationError, match="mnist_dir"):
@@ -341,6 +349,35 @@ class TestRunExperiment:
         assert times == sorted(times) and len(set(times)) == len(times)
 
 
+class TestOneValidation:
+    """`config_from_dict` checks each config once; nothing downstream checks it again."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+        real = config._validate
+        monkeypatch.setattr(config, "_validate", lambda cfg: seen.append(cfg) or real(cfg))
+        return seen
+
+    # tiny_config's document, with two rounds
+    DOC = {"constellation": {"planes": 1, "sats_per_plane": 8}, "training": {"rounds": 2},
+           "dataset": {"train_samples": 160, "test_samples": 40}}
+
+    def test_one_check_per_run(self, checks):
+        run_experiment(config_from_dict(self.DOC))
+        assert len(checks) == 1
+
+    def test_one_check_per_cli_run(self, tmp_path, checks):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(self.DOC))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(checks) == 1
+
+    def test_one_check_per_sweep_cell(self, checks):
+        run_sweep(self.DOC, {"constellation.sats_per_plane": [6, 8], "q": [0.1, 1.0]})
+        assert len(checks) == 4
+
+
 class TestExport:
     def test_csv_contents(self, tmp_path):
         log = run_experiment(with_rounds(tiny_config(), 3))
@@ -523,6 +560,17 @@ class TestCli:
         path.write_text(yaml.safe_dump({"q": -1}))
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
 
+    # a missing file, a YAML syntax error, a file that is not UTF-8
+    @pytest.mark.parametrize("content", [None, b"q: [1\n", b"q: 0.1\nseed: \xff\n"])
+    def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.yaml"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: cannot read config {path}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("raw, key", [
         ({"constellation": {"sats_per_plane": 3}}, "constellation.sats_per_plane"),
         ({"dataset": {"train_samples": 20}}, "dataset.train_samples"),
@@ -586,10 +634,8 @@ class TestCli:
         assert main(["validate", "--scheme", scheme]) == EXIT_OK
 
     def test_validate_rejects_unknown_scheme(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--scheme", "SPARSE"])
-        assert exc.value.code == EXIT_VALIDATION
-        assert "--scheme" in capsys.readouterr().err
+        assert main(["validate", "--scheme", "SPARSE"]) == EXIT_VALIDATION
+        assert "scheme must be one of" in capsys.readouterr().err
 
     def test_scheme_override_applies_before_validation(self, tmp_path):
         # a ring of 3 cannot form, but the no-ISL baseline needs none
@@ -606,7 +652,7 @@ class TestCli:
         assert f"{key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
-        (["run", "--rounds", "0"], "--rounds"),
+        (["run", "--rounds", "0"], "training.rounds"),
         (["windows", "--plane", "7"], "--plane"),
         (["windows", "--plane", "-1"], "--plane"),
         (["windows", "--hours", "nan"], "--hours"),
@@ -618,7 +664,7 @@ class TestCli:
          "constellation.sats_per_plane=0"),
         (["sweep", "--axis", "constellation.sats_per_plane="],
          "constellation.sats_per_plane=None"),
-        (["sweep", "--iterations", "1"], "--iterations"),
+        (["sweep", "--iterations", "1"], "training.rounds"),
         (["sweep", "--axis", "q=0.01", "--axis", "q=0.1"], "--axis: q is given twice"),
         (["sweep", "--axis", "foo.bar=1"], "sweep cell foo.bar=1: unknown top-level keys"),
         (["sweep", "--axis", "constellation.foo=1"], "unknown keys in constellation: ['foo']"),
@@ -635,10 +681,12 @@ class TestCli:
         (["windows", "--q", "5"], "--q"),
         (["windows", "--seed", "7"], "--seed"),
         (["windows", "--out", "listing"], "--out"),
+        # validate writes no file
+        (["validate", "--out", "listing"], "--out"),
     ])
     def test_bad_arguments_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
         # only the commands that write files take --out
-        out = [] if argv[0] == "windows" else ["--out", str(tmp_path)]
+        out = [] if argv[0] in ("windows", "validate") else ["--out", str(tmp_path)]
         try:
             code = main(argv + out)
         except SystemExit as exc:  # argparse rejects at parse time
