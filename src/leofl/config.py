@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,6 +149,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         problems.append("dataset.noise_std must be non-negative")
     if d.source not in ("synthetic", "mnist"):
         problems.append("dataset.source must be 'synthetic' or 'mnist'")
+    out = Path(cfg.output_dir)
+    nearest = next(p for p in (out, *out.parents) if os.path.exists(p))
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        problems.append(f"output_dir {cfg.output_dir!r}: {nearest} is not a writable directory")
     sats = c.planes * c.sats_per_plane
     if d.source == "mnist":
         problems += (_mnist_problems(Path(d.mnist_dir), sats) if d.mnist_dir
@@ -388,9 +393,7 @@ def build_simulation(cfg: ExperimentConfig):
     section and seed in this process.
     """
     train, test = _shared_datasets(cfg)
-    num_classes = data.NUM_CLASSES
-    feature_dim = data.FEATURE_DIM
-    dim = learn.model_dim(feature_dim, num_classes)
+    dim = learn.model_dim(data.FEATURE_DIM, data.NUM_CLASSES)
 
     total_sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
     shards = data.partition(train, total_sats)
@@ -415,5 +418,5 @@ def build_simulation(cfg: ExperimentConfig):
             )
         )
 
-    w0 = learn.init_weights(feature_dim, num_classes)
+    w0 = learn.init_weights(data.FEATURE_DIM, data.NUM_CLASSES)
     return planes, cfg.training, w0, test, size_model

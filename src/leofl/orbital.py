@@ -157,36 +157,30 @@ SCREEN_STRIDE = 12
 _SCREEN_SLACK_RAD = 1e-6
 
 
-def _screened_los_mask(plane: OrbitPlane, sats: np.ndarray, gs: GroundStation,
-                       times: np.ndarray) -> np.ndarray:
-    """`_gs_los_mask` of each satellite in sats on a grid of times STEP_S apart, shape
-    (len(sats), len(times)), evaluated only near the station.
+def _screen(plane: OrbitPlane, sats: np.ndarray, gs: GroundStation,
+            times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets of a grid of times STEP_S apart, per satellite: (screened, lit, edge).
 
-    The central angle between satellite and station changes by at most
-    2 pi / T + |omega_E| rad/s. Every SCREEN_STRIDE-th sample and the last one
-    are screened: one whose angle exceeds the reach angle by more than that
-    rate times a stride is followed and preceded by a stride of invisible
-    samples. A sample is tested exactly when a screened sample bracketing it
-    passes; the others are invisible, so the result equals the full mask.
-    The screen limit stays below pi: the reach angle is at most pi / 2, and
-    a 60 s stride adds at most 0.079 rad at any altitude above 0.
+    Bracket j runs from sample screened[j] to screened[j + 1], at most a
+    stride; lit and edge are (len(sats), brackets) booleans, the rest dark.
+    Within a bracket the central angle to the station changes by at most
+    m = (2 pi / T + |omega_E|) * stride, so a bracket with an end beyond the
+    reach angle plus m is dark throughout and one with an end within the
+    reach angle minus m lit throughout: only edge brackets hold transitions.
     """
     rate = 2.0 * math.pi / plane.period_s + abs(CONSTANTS.earth_rotation_rate)
-    limit = (_reach_angle(plane, gs.min_elevation_rad) + rate * (SCREEN_STRIDE * STEP_S)
-             + _SCREEN_SLACK_RAD)
-    n = len(times)
-    coarse = np.append(np.arange(0, n - 1, SCREEN_STRIDE), n - 1)
-    sx, sy, sz = _sat_xyz(plane, sats[:, None], times[coarse])
-    gx, gy, gz = _gs_xyz(gs, times[coarse])
-    cos_angle = sx * gx + sy * gy + sz * gz
-    near = cos_angle >= math.cos(limit) * plane.radius_m * CONSTANTS.earth_radius_m
-    # sample i lies between screened samples j and j + 1, the last one is screened itself
-    test = np.concatenate([np.repeat(near[:, :-1] | near[:, 1:], np.diff(coarse), axis=1),
-                           near[:, -1:]], axis=1)
-    rows, cols = np.nonzero(test)
-    mask = np.zeros(test.shape, dtype=bool)
-    mask[rows, cols] = _gs_los_mask(plane, sats[rows], gs, times[cols])
-    return mask
+    margin = rate * (SCREEN_STRIDE * STEP_S) + _SCREEN_SLACK_RAD
+    reach = _reach_angle(plane, gs.min_elevation_rad)
+    screened = np.append(np.arange(0, max(len(times) - 1, 1), SCREEN_STRIDE), len(times) - 1)
+    sx, sy, sz = _sat_xyz(plane, sats[:, None], times[screened])
+    gx, gy, gz = _gs_xyz(gs, times[screened])
+    cos_angle = sx * gx + sy * gy + sz * gz  # the cosine times both radii
+    scale = plane.radius_m * CONSTANTS.earth_radius_m
+    far = cos_angle < math.cos(reach + margin) * scale
+    # when reach <= m no sample is certainly lit
+    near = cos_angle > (math.cos(reach - margin) if reach > margin else math.inf) * scale
+    dark, lit = far[:, :-1] | far[:, 1:], near[:, :-1] | near[:, 1:]
+    return screened, lit, ~(dark | lit)
 
 
 def _refine_edges(plane, sats, gs, lo: np.ndarray, hi: np.ndarray,
@@ -220,13 +214,26 @@ def visibility_windows(plane: OrbitPlane, sat_index, gs: GroundStation,
         times = np.arange(t_start, t_end + STEP_S, STEP_S)
         times[-1] = min(times[-1], t_end)
         n = len(times)
-        padded = np.zeros((len(sats), n + 2), dtype=bool)
-        padded[:, 1:-1] = _screened_los_mask(plane, sats, gs, times)
-        # transition p of a row lies between samples p - 1 and p; each row
-        # rises first and then alternates, so windows are consecutive pairs
-        row, p = np.nonzero(padded[:, 1:] != padded[:, :-1])
+        screened, _, edge = _screen(plane, sats, gs, times)
+        # the exact test on the samples of each edge bracket, bracket after bracket
+        b_row, b_col = np.nonzero(edge)
+        size = screened[b_col + 1] - screened[b_col] + 1
+        first = np.cumsum(size) - size  # where each bracket's samples begin
+        s_row = np.repeat(b_row, size)
+        sample = np.arange(size.sum()) - np.repeat(first - screened[b_col], size)
+        los = _gs_los_mask(plane, sats[s_row], gs, times[sample])
+        flip = los[1:] != los[:-1]
+        flip[first[1:] - 1] = False  # a transition lies within one bracket
+        flip = np.flatnonzero(flip)
+        # transition p of a row lies between samples p - 1 and p; p == 0 and
+        # p == n are a window open at the first or the last sample
+        opens, closes = _gs_los_mask(plane, sats[:, None], gs, times[[0, -1]]).T
+        row = np.concatenate([np.flatnonzero(opens), s_row[flip], np.flatnonzero(closes)])
+        p = np.concatenate([np.zeros(opens.sum(), int), sample[flip] + 1, np.full(closes.sum(), n)])
+        order = np.lexsort((p, row))
+        row, p = row[order], p[order]
+        # each row rises first and then alternates, so windows are consecutive pairs
         rising = np.arange(len(p)) % 2 == 0
-        # p == 0 and p == n are a window open at the first or the last sample
         at = np.where(p == 0, times[0], times[-1])
         inner = np.flatnonzero((p > 0) & (p < n))
         at[inner] = _refine_edges(plane, sats[row[inner]], gs, times[p[inner] - 1],

@@ -263,6 +263,14 @@ def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) ->
     return dist + state.compute_time_s + agg
 
 
+def local_gradients(state: PlaneState, w_global: np.ndarray, hp: learn.HyperParams,
+                    round_n: int) -> list[np.ndarray]:
+    """Every satellite's local training from the global weights, as a gradient per satellite."""
+    return [learn.gradient(learn.sat_learn_proc(w_global, node.dataset, hp,
+                                                state.round_rng(sat, round_n)), w_global)
+            for sat, node in enumerate(state.nodes)]
+
+
 def run_round(
     state: PlaneState,
     scheme: Scheme,
@@ -288,11 +296,7 @@ def run_round(
         + state.compute_time_s
         for sat in range(k)
     ]
-    gradients = [
-        learn.gradient(learn.sat_learn_proc(w_global, node.dataset, hp,
-                                            state.round_rng(sat, round_n)), w_global)
-        for sat, node in enumerate(state.nodes)
-    ]
+    gradients = local_gradients(state, w_global, hp, round_n)
 
     dense = spec.step is None
     zero = np.zeros(m.dim) if dense else SparseGradient.empty(m.dim)  # never written to
@@ -351,27 +355,23 @@ def run_no_isl_round(
     Each satellite waits for a visibility window to receive the global weights,
     trains, then waits again to downlink its Top-Q gradient. Satellites use
     their own windows independently; the round ends when the last one reports.
+    Training reads no clock, so every satellite trains first.
     """
     m = state.size_model
+    gradients = local_gradients(state, w_global, hp, round_n)
+    step = SCHEMES[Scheme.NO_ISL_DIRECT].step
+    empty = SparseGradient.empty(m.dim)  # never written to
     aggregate = np.zeros(m.dim)
     hop_records: list[tuple[int, int, int]] = []
     t_done = t0
     up_bits = m.dense_bits()
-    for sat in range(state.plane.num_sats):
-        node = state.nodes[sat]
+    for sat, (node, g) in enumerate(zip(state.nodes, gradients)):
         t_rx = state.ground_transfer(sat, t0, up_bits)
-        hop_records.append((GS_ID, sat, up_bits))
-
-        w_local = learn.sat_learn_proc(w_global, node.dataset, hp, state.round_rng(sat, round_n))
-        g = learn.gradient(w_local, w_global)
-        out, node.error = SCHEMES[Scheme.NO_ISL_DIRECT].step(
-            g, node.data_size, node.error, SparseGradient.empty(m.dim), q_count)
+        out, node.error = step(g, node.data_size, node.error, empty, q_count)
         bits = message_bits(out, m)
-        t_sat_done = state.ground_transfer(sat, t_rx + state.compute_time_s, bits)
-        hop_records.append((sat, GS_ID, bits))
-
+        t_done = max(t_done, state.ground_transfer(sat, t_rx + state.compute_time_s, bits))
+        hop_records += [(GS_ID, sat, up_bits), (sat, GS_ID, bits)]
         aggregate += out.densify()
-        t_done = max(t_done, t_sat_done)
     return aggregate, RoundMetrics(t_done - t0, hop_records), t_done
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from leofl import config, data, harness
+from leofl import cli, config, data, harness
 from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from leofl.config import (
     _SECTION_TYPES,
@@ -771,6 +771,59 @@ class TestCli:
         assert rc == EXIT_OK
         assert (tmp_path / "out" / "run.csv").exists()
         assert (tmp_path / "out" / "run.manifest.json").exists()
+
+
+@pytest.fixture
+def afile(tmp_path):
+    """A regular file where an output directory or one of its parents would go."""
+    path = tmp_path / "afile"
+    path.write_text("x")
+    return path
+
+
+# output directories that cannot be made: the path itself, its parent or a
+# farther ancestor is a regular file
+UNUSABLE_OUT = ["", "x", "x/y"]
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("sub", UNUSABLE_OUT)
+    def test_a_directory_that_cannot_be_made_is_rejected(self, tmp_path, afile, sub):
+        with pytest.raises(ValidationError, match=rf"^output_dir '{re.escape(str(afile / sub))}'"
+                                                  rf": {re.escape(str(afile))} is not a writable"):
+            config_from_dict({"output_dir": str(afile / sub)})
+        assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "x"
+
+    @pytest.mark.parametrize("out", ["runs", ".", "", "new/nested/dir", "{tmp}/a/b", "{tmp}"])
+    def test_a_directory_that_can_be_made_is_accepted_and_not_made(self, tmp_path, monkeypatch,
+                                                                   out):
+        monkeypatch.chdir(tmp_path)
+        out = out.format(tmp=tmp_path)
+        assert config_from_dict({"output_dir": out}).output_dir == out
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sub", UNUSABLE_OUT)
+    def test_run_exits_2_before_training(self, tmp_path, capsys, monkeypatch, afile, sub):
+        trained = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: trained.append(a))
+        assert main(["run", "--rounds", "1", "--out", str(afile / sub)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: output_dir") and err.count("\n") == 1
+        assert trained == [] and list(tmp_path.iterdir()) == [afile]
+
+    @pytest.mark.parametrize("sub", UNUSABLE_OUT)
+    def test_sweep_exits_2_before_any_cell_runs(self, tmp_path, capsys, cells_run, afile, sub):
+        argv = ["sweep", "--axis", "scheme=SIA", "--out", str(afile / sub)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: sweep cell scheme='SIA': output_dir")
+        assert cells_run == [] and list(tmp_path.iterdir()) == [afile]
+
+    def test_validate_exits_2(self, tmp_path, capsys, afile):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"output_dir": str(afile / "x")}))
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert "output_dir" in capsys.readouterr().err
 
 
 def readme_keys(text: str) -> list[str]:

@@ -37,7 +37,7 @@ from leofl.orbital import (
     _gs_los_mask,
     _gs_xyz,
     _sat_xyz,
-    _screened_los_mask,
+    _screen,
     max_visible_latitude,
     station_distance,
     visibility_windows,
@@ -433,8 +433,10 @@ class TestStepsAgainstReference:
 # a southern station, a 0 deg elevation mask, a high retrograde plane, a low
 # shell behind a 25 deg mask, a station 0.5 deg inside the plane's reach,
 # which sees only grazing passes, some shorter than one screen stride, a
-# 200 km plane over a 0 deg mask, whose central angle turns fastest, and a
-# 20,200 km plane, whose reach angle is widest
+# 200 km plane over a 0 deg mask, whose central angle turns fastest, a
+# 20,200 km plane, whose reach angle is widest, and a 550 km plane behind a
+# 60 deg mask, whose reach angle (0.045 rad) is below the screen's margin
+# (0.070 rad), so no bracket is certainly lit
 _EDGE_PLANE = OrbitPlane(550e3, math.radians(53.0), 0.3, 10)
 GEOMETRIES = [
     (OrbitPlane(2000e3, math.radians(85.0), 0.0, 8),
@@ -456,6 +458,8 @@ GEOMETRIES = [
      GroundStation(math.radians(28.5), math.radians(-80.6), 0.0)),
     (OrbitPlane(20200e3, math.radians(55.0), 2.0, 6),
      GroundStation(math.radians(-35.4), math.radians(149.0), math.radians(10.0))),
+    (OrbitPlane(550e3, math.radians(53.0), 0.5, 6),
+     GroundStation(math.radians(52.0), math.radians(30.0), math.radians(60.0))),
 ]
 TEN_DAYS = 10 * 86400.0
 
@@ -477,12 +481,29 @@ def los_mask(plane, sat_index, gs, t_start, t_end, step_s=STEP_S):
 
 
 @functools.cache
-def window_openings(geometry, sat):
-    """Grid times at which the satellite has risen above the mask in two days."""
+def window_edges(geometry, sat, rising=True):
+    """Grid times at which the satellite has risen above the mask (or, with
+    rising False, the last grid times it is above it) in two days."""
     plane, gs = GEOMETRIES[geometry]
     times = grid(0.0, 2 * 86400.0)
     mask = reference_los_mask(plane, sat, gs, times)
-    return times[1:][mask[1:] & ~mask[:-1]]
+    return times[1:][mask[1:] & ~mask[:-1]] if rising else times[:-1][mask[:-1] & ~mask[1:]]
+
+
+def screened_mask(plane, sats, gs, times):
+    """The LOS mask `_screen` implies on the grid `times`: True in a lit bracket,
+    False in a dark one, `_gs_los_mask` in an edge bracket. A screened sample ends
+    one bracket and starts the next, and both must give it the same value."""
+    screened, lit, edge = _screen(plane, sats, gs, times)
+    exact = np.stack([_gs_los_mask(plane, int(sat), gs, times) for sat in sats])
+    samples = np.arange(len(times))
+    implied = []
+    # each sample's bracket: the one it starts or lies in, then the one it ends or lies in
+    for side in ("right", "left"):
+        bracket = np.clip(np.searchsorted(screened, samples, side) - 1, 0, len(screened) - 2)
+        implied.append(np.where(edge[:, bracket], exact, lit[:, bracket]))
+    assert np.array_equal(*implied)
+    return implied[0]
 
 
 def test_three_term_sums_run_left_to_right():
@@ -527,7 +548,7 @@ def test_column_los_mask_is_the_row_mask(geometry):
     rng = np.random.default_rng(geometry)
     n = 50_000
     sats = rng.integers(0, plane.num_sats, 2 * n)
-    opens = [window_openings(geometry, sat) for sat in range(plane.num_sats)]
+    opens = [window_edges(geometry, sat) for sat in range(plane.num_sats)]
     near = [opens[sat][rng.integers(len(opens[sat]))] for sat in sats[n:]]
     times = np.concatenate([rng.uniform(0.0, TEN_DAYS, n), near + rng.uniform(-120.0, 120.0, n)])
     want = reference_los_mask(plane, sats, gs, times)
@@ -568,20 +589,41 @@ class TestWindowsAgainstReference:
         for offset in (0.0, 1.7, 3.1):
             full = np.stack([los_mask(plane, int(sat), gs, offset, TEN_DAYS) for sat in sats])
             assert full.any(axis=1).all()
-            assert np.array_equal(_screened_los_mask(plane, sats, gs, grid(offset, TEN_DAYS)), full)
+            assert np.array_equal(screened_mask(plane, sats, gs, grid(offset, TEN_DAYS)), full)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, len(GEOMETRIES) - 1), st.integers(0, 21), st.integers(0, 10**6),
-           st.floats(-2 * SCREEN_STRIDE * STEP_S, 0.0), st.floats(0.01, 4 * SCREEN_STRIDE * STEP_S))
-    def test_screened_mask_on_short_spans(self, geometry, sat, pick, lead, span):
+           st.booleans(), st.floats(-2 * SCREEN_STRIDE * STEP_S, 0.0),
+           st.floats(0.01, 4 * SCREEN_STRIDE * STEP_S))
+    def test_screened_mask_on_short_spans(self, geometry, sat, pick, rising, lead, span):
         # spans from under one stride to a few strides, starting off the grid
-        # shortly before a pass of one satellite opens, for every satellite
+        # shortly before a pass of one satellite opens or closes, for every satellite
         plane, gs = GEOMETRIES[geometry]
-        opens = window_openings(geometry, sat % plane.num_sats)
-        times = grid(opens[pick % len(opens)] + lead, opens[pick % len(opens)] + lead + span)
+        edges = window_edges(geometry, sat % plane.num_sats, rising)
+        times = grid(edges[pick % len(edges)] + lead, edges[pick % len(edges)] + lead + span)
         sats = np.arange(plane.num_sats)
-        assert np.array_equal(_screened_los_mask(plane, sats, gs, times),
+        assert np.array_equal(screened_mask(plane, sats, gs, times),
                               np.stack([reference_los_mask(plane, k, gs, times) for k in sats]))
+
+    @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
+    def test_screen_brackets(self, geometry):
+        """Brackets are a stride long but the last, and none is both lit and an edge. Only
+        the last geometry's reach angle is within the margin, and it has no lit bracket;
+        every other geometry but the grazing one has some."""
+        plane, gs = GEOMETRIES[geometry]
+        times = grid(0.0, 86400.0 + 17.0)
+        screened, lit, edge = _screen(plane, np.arange(plane.num_sats), gs, times)
+        assert screened[0] == 0 and screened[-1] == len(times) - 1
+        assert (np.diff(screened)[:-1] == SCREEN_STRIDE).all()
+        assert 0 < np.diff(screened)[-1] <= SCREEN_STRIDE
+        assert lit.shape == edge.shape == (plane.num_sats, len(screened) - 1)
+        assert not (lit & edge).any() and edge.any()
+        rate = 2 * math.pi / plane.period_s + abs(CONSTANTS.earth_rotation_rate)
+        reach = (math.acos(CONSTANTS.earth_radius_m / plane.radius_m
+                           * math.cos(gs.min_elevation_rad)) - gs.min_elevation_rad)
+        no_lit_rule = reach <= rate * SCREEN_STRIDE * STEP_S + 1e-6
+        assert no_lit_rule == (geometry == len(GEOMETRIES) - 1)
+        assert lit.any() != no_lit_rule or plane is _EDGE_PLANE  # it sees only grazing passes
 
     def test_window_cache_matches_linear_scan(self):
         plane, gs = GEOMETRIES[0]
