@@ -240,13 +240,20 @@ def _mnist_problems(base: Path, sats: int) -> list[str]:
     """What the IDX headers under `base` show a run cannot use; the pixels are not read."""
     if not base.is_dir():
         return [f"dataset.mnist_dir {base} is not a directory"]
+    problems, dims = [], {}
     try:
-        dims = {stem: data.idx_dims(_find_idx(base, stem), magic) for stem, magic in (
-            ("train-images", data.IDX_IMAGES_MAGIC), ("train-labels", data.IDX_LABELS_MAGIC),
-            ("t10k-images", data.IDX_IMAGES_MAGIC), ("t10k-labels", data.IDX_LABELS_MAGIC))}
+        for stem, magic in (
+                ("train-images", data.IDX_IMAGES_MAGIC), ("train-labels", data.IDX_LABELS_MAGIC),
+                ("t10k-images", data.IDX_IMAGES_MAGIC), ("t10k-labels", data.IDX_LABELS_MAGIC)):
+            path = _find_idx(base, stem)
+            dims[stem] = data.idx_dims(path, magic)
+            declared = 4 * (1 + len(dims[stem])) + math.prod(dims[stem])  # header and payload
+            size = path.stat().st_size
+            if size < declared and not data.is_gzip(path):  # a gzip size says nothing of it
+                problems.append(f"dataset.mnist_dir {base}: {path.name} holds {size} bytes, "
+                                f"fewer than the {declared} its header declares")
     except data.IngestionError as exc:
         return [f"dataset.mnist_dir: {exc}"]
-    problems = []
     for split in ("train", "t10k"):
         images, labels = dims[f"{split}-images"], dims[f"{split}-labels"]
         if images[1:] != (28, 28):
@@ -350,18 +357,19 @@ _drawn: dict[tuple, tuple[data.Dataset, data.Dataset]] = {}
 
 
 def _shared_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
-    """The shuffled training set and the test set, drawn once per (dataset section, seed).
+    """The shuffled training set and the test set, built once per (dataset section, seed).
 
-    Builds that differ only in the constellation, the scheme or q, as the cells
-    of a sweep do, share one read-only draw. The last draw is dropped before the
-    next one is made. The sample count depends on the constellation, not on the
-    key, so it is checked on every call.
+    The training set is shuffled where it was loaded, so a build holds one copy
+    of each set. Builds that differ only in the constellation, the scheme or q,
+    as the cells of a sweep do, share one read-only draw. The last draw is
+    dropped before the next one is made. The sample count depends on the
+    constellation, not on the key, so it is checked on every call.
     """
     key = (dataclasses.astuple(cfg.dataset), cfg.seed)
     if key not in _drawn:
         _drawn.clear()
         train, test = load_datasets(cfg)
-        train = data.shuffle(train, cfg.seed)
+        data.shuffle(train, cfg.seed)
         for array in (train.rows, train.labels, test.rows, test.labels):
             array.flags.writeable = False
         _drawn[key] = train, test

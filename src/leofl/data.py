@@ -1,4 +1,7 @@
-"""Datasets: MNIST IDX ingestion, a synthetic fallback, a seeded shuffle and even partitioning."""
+"""Datasets: MNIST IDX ingestion, a synthetic fallback, a seeded shuffle and even partitioning.
+
+Each set is one (n, d + 1) array, written by its loader, shuffled in place and cut into views.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
 NUM_CLASSES = 10  # digits 0-9; fixes the model size whatever labels a sample holds
 FEATURE_DIM = 784  # 28 x 28 pixels, the MNIST image and the synthetic sample alike
+READ_CHUNK_BYTES = 1 << 20  # an IDX payload is read this much at a time, never all it declares
+SYNTHETIC_BLOCK_ROWS = 256  # synthetic noise is drawn this many rows at a time
 
 
 class IngestionError(RuntimeError):
@@ -40,27 +45,34 @@ class Dataset:
         return len(self.labels)
 
 
+def is_gzip(path: Path) -> bool:
+    """Whether the file at `path` starts with the gzip magic."""
+    with open(path, "rb") as f:
+        return f.read(2) == b"\x1f\x8b"
+
+
 def _open_idx(path: Path):
     if not path.exists():
         raise IngestionError(
             f"dataset file not found: {path}; download the MNIST IDX files or "
             "switch the config to the synthetic dataset"
         )
-    with open(path, "rb") as f:
-        magic = f.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    return gzip.open(path, "rb") if is_gzip(path) else open(path, "rb")
 
 
-def _read_exactly(f, size: int, path: Path, what: str) -> bytes:
+def _read_exactly(f, size: int, path: Path, what: str) -> bytearray:
+    payload = bytearray()
     try:
-        chunk = f.read(size)
+        while len(payload) < size:
+            chunk = f.read(min(READ_CHUNK_BYTES, size - len(payload)))
+            if not chunk:
+                break
+            payload += chunk
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise IngestionError(f"{path}: damaged gzip stream in the IDX {what}: {exc}") from None
-    if len(chunk) != size:
-        raise IngestionError(f"{path}: truncated IDX {what}, {len(chunk)} of {size} bytes")
-    return chunk
+    if len(payload) != size:
+        raise IngestionError(f"{path}: truncated IDX {what}, {len(payload)} of {size} bytes")
+    return payload
 
 
 def _read_dims(f, path: Path, expected_magic: int) -> tuple[int, ...]:
@@ -126,21 +138,29 @@ def synthetic_dataset(
     """Seeded Gaussian-blob stand-in with the same shape contract as MNIST.
 
     `blob_seed` fixes the class geometry so train and test splits drawn with
-    different sample seeds come from the same distribution.
+    different sample seeds come from the same distribution. The noise is drawn
+    and clipped into the rows one block of rows at a time; the generator fills
+    values in order, so the rows equal those of one whole draw.
     """
     rng = np.random.default_rng(seed)
     means = np.random.default_rng(blob_seed).uniform(0.25, 0.75, size=(num_classes, feature_dim))
     labels = rng.integers(0, num_classes, size=num_samples)
-    feats = means[labels] + rng.normal(0.0, noise_std, size=(num_samples, feature_dim))
     rows = _bias_rows(num_samples, feature_dim)
-    np.clip(feats, 0.0, 1.0, out=rows[:, :-1])
+    for start in range(0, num_samples, SYNTHETIC_BLOCK_ROWS):
+        block = labels[start:start + SYNTHETIC_BLOCK_ROWS]
+        feats = means[block] + rng.normal(0.0, noise_std, size=(len(block), feature_dim))
+        np.clip(feats, 0.0, 1.0, out=rows[start:start + len(block), :-1])
     return Dataset(rows, labels.astype(np.int64))
 
 
-def shuffle(dataset: Dataset, seed: int) -> Dataset:
-    """A copy of the samples in a seeded random order that does not depend on the shard count."""
-    perm = np.random.default_rng(seed).permutation(len(dataset))
-    return Dataset(dataset.rows[perm], dataset.labels[perm])
+def shuffle(dataset: Dataset, seed: int) -> None:
+    """Reorder the samples in place, in a seeded order that does not depend on the shard count.
+
+    Rows and labels each take the swaps of `default_rng(seed).permutation(n)`,
+    so every sample lands where indexing by that permutation would put it.
+    """
+    for array in (dataset.rows, dataset.labels):
+        np.random.default_rng(seed).shuffle(array)
 
 
 def partition(dataset: Dataset, k: int) -> list[Dataset]:

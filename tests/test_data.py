@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from leofl.data import (
+    SYNTHETIC_BLOCK_ROWS,
     Dataset,
     IngestionError,
     idx_dims,
@@ -25,6 +26,16 @@ def write_idx_images(path, images: np.ndarray, compress=False):
 
 def write_idx_labels(path, labels: np.ndarray, compress=False):
     blob = struct.pack(">ii", 2049, len(labels)) + labels.astype(np.uint8).tobytes()
+    opener = gzip.open if compress else open
+    with opener(path, "wb") as f:
+        f.write(blob)
+
+
+def overstate_idx_count(path, array: np.ndarray, claimed: int, compress=False):
+    """An IDX file holding `array` whose header declares `claimed` samples."""
+    magic = 2051 if array.ndim == 3 else 2049
+    blob = (struct.pack(f">{1 + array.ndim}i", magic, claimed, *array.shape[1:])
+            + array.astype(np.uint8).tobytes())
     opener = gzip.open if compress else open
     with opener(path, "wb") as f:
         f.write(blob)
@@ -136,6 +147,22 @@ class TestMnistIngestion:
         with pytest.raises(IngestionError, match=rf"imgs: images are {rows} x {cols}, expected 28 x 28"):
             load_mnist(img_path, lbl_path)
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_overstated_header_rejected_as_truncated(self, tmp_path, compress):
+        # 2^26 samples declared over a 40-sample payload: reading all that the
+        # header claims in one call raised MemoryError
+        n, claimed = 40, 1 << 26
+        images, labels = np.zeros((n, 28, 28), dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+        write_idx_images(tmp_path / "imgs", images, compress)
+        write_idx_labels(tmp_path / "lbls", labels, compress)
+        overstate_idx_count(tmp_path / "big-imgs", images, claimed, compress)
+        overstate_idx_count(tmp_path / "big-lbls", labels, claimed, compress)
+        with pytest.raises(IngestionError,
+                           match=rf"big-imgs: truncated IDX payload, {n * 784} of {claimed * 784} bytes"):
+            load_mnist(tmp_path / "big-imgs", tmp_path / "lbls")
+        with pytest.raises(IngestionError,
+                           match=rf"big-lbls: truncated IDX payload, {n} of {claimed} bytes"):
+            load_mnist(tmp_path / "imgs", tmp_path / "big-lbls")
 
     def test_label_outside_class_range(self, tmp_path, idx_pair):
         img_path, _, _, _ = idx_pair
@@ -175,51 +202,74 @@ class TestSynthetic:
 class TestPartition:
     def test_single_shard(self):
         ds = synthetic_dataset(20, seed=0)
-        (shard,) = partition(shuffle(ds, 0), 1)
+        shuffle(ds, 0)
+        (shard,) = partition(ds, 1)
         assert len(shard) == 20
 
     def test_even_split_sizes(self):
         ds = synthetic_dataset(1000, seed=0, feature_dim=8)
-        shards = partition(shuffle(ds, 1), 40)
+        shuffle(ds, 1)
+        shards = partition(ds, 40)
         assert all(len(s) == 25 for s in shards)
 
     def test_near_even_split(self):
         ds = synthetic_dataset(103, seed=0, feature_dim=8)
-        sizes = [len(s) for s in partition(shuffle(ds, 1), 10)]
+        shuffle(ds, 1)
+        sizes = [len(s) for s in partition(ds, 10)]
         assert sum(sizes) == 103
         assert max(sizes) - min(sizes) <= 1
 
     def test_union_is_original_multiset(self):
         ds = synthetic_dataset(60, seed=0, feature_dim=4)
-        shards = partition(shuffle(ds, 2), 7)
+        drawn = sorted(map(tuple, ds.features))
+        shuffle(ds, 2)
+        shards = partition(ds, 7)
         rebuilt = np.concatenate([s.features for s in shards])
-        assert sorted(map(tuple, rebuilt)) == sorted(map(tuple, ds.features))
+        assert sorted(map(tuple, rebuilt)) == drawn
 
     def test_one_sample_per_shard(self):
         # the fewest training samples the loaders admit: one per satellite
         ds = synthetic_dataset(6, seed=0, feature_dim=4)
-        shards = partition(shuffle(ds, 2), 6)
+        drawn = sorted(ds.labels.tolist())
+        shuffle(ds, 2)
+        shards = partition(ds, 6)
         assert [len(s) for s in shards] == [1] * 6
-        assert sorted(int(s.labels[0]) for s in shards) == sorted(ds.labels.tolist())
+        assert sorted(int(s.labels[0]) for s in shards) == drawn
 
     def test_deterministic(self):
-        ds = synthetic_dataset(60, seed=0, feature_dim=4)
-        a = partition(shuffle(ds, 3), 5)
-        b = partition(shuffle(ds, 3), 5)
-        for x, y in zip(a, b):
+        a, b = (synthetic_dataset(60, seed=0, feature_dim=4) for _ in range(2))
+        shuffle(a, 3)
+        shuffle(b, 3)
+        for x, y in zip(partition(a, 5), partition(b, 5)):
             np.testing.assert_array_equal(x.features, y.features)
 
     @pytest.mark.parametrize("k", [1, 7, 10])
     def test_shard_i_holds_chunk_i_of_the_permutation(self, k):
         # the rows each shard held when partition drew its own permutation
         ds = synthetic_dataset(103, seed=0, feature_dim=4)
+        drawn = Dataset(ds.rows.copy(), ds.labels.copy())
         perm = np.random.default_rng(1).permutation(103)
-        for shard, chunk in zip(partition(shuffle(ds, 1), k), np.array_split(perm, k), strict=True):
-            assert shard.rows.tobytes() == ds.rows[chunk].tobytes()
-            np.testing.assert_array_equal(shard.labels, ds.labels[chunk])
+        shuffle(ds, 1)
+        for shard, chunk in zip(partition(ds, k), np.array_split(perm, k), strict=True):
+            assert shard.rows.tobytes() == drawn.rows[chunk].tobytes()
+            np.testing.assert_array_equal(shard.labels, drawn.labels[chunk])
 
 
-# the forms in use before samples were stored with their bias column, kept as oracles
+class TestShuffle:
+    @pytest.mark.parametrize("n", [1, 2, 103, 5000])
+    def test_in_place_as_the_permutation_indexes(self, n):
+        ds = synthetic_dataset(n, seed=0, feature_dim=8)
+        rows, labels = ds.rows, ds.labels
+        drawn = Dataset(rows.copy(), labels.copy())
+        assert shuffle(ds, 4) is None
+        assert ds.rows is rows and ds.labels is labels
+        perm = np.random.default_rng(4).permutation(n)
+        assert ds.rows.tobytes() == drawn.rows[perm].tobytes()
+        assert ds.labels.tobytes() == drawn.labels[perm].tobytes()
+
+
+# the forms in use before samples were stored with their bias column and drawn block-wise,
+# kept as oracles
 def hstack_synthetic_features(num_samples, seed, feature_dim=784, num_classes=10, noise_std=0.35,
                               blob_seed=0):
     rng = np.random.default_rng(seed)
@@ -248,6 +298,23 @@ def assert_stored_once(ds, n, feature_dim):
         "rows", "labels"]
 
 
+class TestBlockDraw:
+    """The block-wise draw equals the one-shot draw, whatever the blocks' cut."""
+
+    @pytest.mark.parametrize("n", [1, SYNTHETIC_BLOCK_ROWS - 1, SYNTHETIC_BLOCK_ROWS,
+                                   SYNTHETIC_BLOCK_ROWS + 1, 3 * SYNTHETIC_BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.35])
+    @pytest.mark.parametrize("feature_dim, num_classes", [(784, 10), (13, 3)])
+    def test_equals_the_one_shot_draw(self, n, seed, noise_std, feature_dim, num_classes):
+        ds = synthetic_dataset(n, seed, feature_dim, num_classes, noise_std, blob_seed=5)
+        want = hstack_synthetic_features(n, seed, feature_dim, num_classes, noise_std, blob_seed=5)
+        labels = np.random.default_rng(seed).integers(0, num_classes, size=n)
+        assert ds.features.tobytes() == want.tobytes()
+        assert ds.labels.tobytes() == labels.astype(np.int64).tobytes()
+        assert_stored_once(ds, n, feature_dim)
+
+
 class TestStorage:
     def test_synthetic(self):
         ds = synthetic_dataset(300, seed=4, blob_seed=2)
@@ -263,16 +330,16 @@ class TestStorage:
         assert ds.features.tobytes() == want.tobytes()
 
     def test_shards_hold_one_copy(self):
-        # one shuffled block, shared by the shards as views, apart from the drawn set
+        # the drawn block, shuffled where it lies and shared by the shards as views
         ds = synthetic_dataset(103, seed=0)
-        shuffled = shuffle(ds, 1)
-        assert_stored_once(shuffled, 103, 784)
-        assert not np.shares_memory(shuffled.rows, ds.rows)
-        assert not np.shares_memory(shuffled.labels, ds.labels)
-        shards = partition(shuffled, 10)
+        rows, labels = ds.rows, ds.labels
+        shuffle(ds, 1)
+        assert ds.rows is rows and ds.labels is labels
+        assert_stored_once(ds, 103, 784)
+        shards = partition(ds, 10)
         for shard in shards:
-            assert shard.rows.base is shuffled.rows and shard.labels.base is shuffled.labels
-            assert shard.features.base is shuffled.rows
+            assert shard.rows.base is ds.rows and shard.labels.base is ds.labels
+            assert shard.features.base is ds.rows
         assert sum(s.rows.nbytes for s in shards) == ds.rows.nbytes
 
     def test_from_features(self):
@@ -290,7 +357,8 @@ class TestStorage:
         ds = synthetic_dataset(400, seed=5, blob_seed=1)
         rng = np.random.default_rng(3)
         w = 0.01 * rng.normal(size=learn.model_dim(784, 10))
-        for shard in partition(shuffle(ds, 2), 4):
+        shuffle(ds, 2)
+        for shard in partition(ds, 4):
             batch = rng.permutation(len(shard))[:32]
             got = learn.loss_gradient_sum(w, shard.rows[batch], shard.labels[batch])
             want = hstack_loss_gradient_sum(w, shard.features[batch], shard.labels[batch])

@@ -3,6 +3,7 @@ import dataclasses
 import gzip
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from leofl.harness import (
 )
 from leofl.link import LinkParams
 from leofl.protocol import Scheme
-from test_data import write_idx_images, write_idx_labels
+from test_data import overstate_idx_count, write_idx_images, write_idx_labels
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -326,6 +327,25 @@ class TestSharedDatasets:
         again = build_simulation(a)[3]
         assert len(calls) == 6
         assert again is not first and again.rows.tobytes() == first.rows.tobytes()
+
+    # one copy of each set: a whole-draw noise temporary beside the rows and a
+    # shuffled copy of them took the synthetic build to 1.85x
+    @pytest.mark.parametrize("source", ["synthetic", "mnist"])
+    def test_build_peaks_near_the_bytes_it_keeps(self, tmp_path, source):
+        dataset = {"train_samples": 5000, "test_samples": 1000}
+        if source == "mnist":
+            write_mnist(tmp_path, 2000, 500)
+            dataset = {"source": "mnist", "mnist_dir": str(tmp_path)}
+        cfg = config_from_dict({"dataset": dataset})
+        config._drawn.clear()
+        tracemalloc.start()
+        try:
+            train, test = config._shared_datasets(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (train.rows, train.labels, test.rows, test.labels))
+        assert peak <= 1.3 * kept, f"peak {peak} bytes, {peak / kept:.2f}x the {kept} kept"
 
 
 class TestRunExperiment:
@@ -750,6 +770,39 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == EXIT_INGESTION
         err = capsys.readouterr().err
         assert err.startswith("dataset ingestion failed:") and str(gz) in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_overstated_mnist_header_exits_by_key(self, tmp_path, capsys, compress):
+        # training headers claiming 2^26 samples over 40 passed validate, and
+        # run died with a MemoryError traceback reading what they claimed
+        write_mnist(tmp_path, 40, 5)
+        for stem, array in (("train-images-idx3-ubyte", np.zeros((40, 28, 28), dtype=np.uint8)),
+                            ("train-labels-idx1-ubyte", np.arange(40) % 10)):
+            (tmp_path / stem).unlink()
+            name = f"{stem}.gz" if compress else stem
+            overstate_idx_count(tmp_path / name, array, 1 << 26, compress)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
+        run = ["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")]
+        if compress:  # validate cannot size a gzip payload without reading it; the run reads it
+            assert main(["validate", "--config", str(path)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(run) == EXIT_INGESTION
+            err = capsys.readouterr().err
+            assert err.startswith("dataset ingestion failed:")
+            assert f"truncated IDX payload, {40 * 784} of {784 << 26} bytes" in err
+        else:
+            for command in (["validate", "--config", str(path)], run):
+                assert main(command) == EXIT_VALIDATION
+                err = capsys.readouterr().err
+                assert err.startswith("invalid configuration: dataset.mnist_dir")
+                for name, size, declared in (
+                        ("train-images-idx3-ubyte", 16 + 40 * 784, 16 + (784 << 26)),
+                        ("train-labels-idx1-ubyte", 8 + 40, 8 + (1 << 26))):
+                    assert (f"{name} holds {size} bytes, fewer than the {declared} its header "
+                            "declares") in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

@@ -195,7 +195,8 @@ class TestGlobalObjective:
         from leofl.data import partition, shuffle
 
         ds = toy_dataset(n=50)
-        shards = partition(shuffle(ds, 0), 5)
+        shuffle(ds, 0)
+        shards = partition(ds, 5)
         w = random_weights()
         weighted = sum(len(s) / len(ds) * local_loss(w, s) for s in shards)
         assert weighted == pytest.approx(local_loss(w, ds), rel=1e-12)

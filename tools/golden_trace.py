@@ -10,10 +10,11 @@ else, runs every config family below under every aggregation scheme, and prints
 one line per global iteration and one per plane-round: hop records, simulated
 times, bit counts and accuracies as exact values (floats in `float.hex`), the
 SHA-256 of the global weights and of every satellite's residual, and every
-`plan_round` result. For the first plane of each family it also prints the
-SHA-256 of every satellite's visibility windows over ten days, as `float.hex`
-pairs. Two trees simulate identically exactly when their digests are equal,
-so a refactor is checked with
+`plan_round` result. For each family it also prints the SHA-256 of every
+shard's rows and labels in plane order and of the test set, and, for the first
+plane, the SHA-256 of every satellite's visibility windows over ten days, as
+`float.hex` pairs. Two trees simulate identically exactly when their digests
+are equal, so a refactor is checked with
 
     diff <(python3 tools/golden_trace.py --src ../parent/src) \
          <(python3 tools/golden_trace.py --src src)
@@ -84,6 +85,16 @@ def window_digest(config, orbital, out):
               file=out)
 
 
+def dataset_digest(config, out):
+    """One line per family: every shard's rows and labels in plane order, and the test set."""
+    for family, raw, _ in FAMILIES:
+        planes, _, _, test, _ = config.build_simulation(config.config_from_dict(raw))
+        shards = [node.dataset for state in planes for node in state.nodes]
+        text = ",".join(f"{sha(ds.rows)}:{sha(ds.labels)}" for ds in shards).encode()
+        print(f"{family} data shards={len(shards)} sha={hashlib.sha256(text).hexdigest()} "
+              f"test={sha(test.rows)}:{sha(test.labels)}", file=out)
+
+
 def digest(config, orbital, protocol, sparsify, out):
     plans = []  # the plan_round results of the current iteration, in call order
     plan_round = protocol.plan_round
@@ -124,6 +135,7 @@ def digest(config, orbital, protocol, sparsify, out):
                           f"gs={gs_bits}{plan} hops={pm.hop_records} residuals={residuals}",
                           file=out)
     protocol.plan_round = plan_round
+    dataset_digest(config, out)
     window_digest(config, orbital, out)
 
 
