@@ -120,8 +120,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.seed < 0:
         problems.append("seed must be non-negative")
     c, gs, t, d = cfg.constellation, cfg.ground_station, cfg.training, cfg.dataset
-    if c.planes < 1 or c.sats_per_plane < 2:
-        problems.append("need at least one plane of at least two satellites")
+    if c.planes < 1:
+        problems.append("constellation.planes must be at least 1")
+    if c.sats_per_plane < 2:
+        problems.append("constellation.sats_per_plane must be at least 2")
     positive = {
         "constellation.altitude_km": c.altitude_km,
         "link.bandwidth_hz": cfg.link.bandwidth_hz,

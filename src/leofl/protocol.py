@@ -58,24 +58,36 @@ class Scheme(str, Enum):
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """What sets one aggregation scheme apart.
+    """Everything that sets one aggregation scheme apart; the round functions read only this.
 
     `step(g, data_size, error, incoming, q_count) -> (message, error)` folds a
-    satellite's update into the incoming message (None: the dense sum), and
+    satellite's update into the incoming message, `empty(dim)` is the message
+    nothing was folded into, `join(a, b)` is the sink's merge of the two arc
+    messages, `bits(message, size_model)` is what a message costs on a link
+    and `dense(message)` is the plane aggregate that a sink message stands for.
     `hop_bits(j, size_model, q_count)` bounds the bits sent from arc position
-    j, counted from the far end, for the sink estimate.
+    j, counted from the far end, for the sink estimate, and `ring` says whether
+    the plane aggregates over the ring or every satellite talks to the station.
+    The message operations default to the sparse index/value format.
     """
 
-    step: Callable | None
+    step: Callable
     hop_bits: Callable[[int, SizeModel, int], int]
     ring: bool
+    empty: Callable = SparseGradient.empty
+    # looked up at call time, so rebinding them on this module reaches every round
+    join: Callable = lambda a, b: sparse_add(a, b)
+    bits: Callable = lambda s, m: message_bits(s, m)
+    dense: Callable = SparseGradient.densify
 
 
 # the steps look sia_step and clsia_step up at call time, so rebinding them
-# on this module reaches every round
+# on this module reaches every round; the dense sum sends every entry
 SCHEMES = {
-    Scheme.DENSE_IA: SchemeSpec(None, ring=True,
-                                hop_bits=lambda j, m, q: m.dense_bits()),
+    Scheme.DENSE_IA: SchemeSpec(lambda g, n, err, incoming, q: (incoming + n * g, err),
+                                ring=True, hop_bits=lambda j, m, q: m.dense_bits(),
+                                empty=np.zeros, join=np.add,
+                                bits=lambda v, m: m.dense_bits(), dense=lambda v: v),
     # the support grows by at most Q entries per hop
     Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a), ring=True,
                            hop_bits=lambda j, m, q: min(m.dim, j * q) * m.entry_bits),
@@ -248,8 +260,9 @@ def plan_round(state: PlaneState, scheme: Scheme, t: float, q_count: int):
 
 
 def _distribution_bits(m: SizeModel, num_sats: int) -> int:
-    # dense weights plus a sink-id header
-    return m.dense_bits() + max(1, (num_sats - 1).bit_length())
+    # dense weights plus a header naming the sink among num_sats satellites;
+    # a lone receiver needs none
+    return m.dense_bits() + (num_sats - 1).bit_length()
 
 
 def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) -> float:
@@ -298,16 +311,13 @@ def run_round(
     ]
     gradients = local_gradients(state, w_global, hp, round_n)
 
-    dense = spec.step is None
-    zero = np.zeros(m.dim) if dense else SparseGradient.empty(m.dim)  # never written to
+    empty = spec.empty(m.dim)  # never written to
 
     def step(sat: int, base):
-        """Add the satellite's weighted gradient to `base`; returns (message, bits)."""
+        """Fold the satellite's weighted gradient into `base`; returns (message, bits)."""
         node = state.nodes[sat]
-        if dense:
-            return base + node.data_size * gradients[sat], m.dense_bits()
         out, node.error = spec.step(gradients[sat], node.data_size, node.error, base, q_count)
-        return out, message_bits(out, m)
+        return out, spec.bits(out, m)
 
     # A satellite sends once it has trained and its upstream message has
     # arrived. Hops are recorded in send order: by send time, then sends
@@ -318,7 +328,7 @@ def run_round(
     for arc in plan.arcs:
         if not arc:
             continue
-        msg, t_arrive, key = zero, -math.inf, None
+        msg, t_arrive, key = empty, -math.inf, None
         chain = arc + (plan.sink_id,)
         for sat, dst in zip(chain, chain[1:]):
             t_send = max(trained_at[sat], t_arrive)
@@ -330,11 +340,11 @@ def run_round(
 
     sink = plan.sink_id
     t_ready = max([trained_at[sink]] + [t for t, _ in arrivals])
-    merged = zero
+    merged = empty
     for _, msg in arrivals:
-        merged = np.add(merged, msg) if dense else sparse_add(merged, msg)
+        merged = spec.join(merged, msg)
     out, bits = step(sink, merged)
-    aggregate = out if dense else out.densify()
+    aggregate = spec.dense(out)
 
     t_done = state.ground_transfer(sink, t_ready, bits)
 
@@ -344,6 +354,7 @@ def run_round(
 
 def run_no_isl_round(
     state: PlaneState,
+    scheme: Scheme,
     w_global: np.ndarray,
     hp: learn.HyperParams,
     t0: float,
@@ -357,21 +368,21 @@ def run_no_isl_round(
     their own windows independently; the round ends when the last one reports.
     Training reads no clock, so every satellite trains first.
     """
+    spec = SCHEMES[scheme]
     m = state.size_model
     gradients = local_gradients(state, w_global, hp, round_n)
-    step = SCHEMES[Scheme.NO_ISL_DIRECT].step
-    empty = SparseGradient.empty(m.dim)  # never written to
+    empty = spec.empty(m.dim)  # never written to
     aggregate = np.zeros(m.dim)
     hop_records: list[tuple[int, int, int]] = []
     t_done = t0
-    up_bits = m.dense_bits()
+    up_bits = _distribution_bits(m, 1)  # the station sends to one satellite
     for sat, (node, g) in enumerate(zip(state.nodes, gradients)):
         t_rx = state.ground_transfer(sat, t0, up_bits)
-        out, node.error = step(g, node.data_size, node.error, empty, q_count)
-        bits = message_bits(out, m)
+        out, node.error = spec.step(g, node.data_size, node.error, empty, q_count)
+        bits = spec.bits(out, m)
         t_done = max(t_done, state.ground_transfer(sat, t_rx + state.compute_time_s, bits))
         hop_records += [(GS_ID, sat, up_bits), (sat, GS_ID, bits)]
-        aggregate += out.densify()
+        aggregate += spec.dense(out)
     return aggregate, RoundMetrics(t_done - t0, hop_records), t_done
 
 
@@ -396,14 +407,13 @@ def run_global_iteration(
     test_set: Dataset,
 ) -> tuple[np.ndarray, IterationMetrics, float]:
     """One synchronous FL iteration across all planes, PS update included."""
+    # looked up at call time, so rebinding either round function on this module reaches it
+    run_plane = run_round if SCHEMES[scheme].ring else run_no_isl_round
     total = np.zeros_like(w_global)
     plane_metrics = []
     t_end = t0
     for state in planes:
-        if SCHEMES[scheme].ring:
-            agg, pm, t_done = run_round(state, scheme, w_global, hp, t0, round_n, q_count)
-        else:
-            agg, pm, t_done = run_no_isl_round(state, w_global, hp, t0, round_n, q_count)
+        agg, pm, t_done = run_plane(state, scheme, w_global, hp, t0, round_n, q_count)
         total += agg
         plane_metrics.append(pm)
         t_end = max(t_end, t_done)

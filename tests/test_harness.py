@@ -593,6 +593,8 @@ class TestCli:
 
     @pytest.mark.parametrize("raw, key", [
         ({"constellation": {"sats_per_plane": 3}}, "constellation.sats_per_plane"),
+        ({"constellation": {"planes": 0}}, "constellation.planes"),
+        ({"constellation": {"sats_per_plane": 1}}, "constellation.sats_per_plane"),
         ({"dataset": {"train_samples": 20}}, "dataset.train_samples"),
         ({"q": "0.1"}, "q must be a number"),
         ({"constellation": {"planes": 1, "inclination_deg": 30.0},

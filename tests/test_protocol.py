@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,23 @@ def gs_bits(metrics):
 
 
 HP = learn.HyperParams(learning_rate=0.1, rounds=1)
+
+# the message operations that belong in SCHEMES, not in a round function
+MESSAGE_NAMES = {"SparseGradient", "sparse_add", "message_bits", "densify", "dense_bits"}
+
+
+def round_function_offenders(tree: ast.AST) -> set[str]:
+    """Scheme members (as `Scheme.X`) and message operations named anywhere in `tree`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id == "Scheme":
+                found.add(f"Scheme.{node.attr}")
+            elif node.attr in MESSAGE_NAMES:
+                found.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in MESSAGE_NAMES:
+            found.add(node.id)
+    return found
 
 
 class TestRingHelpers:
@@ -316,23 +335,35 @@ class TestSparseRounds:
 
 class TestTracedNames:
     """The benchmark's tracer rebinds these protocol attributes from outside, so
-    run_round must look them up at call time or the traced spans read zero."""
+    the round functions and their dispatch must look them up at call time or the
+    traced spans read zero."""
 
-    @pytest.mark.parametrize("scheme, step", [(Scheme.SIA, "sia_step"), (Scheme.CLSIA, "clsia_step")])
+    # every satellite steps once and sends one counted message; a sparse ring's
+    # sink merges the two arc messages; the dense sum makes no sparse call
+    @pytest.mark.parametrize("scheme, expected", [
+        pytest.param(Scheme.SIA, {"sia_step": 6, "sparse_add": 2, "message_bits": 6,
+                                  "run_round": 1}, id="SIA-sia_step"),
+        pytest.param(Scheme.CLSIA, {"clsia_step": 6, "sparse_add": 2, "message_bits": 6,
+                                    "run_round": 1}, id="CLSIA-clsia_step"),
+        pytest.param(Scheme.NO_ISL_DIRECT, {"sia_step": 6, "message_bits": 6,
+                                            "run_no_isl_round": 1}, id="NO_ISL_DIRECT-sia_step"),
+        pytest.param(Scheme.DENSE_IA, {"run_round": 1}, id="DENSE_IA-no_sparse_call"),
+    ])
     def test_steps_and_sink_merge_use_module_names(self, monkeypatch, toy_plane_state,
-                                                   scheme, step):
+                                                   scheme, expected):
         k = 6
         rng = np.random.default_rng(6)
         state = toy_plane_state([rng.normal(size=30) for _ in range(k)], dim=30)
-        calls = dict.fromkeys(["sia_step", "clsia_step", "sparse_add"], 0)
+        calls = dict.fromkeys(["sia_step", "clsia_step", "sparse_add", "message_bits",
+                               "run_round", "run_no_isl_round"], 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(protocol, name)):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(protocol, name, counted)
-        run_round(state, scheme, np.zeros(30), HP, 0.0, 1, q_count=4)
-        # every satellite steps once; the sink merges the two arc messages
-        assert calls == {"sia_step": 0, "clsia_step": 0, step: k, "sparse_add": 2}
+        run_global_iteration([state], scheme, np.zeros(30), HP, 0.0, 1, 4,
+                             state.nodes[0].dataset)
+        assert calls == dict.fromkeys(calls, 0) | expected
 
 
 class TestSchemeRecord:
@@ -369,6 +400,26 @@ class TestSchemeRecord:
                         assert bits == worst
                     checked += 1
         assert checked == 3 * 5 * 7
+
+    def test_round_functions_read_only_the_record(self):
+        """Nothing outside SCHEMES branches on the scheme: the round functions
+        name no scheme member and no sparse or dense message operation."""
+        tree = ast.parse(Path(protocol.__file__).read_text())
+        rounds = {"run_round", "run_no_isl_round", "run_global_iteration"}
+        found = {}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in rounds:
+                found[fn.name] = sorted(round_function_offenders(fn))
+        assert found == dict.fromkeys(rounds, [])
+
+    def test_round_function_offenders_sees_attributes_and_members(self):
+        fn = ast.parse("def f(s, m):\n"
+                       "    if s is Scheme.SIA:\n"
+                       "        return sparse_add(s, s).densify(), m.dense_bits()\n"
+                       "    return SparseGradient.empty(m.dim), sparsify.message_bits(s, m)\n")
+        assert round_function_offenders(fn) == {
+            "Scheme.SIA", "sparse_add", "densify", "dense_bits", "SparseGradient",
+            "message_bits"}
 
 
 class TestSchemeEquivalenceAtQ1:
@@ -414,7 +465,8 @@ class TestNoIslRound:
         gradients = [rng.normal(size=30) for _ in range(5)]
         state = toy_plane_state(gradients, dim=30)
         q = 4
-        agg, metrics, t_done = run_no_isl_round(state, np.zeros(30), HP, 0.0, 1, q)
+        agg, metrics, t_done = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, np.zeros(30), HP,
+                                                0.0, 1, q)
         m = state.size_model
         expected = 5 * m.dense_bits() + 5 * q * (32 + m.index_bits)
         assert metrics.total_plane_bits == expected
@@ -424,7 +476,7 @@ class TestNoIslRound:
         rng = np.random.default_rng(5)
         gradients = [rng.normal(size=30) for _ in range(4)]
         state = toy_plane_state(gradients, dim=30)
-        agg, _, _ = run_no_isl_round(state, np.zeros(30), HP, 0.0, 1, 4)
+        agg, _, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, np.zeros(30), HP, 0.0, 1, 4)
         from leofl.sparsify import top_q
 
         expected = sum(top_q(g, 4).densify() for g in gradients)
@@ -433,7 +485,7 @@ class TestNoIslRound:
     def test_wallclock_covers_visibility_waits(self, toy_plane_state):
         gradients = [np.ones(10)] * 3
         state = toy_plane_state(gradients, dim=10)
-        _, metrics, _ = run_no_isl_round(state, np.zeros(10), HP, 0.0, 1, 2)
+        _, metrics, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, np.zeros(10), HP, 0.0, 1, 2)
         max_wait = max(
             max(0.0, state.windows.next_window(sat, 0.0).start_s)
             for sat in range(3)
