@@ -4,7 +4,9 @@ One global iteration per plane has three phases: the source satellite receives
 the global weights from the ground station and floods them around the ring,
 every satellite trains locally, and the ring aggregates gradients hop by hop
 toward the sink, which delivers the plane aggregate back to the station.
-Each arc is a chain into the sink, so a round is a fold over the two arcs.
+`run_global_iteration` trains each plane's satellites (`local_gradients`) and
+hands the gradients to the plane's round. Each arc is a chain into the sink,
+so a ring round is a fold of those gradients over the two arcs.
 """
 
 from __future__ import annotations
@@ -287,10 +289,8 @@ def local_gradients(state: PlaneState, w_global: np.ndarray, hp: learn.HyperPara
 def run_round(
     state: PlaneState,
     scheme: Scheme,
-    w_global: np.ndarray,
-    hp: learn.HyperParams,
+    gradients: list[np.ndarray],
     t0: float,
-    round_n: int,
     q_count: int,
 ) -> tuple[np.ndarray, RoundMetrics, float]:
     """Fold one ring round over its two arcs; returns (dense plane aggregate, metrics, t_done)."""
@@ -309,7 +309,6 @@ def run_round(
         + state.compute_time_s
         for sat in range(k)
     ]
-    gradients = local_gradients(state, w_global, hp, round_n)
 
     empty = spec.empty(m.dim)  # never written to
 
@@ -355,10 +354,8 @@ def run_round(
 def run_no_isl_round(
     state: PlaneState,
     scheme: Scheme,
-    w_global: np.ndarray,
-    hp: learn.HyperParams,
+    gradients: list[np.ndarray],
     t0: float,
-    round_n: int,
     q_count: int,
 ) -> tuple[np.ndarray, RoundMetrics, float]:
     """Baseline without ISLs: every satellite talks to the station directly.
@@ -366,11 +363,9 @@ def run_no_isl_round(
     Each satellite waits for a visibility window to receive the global weights,
     trains, then waits again to downlink its Top-Q gradient. Satellites use
     their own windows independently; the round ends when the last one reports.
-    Training reads no clock, so every satellite trains first.
     """
     spec = SCHEMES[scheme]
     m = state.size_model
-    gradients = local_gradients(state, w_global, hp, round_n)
     empty = spec.empty(m.dim)  # never written to
     aggregate = np.zeros(m.dim)
     hop_records: list[tuple[int, int, int]] = []
@@ -413,7 +408,10 @@ def run_global_iteration(
     plane_metrics = []
     t_end = t0
     for state in planes:
-        agg, pm, t_done = run_plane(state, scheme, w_global, hp, t0, round_n, q_count)
+        # trained just before the plane's round and bound to no name here, so only one
+        # plane's gradients are alive at a time
+        agg, pm, t_done = run_plane(state, scheme, local_gradients(state, w_global, hp, round_n),
+                                    t0, q_count)
         total += agg
         plane_metrics.append(pm)
         t_end = max(t_end, t_done)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,12 @@ from leofl.protocol import (
     split_arcs,
 )
 from leofl.sparsify import ErrorState, SizeModel, q_to_count
-from test_reference_oracles import fixed_plan, reference_positions, reference_station_distance
+from test_reference_oracles import (
+    fixed_plan,
+    reference_positions,
+    reference_station_distance,
+    toy_ring,
+)
 
 PARAMS = LinkParams(40.0, 32.13, 32.13, 500e6, 20e9, 354.0)
 BREMEN = GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0))
@@ -35,8 +41,8 @@ BREMEN = GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.
 
 @pytest.fixture
 def toy_plane_state(monkeypatch):
-    """Build small rings high enough that any K >= 3 has neighbor LOS. Local training
-    is stubbed: it returns w_global + a preset gradient per shard, keyed by its identity."""
+    """Build toy planes for runs through `run_global_iteration`. Local training is
+    stubbed: it returns w_global + a preset gradient per shard, keyed by its identity."""
     gradients_by_shard = {}
 
     def trained(w_global, dataset, hp, rng):
@@ -44,25 +50,10 @@ def toy_plane_state(monkeypatch):
 
     monkeypatch.setattr(learn, "sat_learn_proc", trained)
 
-    def build(gradients, dim, h_km=8000.0, compute_time=0.0):
-        k = len(gradients)
-        plane = OrbitPlane(h_km * 1e3, math.radians(85.0), 0.0, k)
-        nodes = [
-            SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)),
-                          ErrorState.zeros(dim))
-            for _ in range(k)
-        ]
-        gradients_by_shard.update((id(node.dataset), g) for node, g in zip(nodes, gradients))
-        return PlaneState(
-            plane_id=0,
-            plane=plane,
-            gs=BREMEN,
-            params=PARAMS,
-            size_model=SizeModel(dim),
-            nodes=nodes,
-            compute_time_s=compute_time,
-            seed=0,
-        )
+    def build(gradients, dim):
+        state = toy_ring(len(gradients), dim)
+        gradients_by_shard.update((id(node.dataset), g) for node, g in zip(state.nodes, gradients))
+        return state
 
     return build
 
@@ -92,19 +83,23 @@ HP = learn.HyperParams(learning_rate=0.1, rounds=1)
 
 # the message operations that belong in SCHEMES, not in a round function
 MESSAGE_NAMES = {"SparseGradient", "sparse_add", "message_bits", "densify", "dense_bits"}
+# local training, which run_global_iteration runs before it hands a fold the gradients
+TRAINING_NAMES = {"learn", "local_gradients", "round_rng", "w_global", "hp", "round_n"}
 
 
-def round_function_offenders(tree: ast.AST) -> set[str]:
-    """Scheme members (as `Scheme.X`) and message operations named anywhere in `tree`."""
+def round_function_offenders(tree: ast.AST, names=MESSAGE_NAMES) -> set[str]:
+    """Scheme members (as `Scheme.X`) and `names` named anywhere in `tree`, parameters included."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             if isinstance(node.value, ast.Name) and node.value.id == "Scheme":
                 found.add(f"Scheme.{node.attr}")
-            elif node.attr in MESSAGE_NAMES:
+            elif node.attr in names:
                 found.add(node.attr)
-        elif isinstance(node, ast.Name) and node.id in MESSAGE_NAMES:
+        elif isinstance(node, ast.Name) and node.id in names:
             found.add(node.id)
+        elif isinstance(node, ast.arg) and node.arg in names:
+            found.add(node.arg)
     return found
 
 
@@ -239,23 +234,19 @@ class TestIslLink:
 
 
 class TestDenseRound:
-    def test_three_satellite_exact_sum(self, chain_plan, toy_plane_state):
+    def test_three_satellite_exact_sum(self, chain_plan):
         rng = np.random.default_rng(1)
         gradients = [rng.normal(size=20) for _ in range(3)]
-        state = toy_plane_state(gradients, dim=20)
+        state = toy_ring(3, dim=20)
         chain_plan(3, sink=2)
-        agg, metrics, _ = run_round(
-            state, Scheme.DENSE_IA, np.zeros(20), HP, 0.0, 1, q_count=20
-        )
+        agg, metrics, _ = run_round(state, Scheme.DENSE_IA, gradients, 0.0, q_count=20)
         np.testing.assert_allclose(agg, sum(gradients), rtol=1e-12)
 
-    def test_hop_bits_all_dense(self, chain_plan, toy_plane_state):
+    def test_hop_bits_all_dense(self, chain_plan):
         gradients = [np.ones(20)] * 3
-        state = toy_plane_state(gradients, dim=20)
+        state = toy_ring(3, dim=20)
         chain_plan(3, sink=2)
-        _, metrics, _ = run_round(
-            state, Scheme.DENSE_IA, np.zeros(20), HP, 0.0, 1, q_count=20
-        )
+        _, metrics, _ = run_round(state, Scheme.DENSE_IA, gradients, 0.0, q_count=20)
         assert hop_bits(metrics) == [20 * 32] * 3
         assert metrics.total_plane_bits == 3 * 20 * 32
         assert gs_bits(metrics) == 20 * 32
@@ -274,33 +265,27 @@ def fig_gradients(dim=12):
 
 
 class TestSparseRounds:
-    def test_sia_hop_sizes_grow(self, chain_plan, toy_plane_state):
-        state = toy_plane_state(fig_gradients(), dim=12)
+    def test_sia_hop_sizes_grow(self, chain_plan):
+        state = toy_ring(3, dim=12)
         chain_plan(3, sink=2)
-        agg, metrics, _ = run_round(
-            state, Scheme.SIA, np.zeros(12), HP, 0.0, 1, q_count=3
-        )
+        agg, metrics, _ = run_round(state, Scheme.SIA, fig_gradients(), 0.0, q_count=3)
         entry = 32 + state.size_model.index_bits
         # satellite 1 sends 3 entries, satellite 2 sends 5 (one common index)
         assert hop_bits(metrics)[0] == 3 * entry
         assert hop_bits(metrics)[1] == 5 * entry
 
-    def test_clsia_constant_hops(self, chain_plan, toy_plane_state):
-        state = toy_plane_state(fig_gradients(), dim=12)
+    def test_clsia_constant_hops(self, chain_plan):
+        state = toy_ring(3, dim=12)
         chain_plan(3, sink=2)
-        _, metrics, _ = run_round(
-            state, Scheme.CLSIA, np.zeros(12), HP, 0.0, 1, q_count=3
-        )
+        _, metrics, _ = run_round(state, Scheme.CLSIA, fig_gradients(), 0.0, q_count=3)
         entry = 32 + state.size_model.index_bits
         assert hop_bits(metrics) == [3 * entry] * 3
 
-    def test_sia_aggregate_is_sum_of_contributions(self, toy_plane_state):
+    def test_sia_aggregate_is_sum_of_contributions(self):
         rng = np.random.default_rng(2)
         gradients = [rng.normal(size=30) for _ in range(6)]
-        state = toy_plane_state(gradients, dim=30)
-        agg, metrics, _ = run_round(
-            state, Scheme.SIA, np.zeros(30), HP, 0.0, 1, q_count=4
-        )
+        state = toy_ring(6, dim=30)
+        agg, metrics, _ = run_round(state, Scheme.SIA, gradients, 0.0, q_count=4)
         # every satellite holds data_size 1 and zero initial error, so the sink
         # aggregate is the sum of individual Top-4 contributions
         from leofl.sparsify import top_q
@@ -308,13 +293,11 @@ class TestSparseRounds:
         expected = sum(top_q(g, 4).densify() for g in gradients)
         np.testing.assert_allclose(agg, expected, rtol=1e-12, atol=1e-12)
 
-    def test_sia_hops_nondecreasing_per_arc(self, toy_plane_state):
+    def test_sia_hops_nondecreasing_per_arc(self):
         rng = np.random.default_rng(3)
         gradients = [rng.normal(size=60) for _ in range(8)]
-        state = toy_plane_state(gradients, dim=60)
-        _, metrics, _ = run_round(
-            state, Scheme.SIA, np.zeros(60), HP, 0.0, 1, q_count=3
-        )
+        state = toy_ring(8, dim=60)
+        _, metrics, _ = run_round(state, Scheme.SIA, gradients, 0.0, q_count=3)
         isl = [(src, dst, bits) for src, dst, bits in metrics.hop_records if dst != GS_ID]
         by_dst = {}
         # walk each arc from its end satellite toward the sink
@@ -403,13 +386,16 @@ class TestSchemeRecord:
 
     def test_round_functions_read_only_the_record(self):
         """Nothing outside SCHEMES branches on the scheme: the round functions
-        name no scheme member and no sparse or dense message operation."""
+        name no scheme member and no sparse or dense message operation. The two
+        folds take the gradients they fold, so they name no training either."""
         tree = ast.parse(Path(protocol.__file__).read_text())
-        rounds = {"run_round", "run_no_isl_round", "run_global_iteration"}
+        folds = MESSAGE_NAMES | TRAINING_NAMES
+        rounds = {"run_round": folds, "run_no_isl_round": folds,
+                  "run_global_iteration": MESSAGE_NAMES}
         found = {}
         for fn in tree.body:
             if isinstance(fn, ast.FunctionDef) and fn.name in rounds:
-                found[fn.name] = sorted(round_function_offenders(fn))
+                found[fn.name] = sorted(round_function_offenders(fn, rounds[fn.name]))
         assert found == dict.fromkeys(rounds, [])
 
     def test_round_function_offenders_sees_attributes_and_members(self):
@@ -420,6 +406,12 @@ class TestSchemeRecord:
         assert round_function_offenders(fn) == {
             "Scheme.SIA", "sparse_add", "densify", "dense_bits", "SparseGradient",
             "message_bits"}
+
+    def test_round_function_offenders_sees_training(self):
+        fn = ast.parse("def f(state, w_global, hp: learn.HyperParams, round_n):\n"
+                       "    g = local_gradients(state, w_global, hp, round_n)\n"
+                       "    return state.round_rng(0, 1), g\n")
+        assert round_function_offenders(fn, TRAINING_NAMES) == TRAINING_NAMES
 
 
 class TestSchemeEquivalenceAtQ1:
@@ -460,32 +452,31 @@ class TestSchemeEquivalenceAtQ1:
 
 
 class TestNoIslRound:
-    def test_bits_accounting(self, toy_plane_state):
+    def test_bits_accounting(self):
         rng = np.random.default_rng(4)
         gradients = [rng.normal(size=30) for _ in range(5)]
-        state = toy_plane_state(gradients, dim=30)
+        state = toy_ring(5, dim=30)
         q = 4
-        agg, metrics, t_done = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, np.zeros(30), HP,
-                                                0.0, 1, q)
+        agg, metrics, t_done = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, q)
         m = state.size_model
         expected = 5 * m.dense_bits() + 5 * q * (32 + m.index_bits)
         assert metrics.total_plane_bits == expected
         assert gs_bits(metrics) == expected
 
-    def test_aggregate_equals_sum_of_topq(self, toy_plane_state):
+    def test_aggregate_equals_sum_of_topq(self):
         rng = np.random.default_rng(5)
         gradients = [rng.normal(size=30) for _ in range(4)]
-        state = toy_plane_state(gradients, dim=30)
-        agg, _, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, np.zeros(30), HP, 0.0, 1, 4)
+        state = toy_ring(4, dim=30)
+        agg, _, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, 4)
         from leofl.sparsify import top_q
 
         expected = sum(top_q(g, 4).densify() for g in gradients)
         np.testing.assert_allclose(agg, expected, rtol=1e-12, atol=1e-12)
 
-    def test_wallclock_covers_visibility_waits(self, toy_plane_state):
+    def test_wallclock_covers_visibility_waits(self):
         gradients = [np.ones(10)] * 3
-        state = toy_plane_state(gradients, dim=10)
-        _, metrics, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, np.zeros(10), HP, 0.0, 1, 2)
+        state = toy_ring(3, dim=10)
+        _, metrics, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, 2)
         max_wait = max(
             max(0.0, state.windows.next_window(sat, 0.0).start_s)
             for sat in range(3)
@@ -528,6 +519,52 @@ class TestGlobalIteration:
             planes, Scheme.SIA, w0, hp, 0.0, 1, q_count=79, test_set=test
         )
         assert t_end == max(0.0 + pm.wallclock_s for pm in metrics.plane_metrics)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SIA, Scheme.NO_ISL_DIRECT])
+    def test_folds_receive_every_satellites_local_gradient(self, monkeypatch, scheme):
+        """Each plane's fold gets, bit for bit, the gradient that local SGD from the
+        global weights gives each of its satellites; the benchmark's conservation
+        check recomputes the update mass from exactly this identity."""
+        planes, hp, w, test, m = self.small_planes(scheme.value)
+        handed = []
+        for name in ("run_round", "run_no_isl_round"):
+            def recorded(state, scheme, gradients, t0, q_count, _fn=getattr(protocol, name)):
+                handed.append((state, gradients))
+                return _fn(state, scheme, gradients, t0, q_count)
+            monkeypatch.setattr(protocol, name, recorded)
+        t = 0.0
+        for n in range(1, 3):
+            handed.clear()
+            w_next, _, t = run_global_iteration(planes, scheme, w, hp, t, n, 79, test)
+            assert [id(state) for state, _ in handed] == [id(state) for state in planes]
+            for state, gradients in handed:
+                assert len(gradients) == len(state.nodes)
+                for sat, (node, g) in enumerate(zip(state.nodes, gradients)):
+                    w_local = learn.sat_learn_proc(w, node.dataset, hp, state.round_rng(sat, n))
+                    assert g.tobytes() == learn.gradient(w_local, w).tobytes()
+            w = w_next
+
+    def test_one_planes_gradients_are_alive_at_a_time(self, monkeypatch):
+        """Nothing keeps a plane's gradients once its round returns: none is alive
+        while the next plane trains or while the new weights are evaluated."""
+        planes, hp, w, test, m = self.small_planes()
+        handed = []  # weak references to every gradient handed to a round
+
+        def none_alive(fn):
+            def checked(*args):
+                assert all(ref() is None for ref in handed)
+                return fn(*args)
+            return checked
+
+        def recorded(state, scheme, gradients, t0, q_count, _fn=protocol.run_round):
+            handed.extend(weakref.ref(g) for g in gradients)
+            return _fn(state, scheme, gradients, t0, q_count)
+
+        monkeypatch.setattr(learn, "sat_learn_proc", none_alive(learn.sat_learn_proc))
+        monkeypatch.setattr(learn, "evaluate", none_alive(learn.evaluate))
+        monkeypatch.setattr(protocol, "run_round", recorded)
+        run_global_iteration(planes, Scheme.SIA, w, hp, 0.0, 1, 79, test)
+        assert len(handed) == 2 * 6
 
     @pytest.mark.parametrize("scheme", [Scheme.SIA, Scheme.CLSIA, Scheme.NO_ISL_DIRECT])
     def test_counted_messages_and_cached_windows_are_well_formed(self, monkeypatch, scheme):

@@ -228,8 +228,9 @@ class _Message:
         self.bits = bits
 
 
-def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count):
-    """One ring round as a discrete-event simulation; returns (aggregate, hop records, t_done)."""
+def reference_run_round(state, scheme, gradients, t0, q_count):
+    """One ring round of the satellites' `gradients` as a discrete-event simulation;
+    returns (aggregate, hop records, t_done)."""
     m = state.size_model
     k = state.plane.num_sats
     rate_bps, hop_prop = state.isl_rate_bps, state.isl_prop_s
@@ -237,12 +238,6 @@ def reference_run_round(state, scheme, w_global, hp, t0, round_n, q_count):
     plan, t_source_rx, dist_bits = protocol.plan_round(state, scheme, t0, q_count)
 
     dist_hop_s = tx_duration(dist_bits, rate_bps) + hop_prop
-
-    gradients = {}
-    for sat in range(k):
-        node = state.nodes[sat]
-        w_local = learn.sat_learn_proc(w_global, node.dataset, hp, state.round_rng(sat, round_n))
-        gradients[sat] = learn.gradient(w_local, w_global)
 
     next_hop = {}
     for arc in plan.arcs:
@@ -717,10 +712,10 @@ def fixed_plan(plan):
         plan, t0, protocol._distribution_bits(state.size_model, state.plane.num_sats))
 
 
-def assert_round_matches(state, ref_state, scheme, w, hp, t0, round_n, q_count):
-    agg, metrics, t_done = run_round(state, scheme, w, hp, t0, round_n, q_count)
+def assert_round_matches(state, ref_state, scheme, gradients, t0, q_count):
+    agg, metrics, t_done = run_round(state, scheme, gradients, t0, q_count)
     want_agg, want_hops, want_t_done = reference_run_round(
-        ref_state, scheme, w, hp, t0, round_n, q_count)
+        ref_state, scheme, gradients, t0, q_count)
     assert metrics.hop_records == want_hops
     assert t_done.hex() == want_t_done.hex()
     assert metrics.wallclock_s == want_t_done - t0
@@ -767,23 +762,18 @@ def test_fold_matches_event_loop_over_five_rounds(name, raw, scheme):
     for n in range(1, 6):
         total, t_end = np.zeros(m.dim), t
         for state, ref_state in zip(planes, ref_planes):
-            agg, t_done = assert_round_matches(state, ref_state, Scheme[scheme], w, hp, t, n, q_count)
+            gradients = protocol.local_gradients(state, w, hp, n)
+            agg, t_done = assert_round_matches(state, ref_state, Scheme[scheme], gradients, t,
+                                               q_count)
             total += agg
             t_end = max(t_end, t_done)
         w, t = learn.global_update(w, total, total_data), t_end
 
 
-def stub_ring(monkeypatch, k, dim, compute_time_s, seed):
-    """A ring whose satellites report fixed small-integer gradients, so hop sizes and times tie;
-    local training is rebound to return them."""
-    rng = np.random.default_rng(seed)
-    grads = [rng.integers(-3, 4, size=dim).astype(float) for _ in range(k)]
+def toy_ring(k, dim, compute_time_s=0.0):
+    """A ring of one-row shards, high enough that any K >= 3 has neighbor LOS."""
     nodes = [SatelliteNode(Dataset(np.ones((1, 5)), np.zeros(1, dtype=np.int64)),
                            ErrorState.zeros(dim)) for _ in range(k)]
-    # keyed by shard identity, which twin() shares
-    grads_by_shard = {id(node.dataset): g for node, g in zip(nodes, grads)}
-    monkeypatch.setattr(learn, "sat_learn_proc",
-                        lambda w, dataset, hp, r: w + grads_by_shard[id(dataset)])
     return PlaneState(
         0, OrbitPlane(8000e3, math.radians(85.0), 0.0, k),
         GroundStation(math.radians(53.08), math.radians(8.80), math.radians(10.0)),
@@ -795,8 +785,10 @@ def stub_ring(monkeypatch, k, dim, compute_time_s, seed):
 @pytest.mark.parametrize("compute_time_s", [0.0, 1.0])
 @pytest.mark.parametrize("k", range(3, 9))
 def test_fold_matches_event_loop_for_every_sink_and_plan(monkeypatch, k, compute_time_s):
-    hp = learn.HyperParams(rounds=1)
-    state = stub_ring(monkeypatch, k, 24, compute_time_s, seed=k)
+    # fixed small-integer gradients, so hop sizes and times tie
+    rng = np.random.default_rng(k)
+    gradients = [rng.integers(-3, 4, size=24).astype(float) for _ in range(k)]
+    state = toy_ring(k, 24, compute_time_s)
     ref_state = twin(state)
     for sink in range(k):
         chain = tuple(i for i in range(k) if i != sink)
@@ -804,8 +796,8 @@ def test_fold_matches_event_loop_for_every_sink_and_plan(monkeypatch, k, compute
             for scheme in (Scheme.DENSE_IA, Scheme.SIA, Scheme.CLSIA):
                 for node in state.nodes + ref_state.nodes:
                     node.error = ErrorState.zeros(24)
-                w, t = np.zeros(24), 0.0
+                t = 0.0
                 for n in range(1, 6):
                     plan = RoundPlan(source_id=(sink + n) % k, sink_id=sink, arcs=arcs)
                     monkeypatch.setattr(protocol, "plan_round", fixed_plan(plan))
-                    _, t = assert_round_matches(state, ref_state, scheme, w, hp, t, n, 4)
+                    _, t = assert_round_matches(state, ref_state, scheme, gradients, t, 4)

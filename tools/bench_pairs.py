@@ -14,10 +14,15 @@ result. A run that is not correct, or that fails an operation, stops the tool.
 
 For every end-to-end metric of the change's BENCHMARK.json it prints the
 median and the interquartile range of each side, the change/parent ratio of
-the medians and how many pairs the change won (ties count for neither side).
-With --record the summary is merged into that JSON file under the workload's
-name. The tool itself writes nothing else; each run.py keeps its own records
-in its checkout's perfbench/out/.
+the medians and how many pairs the change won (ties count for neither side),
+then two verdicts per metric. The change is "beyond bound" when its median is
+worse than the parent's by more than the metric's `bound` in BENCHMARK.json,
+taken as a fraction of the parent's median, and "within bound" otherwise. It
+shows a gain ("gain shown") when at least 10 pairs ran, it won at least 9 in
+10 of them and its median beats the parent's by more than the parent's IQR.
+With --record the summary, verdicts included, is merged into that JSON file
+under the workload's name. The tool itself writes nothing else; each run.py
+keeps its own records in its checkout's perfbench/out/.
 """
 
 import argparse
@@ -46,21 +51,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def verdicts(s: dict, bound: float) -> tuple[str, str]:
+    """The bound verdict and the gain verdict of one metric's summary."""
+    sign = 1.0 if s["better"] == "higher" else -1.0
+    parent, change = s["parent_median"], s["change_median"]
+    beyond = sign * (parent - change) > bound * abs(parent)
+    pairs = len(s["parent_runs"])
+    gain = (pairs >= 10 and 10 * s["change_wins"] >= 9 * pairs
+            and sign * (change - parent) > s["parent_iqr"])
+    return ("beyond bound" if beyond else "within bound",
+            "gain shown" if gain else "no gain shown")
+
+
+def summarize(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric ({name: its BENCHMARK.json entry}): medians, IQRs, wins, verdicts."""
     summary = {}
-    for metric, direction in better.items():
+    for metric, entry in metrics.items():
         sides = {side: [run[metric] for run in side_runs] for side, side_runs in runs.items()}
         stats = {side: quartiles(values) for side, values in sides.items()}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if entry["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
-        summary[metric] = {
+        s = summary[metric] = {
             **{f"{side}_median": stats[side][1] for side in sides},
             **{f"{side}_iqr": stats[side][2] - stats[side][0] for side in sides},
             "change_over_parent": stats["change"][1] / stats["parent"][1],
             "change_wins": wins,
-            "better": direction,
+            "better": entry["better"],
             **{f"{side}_runs": values for side, values in sides.items()},
         }
+        s["bound_verdict"], s["gain_verdict"] = verdicts(s, entry["bound"])
     return summary
 
 
@@ -77,7 +96,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -87,10 +106,10 @@ def main(argv=None) -> int:
         for side in order:
             runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
         print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): " + ", ".join(
-            f"{m} {runs['parent'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}" for m in better),
+            f"{m} {runs['parent'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}" for m in metrics),
             flush=True)
 
-    summary = summarize(runs, better)
+    summary = summarize(runs, metrics)
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}..{args.seed0 + args.pairs - 1}, "
           f"--seconds {args.seconds:g}")
     print(f"{'metric':12s} {'parent median':>14s} {'IQR':>9s} {'change median':>14s} {'IQR':>9s} "
@@ -99,6 +118,10 @@ def main(argv=None) -> int:
         print(f"{metric:12s} {s['parent_median']:14.5g} {s['parent_iqr']:9.3g} "
               f"{s['change_median']:14.5g} {s['change_iqr']:9.3g} {s['change_over_parent']:7.3f} "
               f"{s['change_wins']:>3d}/{args.pairs}")
+    print()
+    for metric, s in summary.items():
+        bound = metrics[metric]["bound"]
+        print(f"{metric:12s} {s['bound_verdict']} ({bound:g}), {s['gain_verdict']}")
     if args.record:
         record = json.loads(args.record.read_text()) if args.record.exists() else {}
         record[args.workload] = {"pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
