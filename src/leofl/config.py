@@ -400,7 +400,8 @@ def build_simulation(cfg: ExperimentConfig):
     """Assemble plane states, shards, and hyperparameters from a config.
 
     The datasets are shared, read-only, with every build of the same dataset
-    section and seed in this process.
+    section and seed in this process. Every node starts from one shared,
+    read-only zero residual.
     """
     train, test = _shared_datasets(cfg)
     dim = learn.model_dim(data.FEATURE_DIM, data.NUM_CLASSES)
@@ -410,11 +411,12 @@ def build_simulation(cfg: ExperimentConfig):
     gs = build_ground_station(cfg)
     size_model = SizeModel(dim)
 
+    start = ErrorState.zeros(dim)  # every node's, until its first step replaces it
+    start.residual.flags.writeable = False
     k = cfg.constellation.sats_per_plane
     planes = []
     for plane_id, geometry in enumerate(build_planes_geometry(cfg)):
-        nodes = [SatelliteNode(shard, ErrorState.zeros(dim))
-                 for shard in shards[plane_id * k:(plane_id + 1) * k]]
+        nodes = [SatelliteNode(shard, start) for shard in shards[plane_id * k:(plane_id + 1) * k]]
         planes.append(
             PlaneState(
                 plane_id=plane_id,

@@ -164,8 +164,11 @@ def shuffle(dataset: Dataset, seed: int) -> None:
 
 
 def partition(dataset: Dataset, k: int) -> list[Dataset]:
-    """Split into k contiguous shards of near-equal size, each a view of the dataset's arrays."""
-    return [
-        Dataset(rows, labels)
-        for rows, labels in zip(np.array_split(dataset.rows, k), np.array_split(dataset.labels, k))
-    ]
+    """Split into k contiguous shards of near-equal size, each a slice view of the dataset's arrays.
+
+    Shard i starts at i * (n // k) + min(i, n % k), where `np.array_split` cuts,
+    so the first n % k shards hold one sample more.
+    """
+    size, extra = divmod(len(dataset), k)
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
+    return [Dataset(dataset.rows[a:b], dataset.labels[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -48,9 +48,13 @@ class SparseGradient:
         return cls(len(v), idx.astype(np.int64), np.asarray(v, dtype=np.float64)[idx])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorState:
-    """Per-satellite sparsification residual carried across rounds."""
+    """Per-satellite sparsification residual carried across rounds.
+
+    A step never writes a residual in place: it returns a fresh state, or the
+    one it was given. So one read-only zero state can start every satellite.
+    """
 
     residual: np.ndarray
 

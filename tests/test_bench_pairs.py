@@ -11,7 +11,8 @@ spec.loader.exec_module(bench_pairs)
 METRICS = {"iters_per_s": {"name": "iters_per_s", "better": "higher", "bound": 0.25},
            "setup_s": {"name": "setup_s", "better": "lower", "bound": 0.25}}
 PARENT_RATE = [9.0, 9.5, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.5, 11.0]  # median 10, IQR 0
-PARENT_SETUP = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # median 1.45, IQR 0.45
+# median 3.45, IQR 0.45: 13% of the median, inside the 25% bound
+PARENT_SETUP = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
 
 
 def verdicts(change_rate, change_setup, pairs=10):
@@ -31,7 +32,7 @@ def test_a_median_worse_than_the_bound_is_beyond_it():
 
 def test_a_median_worse_inside_the_bound_is_within_it():
     # 24% slower set-up and 20% fewer iterations per second
-    got = verdicts([8.0] * 10, [1.45 * 1.24] * 10)
+    got = verdicts([8.0] * 10, [3.45 * 1.24] * 10)
     assert got == {"iters_per_s": ("within bound", "no gain shown"),
                    "setup_s": ("within bound", "no gain shown")}
 
@@ -41,10 +42,38 @@ def test_a_gain_needs_ten_pairs_nine_wins_in_ten_and_a_median_beyond_the_parents
     faster = [s - 0.9 for s in PARENT_SETUP]
     assert verdicts(PARENT_RATE, faster)["setup_s"] == ("within bound", "gain shown")
     # the first 6 of those pairs alone
-    assert verdicts(PARENT_RATE, faster, pairs=6)["setup_s"] == ("within bound", "no gain shown")
+    assert verdicts(PARENT_RATE, faster, pairs=6)["setup_s"] == ("unresolved", "no gain shown")
     # the same median with only 8 wins in 10
-    setup = [s - 0.9 for s in PARENT_SETUP[:8]] + [2.0, 2.0]
+    setup = [s - 0.9 for s in PARENT_SETUP[:8]] + [4.0, 4.0]
     assert verdicts(PARENT_RATE, setup)["setup_s"] == ("within bound", "no gain shown")
     # 10 wins, but a median 0.3 s better is inside the parent's IQR
     assert verdicts(PARENT_RATE, [s - 0.3 for s in PARENT_SETUP])["setup_s"] == (
         "within bound", "no gain shown")
+
+
+def test_fewer_than_ten_pairs_leave_the_bound_unresolved():
+    # 3 pairs whose median rate is 26% below the parent's
+    got = verdicts([7.4] * 10, PARENT_SETUP, pairs=3)
+    assert got["iters_per_s"] == ("unresolved", "no gain shown")
+    assert got["setup_s"] == ("unresolved", "no gain shown")
+
+
+def test_a_side_spread_wider_than_the_bound_leaves_it_unresolved():
+    # the change's set-up IQR is 2.25 s around a 3.45 s median; the parent's rates
+    # have an IQR of 5.5 around a median of 10
+    spread = [1.0, 1.5, 2.0, 2.5, 3.4, 3.5, 4.0, 4.5, 5.0, 5.5]
+    wide_parent = [5.0, 6.0, 7.0, 8.0, 9.0, 11.0, 12.0, 13.0, 14.0, 15.0]
+    assert verdicts(PARENT_RATE, spread)["setup_s"] == ("unresolved", "no gain shown")
+    runs = {"parent": [{"iters_per_s": r, "setup_s": s} for r, s in zip(wide_parent, PARENT_SETUP)],
+            "change": [{"iters_per_s": 10.0, "setup_s": s} for s in PARENT_SETUP]}
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["iters_per_s"]["bound_verdict"] == "unresolved"
+    assert summary["setup_s"]["bound_verdict"] == "within bound"
+
+
+def test_every_change_run_better_than_every_parent_run_is_within_bound_however_wide():
+    # set-up spread over 0.1..1.0 s, a 0.45 s IQR around 0.55 s, every run below the parent's 3.0
+    faster = [s - 2.9 for s in PARENT_SETUP]
+    assert verdicts(PARENT_RATE, faster)["setup_s"] == ("within bound", "gain shown")
+    # the same, with one change run at the parent's fastest
+    assert verdicts(PARENT_RATE, faster[:-1] + [3.0])["setup_s"] == ("unresolved", "gain shown")

@@ -254,6 +254,20 @@ class TestPartition:
             assert shard.rows.tobytes() == drawn.rows[chunk].tobytes()
             np.testing.assert_array_equal(shard.labels, drawn.labels[chunk])
 
+    @pytest.mark.parametrize("n, k", [(103, 10), (40, 7), (41, 40), (20, 1), (6, 6), (5, 3)])
+    def test_views_are_those_of_array_split(self, n, k):
+        ds = synthetic_dataset(n, seed=0, feature_dim=4)
+        shards = partition(ds, k)
+        for attr in ("rows", "labels"):
+            source = getattr(ds, attr)
+            want = np.array_split(source, k)
+            got = [getattr(shard, attr) for shard in shards]
+            assert len(got) == len(want) == k
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert a.__array_interface__["data"] == b.__array_interface__["data"]
+                assert np.shares_memory(a, source)
+
 
 class TestShuffle:
     @pytest.mark.parametrize("n", [1, 2, 103, 5000])

@@ -33,7 +33,8 @@ from leofl.harness import (
     run_sweep,
 )
 from leofl.link import LinkParams
-from leofl.protocol import Scheme
+from leofl.protocol import Scheme, run_global_iteration
+from leofl.sparsify import q_to_count
 from test_data import overstate_idx_count, write_idx_images, write_idx_labels
 
 
@@ -347,6 +348,54 @@ class TestSharedDatasets:
         kept = sum(a.nbytes for a in (train.rows, train.labels, test.rows, test.labels))
         assert peak <= 1.3 * kept, f"peak {peak} bytes, {peak / kept:.2f}x the {kept} kept"
 
+
+
+class TestSharedStartState:
+    """Every node of a build starts from one read-only zero residual, replaced by its first step."""
+
+    @staticmethod
+    def iterate_once(sim, scheme):
+        planes, hp, w, test, m = sim
+        run_global_iteration(planes, Scheme[scheme], w, hp, 0.0, 1, q_to_count(0.01, m.dim), test)
+
+    def test_nodes_share_one_read_only_state(self):
+        raw = set_keys(dataclasses.asdict(tiny_config(seed=17)), {"constellation.planes": 2})
+        planes = build_simulation(config_from_dict(raw))[0]
+        nodes = [node for state in planes for node in state.nodes]
+        assert len(nodes) == 16
+        assert all(node.error is nodes[0].error for node in nodes)
+        assert not nodes[0].error.residual.any()
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0].error.residual[0] = 1.0
+
+    def test_a_sia_iteration_gives_each_node_its_own_writable_residual(self):
+        sim = build_simulation(tiny_config(seed=17, scheme="SIA"))
+        start = sim[0][0].nodes[0].error
+        self.iterate_once(sim, "SIA")
+        errors = [node.error for node in sim[0][0].nodes]
+        assert len({id(e.residual) for e in errors}) == len(errors)
+        assert all(e is not start and e.residual.flags.writeable for e in errors)
+
+    def test_a_dense_iteration_keeps_the_shared_start_state(self):
+        sim = build_simulation(tiny_config(seed=17, scheme="DENSE_IA"))
+        start = sim[0][0].nodes[0].error
+        self.iterate_once(sim, "DENSE_IA")
+        assert all(node.error is start for node in sim[0][0].nodes)
+        assert not start.residual.flags.writeable and not start.residual.any()
+
+    def test_memo_hit_default_build_allocates_less_than_a_residual_per_satellite(self):
+        cfg = config_from_dict({})
+        build_simulation(cfg)  # draws the datasets
+        tracemalloc.start()
+        try:
+            planes = build_simulation(cfg)[0]
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sats = sum(len(state.nodes) for state in planes)
+        dim = len(planes[0].nodes[0].error.residual)
+        assert (sats, dim) == (40, 7850)
+        assert allocated < sats * dim * 8, f"{allocated} bytes for {sats} satellites"
 
 class TestRunExperiment:
     def test_deterministic_logs(self):

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,24 @@ def fig2_gradients():
     g2 = vec_with_support(12, [1, 3, 11], [6.0, 2.0, -7.0])
     g3 = vec_with_support(12, [1, 3, 10], [1.5, 2.5, -3.5])
     return g1, g2, g3
+
+
+class TestErrorState:
+    def test_residual_cannot_be_rebound(self):
+        err = ErrorState.zeros(4)
+        with pytest.raises(FrozenInstanceError):
+            err.residual = np.ones(4)
+
+    @pytest.mark.parametrize("step", [sia_step, clsia_step])
+    def test_steps_leave_a_read_only_state_as_it_was(self, step):
+        # a build starts every node from one such state
+        start = ErrorState.zeros(12)
+        start.residual.flags.writeable = False
+        g1, _, _ = fig2_gradients()
+        out, err = step(g1, 1.0, start, SparseGradient.empty(12), 3)
+        assert err is not start and err.residual.flags.writeable
+        np.testing.assert_array_equal(out.densify() + err.residual, g1)
+        assert not start.residual.any()
 
 
 class TestSiaStep:

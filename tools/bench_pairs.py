@@ -15,9 +15,12 @@ result. A run that is not correct, or that fails an operation, stops the tool.
 For every end-to-end metric of the change's BENCHMARK.json it prints the
 median and the interquartile range of each side, the change/parent ratio of
 the medians and how many pairs the change won (ties count for neither side),
-then two verdicts per metric. The change is "beyond bound" when its median is
-worse than the parent's by more than the metric's `bound` in BENCHMARK.json,
-taken as a fraction of the parent's median, and "within bound" otherwise. It
+then two verdicts per metric. The bound verdict is "unresolved" when fewer
+than 10 pairs ran, or when either side's IQR, as a fraction of that side's
+median, is wider than the metric's `bound` in BENCHMARK.json, unless every
+change run is better than every parent run. Otherwise the change is "beyond
+bound" when its median is worse than the parent's by more than the bound,
+taken as a fraction of the parent's median, and "within bound" if not. It
 shows a gain ("gain shown") when at least 10 pairs ran, it won at least 9 in
 10 of them and its median beats the parent's by more than the parent's IQR.
 With --record the summary, verdicts included, is merged into that JSON file
@@ -55,12 +58,18 @@ def verdicts(s: dict, bound: float) -> tuple[str, str]:
     """The bound verdict and the gain verdict of one metric's summary."""
     sign = 1.0 if s["better"] == "higher" else -1.0
     parent, change = s["parent_median"], s["change_median"]
-    beyond = sign * (parent - change) > bound * abs(parent)
     pairs = len(s["parent_runs"])
+    all_better = min(sign * v for v in s["change_runs"]) > max(sign * v for v in s["parent_runs"])
+    wide = any(s[f"{side}_iqr"] > bound * abs(s[f"{side}_median"]) for side in ("parent", "change"))
+    if pairs < 10 or (wide and not all_better):
+        bound_verdict = "unresolved"
+    elif sign * (parent - change) > bound * abs(parent):
+        bound_verdict = "beyond bound"
+    else:
+        bound_verdict = "within bound"
     gain = (pairs >= 10 and 10 * s["change_wins"] >= 9 * pairs
             and sign * (change - parent) > s["parent_iqr"])
-    return ("beyond bound" if beyond else "within bound",
-            "gain shown" if gain else "no gain shown")
+    return bound_verdict, "gain shown" if gain else "no gain shown"
 
 
 def summarize(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
