@@ -63,33 +63,29 @@ class SchemeSpec:
     """Everything that sets one aggregation scheme apart; the round functions read only this.
 
     `step(g, data_size, error, incoming, q_count) -> (message, error)` folds a
-    satellite's update into the incoming message, `empty(dim)` is the message
-    nothing was folded into, `join(a, b)` is the sink's merge of the two arc
-    messages, `bits(message, size_model)` is what a message costs on a link
-    and `dense(message)` is the plane aggregate that a sink message stands for.
-    `hop_bits(j, size_model, q_count)` bounds the bits sent from arc position
-    j, counted from the far end, for the sink estimate, and `ring` says whether
-    the plane aggregates over the ring or every satellite talks to the station.
-    The message operations default to the sparse index/value format.
+    satellite's update into the incoming message and `bits(message, size_model)`
+    is what a message costs on a link; every scheme's message is a
+    `SparseGradient`. `hop_bits(j, size_model, q_count)` bounds the bits sent
+    from arc position j, counted from the far end, for the sink estimate, and
+    `ring` says whether the plane aggregates over the ring or every satellite
+    talks to the station.
     """
 
     step: Callable
     hop_bits: Callable[[int, SizeModel, int], int]
     ring: bool
-    empty: Callable = SparseGradient.empty
-    # looked up at call time, so rebinding them on this module reaches every round
-    join: Callable = lambda a, b: sparse_add(a, b)
+    # looked up at call time, so rebinding it on this module reaches every round
     bits: Callable = lambda s, m: message_bits(s, m)
-    dense: Callable = SparseGradient.densify
 
 
 # the steps look sia_step and clsia_step up at call time, so rebinding them
 # on this module reaches every round; the dense sum sends every entry
 SCHEMES = {
-    Scheme.DENSE_IA: SchemeSpec(lambda g, n, err, incoming, q: (incoming + n * g, err),
+    Scheme.DENSE_IA: SchemeSpec(lambda g, n, err, incoming, q: (
+                                    SparseGradient(incoming.values + n * g,
+                                                   np.ones(len(g), dtype=bool)), err),
                                 ring=True, hop_bits=lambda j, m, q: m.dense_bits(),
-                                empty=np.zeros, join=np.add,
-                                bits=lambda v, m: m.dense_bits(), dense=lambda v: v),
+                                bits=lambda s, m: m.dense_bits()),
     # the support grows by at most Q entries per hop
     Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a), ring=True,
                            hop_bits=lambda j, m, q: min(m.dim, j * q) * m.entry_bits),
@@ -310,9 +306,9 @@ def run_round(
         for sat in range(k)
     ]
 
-    empty = spec.empty(m.dim)  # never written to
+    empty = SparseGradient.empty(m.dim)  # never written to
 
-    def step(sat: int, base):
+    def step(sat: int, base: SparseGradient):
         """Fold the satellite's weighted gradient into `base`; returns (message, bits)."""
         node = state.nodes[sat]
         out, node.error = spec.step(gradients[sat], node.data_size, node.error, base, q_count)
@@ -341,9 +337,9 @@ def run_round(
     t_ready = max([trained_at[sink]] + [t for t, _ in arrivals])
     merged = empty
     for _, msg in arrivals:
-        merged = spec.join(merged, msg)
+        merged = sparse_add(merged, msg)
     out, bits = step(sink, merged)
-    aggregate = spec.dense(out)
+    aggregate = out.values
 
     t_done = state.ground_transfer(sink, t_ready, bits)
 
@@ -366,7 +362,7 @@ def run_no_isl_round(
     """
     spec = SCHEMES[scheme]
     m = state.size_model
-    empty = spec.empty(m.dim)  # never written to
+    empty = SparseGradient.empty(m.dim)  # never written to
     aggregate = np.zeros(m.dim)
     hop_records: list[tuple[int, int, int]] = []
     t_done = t0
@@ -377,7 +373,7 @@ def run_no_isl_round(
         bits = spec.bits(out, m)
         t_done = max(t_done, state.ground_transfer(sat, t_rx + state.compute_time_s, bits))
         hop_records += [(GS_ID, sat, up_bits), (sat, GS_ID, bits)]
-        aggregate += spec.dense(out)
+        aggregate += out.values
     return aggregate, RoundMetrics(t_done - t0, hop_records), t_done
 
 

@@ -1,6 +1,6 @@
 """Top-Q sparsification, error feedback, and incremental-aggregation steps.
 
-Two in-network schemes operate on sparse index/value messages:
+Two in-network schemes operate on sparse messages:
   - sparse incremental aggregation (SIA): each satellite Top-Q-compresses its
     own error-compensated gradient and merges it into the incoming aggregate,
     so message support can grow hop by hop;
@@ -18,34 +18,24 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SparseGradient:
-    """Immutable index/value view of a sparse vector of dimension `dim`.
+    """A message: float64 `values` of the model's length and the bool mask of entries `sent`.
 
-    Only `top_q`, `sparse_add`, `empty` and `from_dense` build one, and each
-    gives 1-d int64 indices, strictly increasing and in [0, dim), with float64
-    values of the same length; the message bit count relies on it.
+    Only `top_q`, `sparse_add`, `empty` and the dense sum's step build one, and
+    each holds exactly +0.0 wherever `sent` is False and never -0.0 where it is
+    True, so an entrywise sum of two messages is the sum an index/value merge
+    would give; the message bit count reads only `sent`.
     """
 
-    dim: int
-    indices: np.ndarray
     values: np.ndarray
+    sent: np.ndarray
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
-
-    def densify(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
+        return int(np.count_nonzero(self.sent))
 
     @classmethod
     def empty(cls, dim: int) -> "SparseGradient":
-        return cls(dim, np.empty(0, dtype=np.int64), np.empty(0))
-
-    @classmethod
-    def from_dense(cls, v: np.ndarray) -> "SparseGradient":
-        idx = np.nonzero(v)[0]
-        return cls(len(v), idx.astype(np.int64), np.asarray(v, dtype=np.float64)[idx])
+        return cls(np.zeros(dim), np.zeros(dim, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -89,40 +79,33 @@ class SizeModel:
 def top_q(v: np.ndarray, q_count: int) -> SparseGradient:
     """Keep the q_count largest-magnitude entries; ties go to the lower index.
 
-    Explicit zeros are never stored, so the result can hold fewer entries.
+    Explicit zeros are never sent, so the result can hold fewer entries.
     Linear time: a partial sort finds the q_count-th largest magnitude, every
     entry above it is kept and the remaining slots go to the lowest-index
     entries equal to it.
     """
     v = np.asarray(v, dtype=np.float64)
     n = len(v)
-    if q_count >= n:
-        return SparseGradient.from_dense(v)
     if q_count == 0:
         return SparseGradient.empty(n)
     mag = np.abs(v)
-    thr = np.partition(mag, n - q_count)[n - q_count]
+    kth = max(n - q_count, 0)
+    thr = np.partition(mag, kth)[kth]
     keep = mag > thr
-    if thr > 0.0:  # a zero threshold ties only zeros, which are never stored
+    if thr > 0.0:  # a zero threshold ties only zeros, which are never sent
         ties = np.flatnonzero(mag == thr)
         keep[ties[: q_count - np.count_nonzero(keep)]] = True
-    idx = np.flatnonzero(keep)
-    return SparseGradient(n, idx, v[idx])
+    values = np.zeros(n)
+    np.copyto(values, v, where=keep)
+    return SparseGradient(values, keep)
 
 
 def sparse_add(a: SparseGradient, b: SparseGradient) -> SparseGradient:
-    """Union of supports, summing values on common indices.
+    """Union of supports, summing values on common entries.
 
     Entries that sum to exactly 0.0 stay in the support: they were sent.
     """
-    summed = np.zeros(a.dim)
-    summed[a.indices] += a.values
-    summed[b.indices] += b.values
-    support = np.zeros(a.dim, dtype=bool)
-    support[a.indices] = True
-    support[b.indices] = True
-    idx = np.flatnonzero(support)
-    return SparseGradient(a.dim, idx, summed[idx])
+    return SparseGradient(a.values + b.values, a.sent | b.sent)
 
 
 def _error_compensated(g: np.ndarray, data_size: float, err: ErrorState) -> np.ndarray:
@@ -140,7 +123,7 @@ def sia_step(
     compensated = _error_compensated(g, data_size, err)
     own = top_q(compensated, q_count)
     # the residual is what was not sent: x - x == +0.0 on the kept support
-    compensated[own.indices] = 0.0
+    compensated[own.sent] = 0.0
     return sparse_add(incoming, own), ErrorState(compensated)
 
 
@@ -153,9 +136,9 @@ def clsia_step(
 ) -> tuple[SparseGradient, ErrorState]:
     """One satellite's CL-SIA step: compensate, merge, then Top-Q the total."""
     compensated = _error_compensated(g, data_size, err)
-    merged = incoming.densify() + compensated
+    merged = incoming.values + compensated
     outgoing = top_q(merged, q_count)
-    merged[outgoing.indices] = 0.0
+    merged[outgoing.sent] = 0.0
     return outgoing, ErrorState(merged)
 
 

@@ -154,10 +154,10 @@ def test_criterion_5_telescoping_identities():
             expected = np.zeros(dim)
             for i in range(k):
                 compensated = sizes[i] * gs[i] + sia_errs[i].residual
-                own = top_q(compensated, q).densify()
+                own = top_q(compensated, q).values
                 agg, sia_errs[i] = sia_step(gs[i], sizes[i], sia_errs[i], agg, q)
                 expected += own
-            assert np.array_equal(agg.densify(), expected)
+            assert np.array_equal(agg.values, expected)
 
             # CL-SIA: aggregate plus new residuals telescopes to the inputs
             agg = SparseGradient.empty(dim)
@@ -167,7 +167,7 @@ def test_criterion_5_telescoping_identities():
                 inputs += sizes[i] * gs[i] + cl_errs[i].residual
                 agg, cl_errs[i] = clsia_step(gs[i], sizes[i], cl_errs[i], agg, q)
                 new_residuals += cl_errs[i].residual
-            lhs = agg.densify() + new_residuals
+            lhs = agg.values + new_residuals
             scale = max(np.abs(inputs).max(), 1e-30)
             worst_cl = max(worst_cl, np.abs(lhs - inputs).max() / scale)
             rounds_checked += 1
@@ -196,10 +196,10 @@ def test_criterion_6_figure_trace_goldens():
     out1, errs[0] = sia_step(g1, 1.0, errs[0], SparseGradient.empty(dim), q)
     out2, errs[1] = sia_step(g2, 1.0, errs[1], out1, q)
     sia_ok = (
-        list(out1.indices) == [3, 7, 9]
-        and list(out2.indices) == [1, 3, 7, 9, 11]
+        list(np.flatnonzero(out1.sent)) == [3, 7, 9]
+        and list(np.flatnonzero(out2.sent)) == [1, 3, 7, 9, 11]
         and out2.nnz == 5
-        and out2.densify()[3] == g1[3] + g2[3]
+        and out2.values[3] == g1[3] + g2[3]
     )
 
     # constant-length variant: every hop carries exactly 3 entries
@@ -208,8 +208,8 @@ def test_criterion_6_figure_trace_goldens():
     c2, errs[1] = clsia_step(g2, 1.0, errs[1], c1, q)
     c3, errs[2] = clsia_step(g3, 1.0, errs[2], c2, q)
     cl_ok = (
-        list(c1.indices) == [3, 7, 9]
-        and list(c2.indices) == [1, 3, 11]
+        list(np.flatnonzero(c1.sent)) == [3, 7, 9]
+        and list(np.flatnonzero(c2.sent)) == [1, 3, 11]
         and [c.nnz for c in (c1, c2, c3)] == [3, 3, 3]
     )
     report(

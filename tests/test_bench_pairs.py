@@ -1,6 +1,7 @@
 """The verdicts of tools/bench_pairs.py on hand-made parent/change runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -77,3 +78,22 @@ def test_every_change_run_better_than_every_parent_run_is_within_bound_however_w
     assert verdicts(PARENT_RATE, faster)["setup_s"] == ("within bound", "gain shown")
     # the same, with one change run at the parent's fastest
     assert verdicts(PARENT_RATE, faster[:-1] + [3.0])["setup_s"] == ("unresolved", "gain shown")
+
+
+def test_record_keeps_every_set_of_pairs_of_a_workload(tmp_path, monkeypatch):
+    # every run reads the same; only the seeds tell the sets apart
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: dict.fromkeys(
+        ["setup_s", "iters_per_s", "iter_ms_p50", "iter_ms_p90", "peak_rss_mb"], 1.0))
+    record = tmp_path / "BENCH.json"
+    # a file written when each workload held one set
+    record.write_text(json.dumps({"kp_sweep": {"seeds": [1, 10]}}))
+    for workload, seed0 in (("dense_full", 101), ("dense_full", 201), ("no_isl", 301),
+                            ("kp_sweep", 401)):
+        assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(Path(__file__).parents[1]),
+                                 "--workload", workload, "--pairs", "2", "--seed0", str(seed0),
+                                 "--record", str(record)]) == 0
+    kept = json.loads(record.read_text())
+    assert [s["seeds"] for s in kept["dense_full"]] == [[101, 102], [201, 202]]
+    assert [s["seeds"] for s in kept["no_isl"]] == [[301, 302]]
+    assert [s["seeds"] for s in kept["kp_sweep"]] == [[1, 10], [401, 402]]
+    assert kept["dense_full"][1]["metrics"]["setup_s"]["bound_verdict"] == "unresolved"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leofl import learn, protocol
+from leofl import learn, protocol, sparsify
 from leofl.config import ExperimentConfig, build_simulation
 from leofl.data import Dataset
 from leofl.constants import CONSTANTS
@@ -29,6 +29,7 @@ from leofl.protocol import (
 )
 from leofl.sparsify import ErrorState, SizeModel, q_to_count
 from test_reference_oracles import (
+    assert_well_formed,
     fixed_plan,
     reference_positions,
     reference_station_distance,
@@ -81,8 +82,10 @@ def gs_bits(metrics):
 
 HP = learn.HyperParams(learning_rate=0.1, rounds=1)
 
-# the message operations that belong in SCHEMES, not in a round function
-MESSAGE_NAMES = {"SparseGradient", "sparse_add", "message_bits", "densify", "dense_bits"}
+# the message operations that belong in SCHEMES, not in a round function; every
+# scheme's message is a SparseGradient and its sink joins with sparse_add, so
+# the round functions may name those two
+MESSAGE_NAMES = {"message_bits", "densify", "dense_bits"}
 # local training, which run_global_iteration runs before it hands a fold the gradients
 TRAINING_NAMES = {"learn", "local_gradients", "round_rng", "w_global", "hp", "round_n"}
 
@@ -290,7 +293,7 @@ class TestSparseRounds:
         # aggregate is the sum of individual Top-4 contributions
         from leofl.sparsify import top_q
 
-        expected = sum(top_q(g, 4).densify() for g in gradients)
+        expected = sum(top_q(g, 4).values for g in gradients)
         np.testing.assert_allclose(agg, expected, rtol=1e-12, atol=1e-12)
 
     def test_sia_hops_nondecreasing_per_arc(self):
@@ -321,29 +324,33 @@ class TestTracedNames:
     the round functions and their dispatch must look them up at call time or the
     traced spans read zero."""
 
-    # every satellite steps once and sends one counted message; a sparse ring's
-    # sink merges the two arc messages; the dense sum makes no sparse call
+    # every satellite steps once and sends one counted message; a ring's sink
+    # merges the two arc messages; the dense sum makes no Top-Q step
     @pytest.mark.parametrize("scheme, expected", [
-        pytest.param(Scheme.SIA, {"sia_step": 6, "sparse_add": 2, "message_bits": 6,
+        pytest.param(Scheme.SIA, {"sia_step": 6, "top_q": 6, "sparse_add": 2, "message_bits": 6,
                                   "run_round": 1}, id="SIA-sia_step"),
-        pytest.param(Scheme.CLSIA, {"clsia_step": 6, "sparse_add": 2, "message_bits": 6,
-                                    "run_round": 1}, id="CLSIA-clsia_step"),
-        pytest.param(Scheme.NO_ISL_DIRECT, {"sia_step": 6, "message_bits": 6,
+        pytest.param(Scheme.CLSIA, {"clsia_step": 6, "top_q": 6, "sparse_add": 2,
+                                    "message_bits": 6, "run_round": 1}, id="CLSIA-clsia_step"),
+        pytest.param(Scheme.NO_ISL_DIRECT, {"sia_step": 6, "top_q": 6, "message_bits": 6,
                                             "run_no_isl_round": 1}, id="NO_ISL_DIRECT-sia_step"),
-        pytest.param(Scheme.DENSE_IA, {"run_round": 1}, id="DENSE_IA-no_sparse_call"),
+        pytest.param(Scheme.DENSE_IA, {"sparse_add": 2, "run_round": 1},
+                     id="DENSE_IA-sink_join_only"),
     ])
     def test_steps_and_sink_merge_use_module_names(self, monkeypatch, toy_plane_state,
                                                    scheme, expected):
         k = 6
         rng = np.random.default_rng(6)
         state = toy_plane_state([rng.normal(size=30) for _ in range(k)], dim=30)
-        calls = dict.fromkeys(["sia_step", "clsia_step", "sparse_add", "message_bits",
+        calls = dict.fromkeys(["sia_step", "clsia_step", "top_q", "sparse_add", "message_bits",
                                "run_round", "run_no_isl_round"], 0)
         for name in calls:
-            def counted(*args, _name=name, _fn=getattr(protocol, name)):
+            # the steps call sparsify's own top_q, as the tracer sees it
+            module = sparsify if name == "top_q" else protocol
+
+            def counted(*args, _name=name, _fn=getattr(module, name)):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(protocol, name, counted)
+            monkeypatch.setattr(module, name, counted)
         run_global_iteration([state], scheme, np.zeros(30), HP, 0.0, 1, 4,
                              state.nodes[0].dataset)
         assert calls == dict.fromkeys(calls, 0) | expected
@@ -386,7 +393,7 @@ class TestSchemeRecord:
 
     def test_round_functions_read_only_the_record(self):
         """Nothing outside SCHEMES branches on the scheme: the round functions
-        name no scheme member and no sparse or dense message operation. The two
+        name no scheme member and no message operation that the record owns. The two
         folds take the gradients they fold, so they name no training either."""
         tree = ast.parse(Path(protocol.__file__).read_text())
         folds = MESSAGE_NAMES | TRAINING_NAMES
@@ -404,8 +411,7 @@ class TestSchemeRecord:
                        "        return sparse_add(s, s).densify(), m.dense_bits()\n"
                        "    return SparseGradient.empty(m.dim), sparsify.message_bits(s, m)\n")
         assert round_function_offenders(fn) == {
-            "Scheme.SIA", "sparse_add", "densify", "dense_bits", "SparseGradient",
-            "message_bits"}
+            "Scheme.SIA", "densify", "dense_bits", "message_bits"}
 
     def test_round_function_offenders_sees_training(self):
         fn = ast.parse("def f(state, w_global, hp: learn.HyperParams, round_n):\n"
@@ -470,7 +476,7 @@ class TestNoIslRound:
         agg, _, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, 4)
         from leofl.sparsify import top_q
 
-        expected = sum(top_q(g, 4).densify() for g in gradients)
+        expected = sum(top_q(g, 4).values for g in gradients)
         np.testing.assert_allclose(agg, expected, rtol=1e-12, atol=1e-12)
 
     def test_wallclock_covers_visibility_waits(self):
@@ -566,29 +572,28 @@ class TestGlobalIteration:
         run_global_iteration(planes, Scheme.SIA, w, hp, 0.0, 1, 79, test)
         assert len(handed) == 2 * 6
 
-    @pytest.mark.parametrize("scheme", [Scheme.SIA, Scheme.CLSIA, Scheme.NO_ISL_DIRECT])
+    @pytest.mark.parametrize("scheme", [Scheme.SIA, Scheme.CLSIA, Scheme.NO_ISL_DIRECT,
+                                        Scheme.DENSE_IA])
     def test_counted_messages_and_cached_windows_are_well_formed(self, monkeypatch, scheme):
         """The records trust their builders: every message whose bits are counted
-        has sorted, unique, in-range int64 indices and float64 values of equal
-        length, and every cached window is non-empty, ordered and disjoint."""
+        holds float64 values and a bool `sent` mask of the model's length, +0.0
+        wherever it sends nothing and no -0.0 where it sends, and every cached
+        window is non-empty, ordered and disjoint."""
         planes, hp, w, test, m = self.small_planes(scheme.value)
         messages = []
+        spec = SCHEMES[scheme]
 
-        def recorded(s, size_model, _message_bits=protocol.message_bits):
+        def recorded(s, size_model):
             messages.append(s)
-            return _message_bits(s, size_model)
+            return spec.bits(s, size_model)
 
-        monkeypatch.setattr(protocol, "message_bits", recorded)
+        monkeypatch.setitem(SCHEMES, scheme, dataclasses.replace(spec, bits=recorded))
         t = 0.0
         for n in range(1, 4):
             w, _, t = run_global_iteration(planes, scheme, w, hp, t, n, 79, test)
         assert len(messages) == 3 * 2 * 6  # one counted message per satellite and round
         for s in messages:
-            assert s.dim == m.dim
-            assert s.indices.dtype == np.int64 and s.values.dtype == np.float64
-            assert s.indices.ndim == 1 and s.indices.shape == s.values.shape
-            assert np.all(np.diff(s.indices) > 0)
-            assert len(s.indices) == 0 or (s.indices[0] >= 0 and s.indices[-1] < m.dim)
+            assert_well_formed(s, m.dim)
         for state in planes:
             for windows in state.windows._windows:
                 assert windows

@@ -67,17 +67,51 @@ from leofl.sparsify import (
 # -- reference implementations ---------------------------------------------
 
 
+@dataclass(frozen=True)
+class IndexValue:
+    """A sparse vector as sorted int64 indices and their float64 values: the references' own form."""
+
+    dim: int
+    indices: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def densify(self):
+        out = np.zeros(self.dim)
+        out[self.indices] = self.values
+        return out
+
+    @classmethod
+    def empty(cls, dim):
+        return cls(dim, np.empty(0, dtype=np.int64), np.empty(0))
+
+    @classmethod
+    def from_dense(cls, v):
+        idx = np.nonzero(v)[0]
+        return cls(len(v), idx.astype(np.int64), np.asarray(v, dtype=np.float64)[idx])
+
+
+def as_message(ref):
+    """The program's message that sends `ref`'s entries."""
+    sent = np.zeros(ref.dim, dtype=bool)
+    sent[ref.indices] = True
+    return SparseGradient(ref.densify(), sent)
+
+
 def reference_top_q(v, q_count):
     v = np.asarray(v, dtype=np.float64)
     n = len(v)
     if q_count >= n:
-        return SparseGradient.from_dense(v)
+        return IndexValue.from_dense(v)
     # stable sort on descending magnitude preserves index order among ties
     order = np.argsort(-np.abs(v), kind="stable")[:q_count]
     keep = np.sort(order)
     vals = v[keep]
     nz = vals != 0.0
-    return SparseGradient(n, keep[nz].astype(np.int64), vals[nz])
+    return IndexValue(n, keep[nz].astype(np.int64), vals[nz])
 
 
 def reference_sparse_add(a, b):
@@ -86,7 +120,7 @@ def reference_sparse_add(a, b):
     uniq, inv = np.unique(idx, return_inverse=True)
     summed = np.zeros(len(uniq))
     np.add.at(summed, inv, val)
-    return SparseGradient(a.dim, uniq, summed)
+    return IndexValue(a.dim, uniq, summed)
 
 
 def reference_sia_step(g, data_size, err, incoming, q_count):
@@ -303,7 +337,7 @@ def reference_run_round(state, scheme, gradients, t0, q_count):
                 merged = sparse_add(merged, msg.payload)
             out = node_step(sat, merged)
             out_msg = _Message(out, message_bits(out, m))
-            aggregate = out.densify()
+            aggregate = out.values
         queue.push(Event(t, EventKind.SINK_READY, out_msg.bits, sat, sat))
         result["aggregate"] = aggregate
         result["message"] = out_msg
@@ -344,19 +378,30 @@ def reference_run_round(state, scheme, gradients, t0, q_count):
 
 
 def assert_same_sparse(got, want):
-    assert got.dim == want.dim
-    assert got.indices.dtype == want.indices.dtype
-    assert got.indices.tobytes() == want.indices.tobytes()
-    assert got.values.tobytes() == want.values.tobytes()
+    """The message `got` sends exactly the entries of the index/value `want`, and +0.0 elsewhere."""
+    assert got.values.dtype == np.float64 and got.sent.dtype == bool
+    assert got.values.shape == got.sent.shape == (want.dim,)
+    assert want.indices.dtype == np.int64
+    assert np.flatnonzero(got.sent).astype(np.int64).tobytes() == want.indices.tobytes()
+    assert got.values[got.sent].tobytes() == want.values.tobytes()
+    assert got.values[~got.sent].tobytes() == np.zeros(want.dim - want.nnz).tobytes()
+
+
+def assert_well_formed(msg, dim):
+    """`msg` holds +0.0 wherever it sends nothing and no -0.0 where it sends."""
+    assert type(msg.nnz) is int  # hop records hold plain ints
+    assert msg.values.dtype == np.float64 and msg.sent.dtype == bool
+    assert msg.values.shape == msg.sent.shape == (dim,)
+    assert msg.values[~msg.sent].tobytes() == np.zeros(dim - msg.nnz).tobytes()
+    sent = msg.values[msg.sent]
+    assert not np.any(np.signbit(sent) & (sent == 0.0))
 
 
 # magnitudes from a small set give heavy ties; ±0.0 tests the zero rules
 TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0])
+WIDE = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True, width=64)
 tied_vectors = hnp.arrays(np.float64, st.integers(1, 80), elements=TIED)
-wide_vectors = hnp.arrays(
-    np.float64, st.integers(1, 80),
-    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True, width=64),
-)
+wide_vectors = hnp.arrays(np.float64, st.integers(1, 80), elements=WIDE)
 vectors = st.one_of(tied_vectors, wide_vectors)
 
 
@@ -388,23 +433,24 @@ class TestSparseAddAgainstReference:
     @given(vectors, st.data())
     def test_byte_identical(self, v, data):
         w = data.draw(hnp.arrays(np.float64, len(v), elements=TIED))
-        a = SparseGradient.from_dense(v)
-        b = SparseGradient.from_dense(w)
-        assert_same_sparse(sparse_add(a, b), reference_sparse_add(a, b))
+        a = IndexValue.from_dense(v)
+        b = IndexValue.from_dense(w)
+        assert_same_sparse(sparse_add(as_message(a), as_message(b)), reference_sparse_add(a, b))
 
     @given(vectors)
     def test_cancelling_entries_stay_in_support(self, v):
-        a = SparseGradient.from_dense(v)
-        b = SparseGradient(a.dim, a.indices, -a.values)
-        merged = sparse_add(a, b)
+        a = IndexValue.from_dense(v)
+        b = IndexValue(a.dim, a.indices, -a.values)
+        merged = sparse_add(as_message(a), as_message(b))
         assert_same_sparse(merged, reference_sparse_add(a, b))
         assert merged.nnz == a.nnz and not np.any(merged.values)
 
     def test_empty_operands(self):
-        a = SparseGradient.from_dense(np.array([0.0, 1.5, 0.0, -2.0]))
-        e = SparseGradient.empty(4)
+        a = IndexValue.from_dense(np.array([0.0, 1.5, 0.0, -2.0]))
+        e = IndexValue.empty(4)
         for x, y in ((a, e), (e, a), (e, e)):
-            assert_same_sparse(sparse_add(x, y), reference_sparse_add(x, y))
+            assert_same_sparse(sparse_add(as_message(x), as_message(y)), reference_sparse_add(x, y))
+        assert_same_sparse(SparseGradient.empty(4), e)
 
 
 class TestStepsAgainstReference:
@@ -413,15 +459,43 @@ class TestStepsAgainstReference:
         dim = len(g)
         q = data.draw(st.integers(0, dim + 2))
         residual = data.draw(hnp.arrays(np.float64, dim, elements=TIED))
-        incoming = SparseGradient.from_dense(data.draw(hnp.arrays(np.float64, dim, elements=TIED)))
+        incoming = IndexValue.from_dense(data.draw(hnp.arrays(np.float64, dim, elements=TIED)))
         size = data.draw(st.sampled_from([1.0, 3.0, 100.0]))
         for fast, reference in ((sia_step, reference_sia_step), (clsia_step, reference_clsia_step)):
             err = ErrorState(residual.copy())
-            out, new_err = fast(g, size, err, incoming, q)
+            out, new_err = fast(g, size, err, as_message(incoming), q)
             want_out, want_err = reference(g, size, ErrorState(residual.copy()), incoming, q)
             assert_same_sparse(out, want_out)
             assert new_err.residual.tobytes() == want_err.residual.tobytes()
             assert err.residual.tobytes() == residual.tobytes()  # input state untouched
+
+
+@given(vectors, st.data())
+def test_every_builder_keeps_plus_zero_off_sent_and_no_minus_zero_on_it(g0, data):
+    """Two chains of at least 6 hops per step, joined as a sink joins its arcs.
+
+    A message entry that is -0.0, or a zero off `sent` that is not +0.0, would
+    make an entrywise sum differ from the index/value merge the references run.
+    """
+    dim = len(g0)
+    elements = data.draw(st.sampled_from([TIED, WIDE]))
+    q = data.draw(st.integers(0, dim + 2))
+    size = data.draw(st.sampled_from([1.0, 3.0, 100.0]))
+    chains = [[g0] + [data.draw(hnp.arrays(np.float64, dim, elements=elements))
+                      for _ in range(data.draw(st.integers(5, 8)))] for _ in range(2)]
+    residual = data.draw(hnp.arrays(np.float64, dim, elements=elements))
+    for g in chains[0] + chains[1]:
+        assert_well_formed(top_q(g, q), dim)
+    for step in (sia_step, clsia_step, protocol.SCHEMES[Scheme.DENSE_IA].step):
+        arcs = []
+        for chain in chains:
+            msg, err = SparseGradient.empty(dim), ErrorState(residual)
+            for g in chain:
+                msg, err = step(g, size, err, msg, q)
+                assert_well_formed(msg, dim)
+            arcs.append(msg)
+        assert_well_formed(sparse_add(*arcs), dim)
+        assert_well_formed(sparse_add(SparseGradient.empty(dim), arcs[0]), dim)
 
 
 # the default Bremen ring, a low inclined shell, a sun-synchronous plane over

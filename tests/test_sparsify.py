@@ -31,69 +31,87 @@ def vec_with_support(dim, support, values):
     return v
 
 
+def message(dim, indices, values):
+    """The message that sends `values` at `indices`."""
+    sent = np.zeros(dim, dtype=bool)
+    sent[list(indices)] = True
+    return SparseGradient(vec_with_support(dim, indices, values), sent)
+
+
+def sent_as_is(v):
+    """The message that sends every non-zero entry of `v`."""
+    nonzero = np.flatnonzero(v)
+    return message(len(v), nonzero, v[nonzero])
+
+
+def support(s):
+    return list(np.flatnonzero(s.sent))
+
+
 class TestTopQ:
     def test_figure_support(self):
         # 12 entries, largest magnitudes at positions 3, 7, 9 (0-based)
         v = np.full(12, 0.1)
         v[[3, 7, 9]] = [5.0, -4.0, 3.0]
-        assert list(top_q(v, 3).indices) == [3, 7, 9]
+        assert support(top_q(v, 3)) == [3, 7, 9]
 
     def test_q_at_least_dim_is_identity(self):
         v = np.array([1.0, -2.0, 0.0, 3.0])
         s = top_q(v, 10)
-        np.testing.assert_array_equal(s.densify(), v)
-        assert 2 not in s.indices  # zeros never stored
+        np.testing.assert_array_equal(s.values, v)
+        assert not s.sent[2]  # zeros never sent
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=100)
         expected = set(np.argsort(-np.abs(v))[:7])
-        assert set(top_q(v, 7).indices) == expected
+        assert set(support(top_q(v, 7))) == expected
 
     def test_tie_break_lower_index(self):
         v = np.array([2.0, -2.0, 2.0, 1.0])
-        assert list(top_q(v, 2).indices) == [0, 1]
+        assert support(top_q(v, 2)) == [0, 1]
 
     @given(dense_vectors, st.integers(0, 70))
     def test_residual_zero_on_kept_support(self, v, q):
         s = top_q(v, q)
-        residual = v - s.densify()
-        assert np.all(residual[s.indices] == 0.0)
+        residual = v - s.values
+        assert np.all(residual[s.sent] == 0.0)
 
     @given(dense_vectors, st.integers(0, 70))
     def test_optimality(self, v, q):
         s = top_q(v, q)
-        dropped = np.setdiff1d(np.arange(len(v)), s.indices)
-        if len(s.indices) and len(dropped):
-            assert np.abs(v[dropped]).max() <= np.abs(s.values).min()
+        dropped = ~s.sent
+        if s.nnz and dropped.any():
+            assert np.abs(v[dropped]).max() <= np.abs(s.values[s.sent]).min()
 
     @given(dense_vectors, st.integers(0, 70))
     def test_decomposition_identity(self, v, q):
         s = top_q(v, q)
-        np.testing.assert_array_equal(s.densify() + (v - s.densify()), v)
+        np.testing.assert_array_equal(s.values + (v - s.values), v)
 
 
 class TestSparseAdd:
     def test_figure_merge(self):
-        a = SparseGradient(12, np.array([3, 7, 9]), np.array([1.0, 2.0, 3.0]))
-        b = SparseGradient(12, np.array([1, 3, 11]), np.array([4.0, 5.0, 6.0]))
+        a = message(12, [3, 7, 9], [1.0, 2.0, 3.0])
+        b = message(12, [1, 3, 11], [4.0, 5.0, 6.0])
         merged = sparse_add(a, b)
-        assert list(merged.indices) == [1, 3, 7, 9, 11]
-        assert merged.densify()[3] == 6.0  # only the common index is summed
+        assert support(merged) == [1, 3, 7, 9, 11]
+        assert merged.values[3] == 6.0  # only the common index is summed
 
     def test_additive_identity(self):
-        a = SparseGradient(5, np.array([1, 4]), np.array([2.0, -1.0]))
+        a = message(5, [1, 4], [2.0, -1.0])
         merged = sparse_add(a, SparseGradient.empty(5))
-        np.testing.assert_array_equal(merged.densify(), a.densify())
+        np.testing.assert_array_equal(merged.values, a.values)
+        np.testing.assert_array_equal(merged.sent, a.sent)
 
     @given(dense_vectors.flatmap(lambda v: st.tuples(st.just(v), dense_vectors.filter(lambda w: True))))
     def test_matches_dense_addition(self, pair):
         v, w = pair
         n = min(len(v), len(w))
-        a = SparseGradient.from_dense(v[:n])
-        b = SparseGradient.from_dense(w[:n])
+        a = sent_as_is(v[:n])
+        b = sent_as_is(w[:n])
         np.testing.assert_allclose(
-            sparse_add(a, b).densify(), v[:n] + w[:n], rtol=0, atol=0
+            sparse_add(a, b).values, v[:n] + w[:n], rtol=0, atol=0
         )
 
 
@@ -120,7 +138,7 @@ class TestErrorState:
         g1, _, _ = fig2_gradients()
         out, err = step(g1, 1.0, start, SparseGradient.empty(12), 3)
         assert err is not start and err.residual.flags.writeable
-        np.testing.assert_array_equal(out.densify() + err.residual, g1)
+        np.testing.assert_array_equal(out.values + err.residual, g1)
         assert not start.residual.any()
 
 
@@ -129,11 +147,11 @@ class TestSiaStep:
         g1, g2, _ = fig2_gradients()
         e1, e2 = ErrorState.zeros(12), ErrorState.zeros(12)
         out1, e1 = sia_step(g1, 1.0, e1, SparseGradient.empty(12), 3)
-        assert list(out1.indices) == [3, 7, 9]
+        assert support(out1) == [3, 7, 9]
         out2, e2 = sia_step(g2, 1.0, e2, out1, 3)
-        assert list(out2.indices) == [1, 3, 7, 9, 11]
+        assert support(out2) == [1, 3, 7, 9, 11]
         assert out2.nnz == 5
-        assert out2.densify()[3] == g1[3] + g2[3]
+        assert out2.values[3] == g1[3] + g2[3]
 
     def test_chain_start_has_exactly_q_entries(self):
         g = np.arange(1.0, 13.0)
@@ -146,7 +164,7 @@ class TestSiaStep:
         err = ErrorState(np.linspace(-1, 1, dim))
         before = 3.0 * g + err.residual
         out, err2 = sia_step(g, 3.0, err, SparseGradient.empty(dim), q)
-        np.testing.assert_array_equal(out.densify() + err2.residual, before)
+        np.testing.assert_array_equal(out.values + err2.residual, before)
 
     def test_outgoing_size_bound(self):
         rng = np.random.default_rng(0)
@@ -161,10 +179,10 @@ class TestClsiaStep:
         g1, g2, g3 = fig2_gradients()
         errs = [ErrorState.zeros(12) for _ in range(3)]
         out1, errs[0] = clsia_step(g1, 1.0, errs[0], SparseGradient.empty(12), 3)
-        assert list(out1.indices) == [3, 7, 9]
+        assert support(out1) == [3, 7, 9]
         out2, errs[1] = clsia_step(g2, 1.0, errs[1], out1, 3)
         assert out2.nnz == 3
-        assert list(out2.indices) == [1, 3, 11]
+        assert support(out2) == [1, 3, 11]
         out3, errs[2] = clsia_step(g3, 1.0, errs[2], out2, 3)
         assert out3.nnz == 3
 
@@ -173,8 +191,8 @@ class TestClsiaStep:
         dim = len(g)
         incoming = top_q(np.linspace(-1, 1, dim), q)
         out, _ = clsia_step(g, 1.0, ErrorState.zeros(dim), incoming, q)
-        merged = incoming.densify() + g
-        assert out.nnz == min(q, int(np.count_nonzero(top_q(merged, q).densify())))
+        merged = incoming.values + g
+        assert out.nnz == min(q, int(np.count_nonzero(top_q(merged, q).values)))
         assert out.nnz <= q
 
     @given(dense_vectors, st.integers(1, 20))
@@ -182,9 +200,9 @@ class TestClsiaStep:
         dim = len(g)
         err = ErrorState(np.linspace(0.5, -0.5, dim))
         incoming = top_q(np.linspace(-1, 1, dim), q)
-        before = incoming.densify() + (2.0 * g + err.residual)
+        before = incoming.values + (2.0 * g + err.residual)
         out, err2 = clsia_step(g, 2.0, err, incoming, q)
-        np.testing.assert_array_equal(out.densify() + err2.residual, before)
+        np.testing.assert_array_equal(out.values + err2.residual, before)
 
 
 class TestSchemesCollapseAtQ1:
@@ -204,15 +222,15 @@ class TestSchemesCollapseAtQ1:
             assert np.all(err.residual == 0)
             agg_cl, err = clsia_step(g, d, ErrorState.zeros(dim), agg_cl, q)
             assert np.all(err.residual == 0)
-        np.testing.assert_allclose(agg_sia.densify(), expected, rtol=1e-12)
-        np.testing.assert_allclose(agg_cl.densify(), expected, rtol=1e-12)
+        np.testing.assert_allclose(agg_sia.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(agg_cl.values, expected, rtol=1e-12)
 
 
 class TestSizeAccounting:
     def test_reference_message(self):
         m = SizeModel(7850)
         assert m.index_bits == 13
-        s = SparseGradient(7850, np.arange(79), np.ones(79))
+        s = message(7850, range(79), np.ones(79))
         assert message_bits(s, m) == 3555
 
     def test_empty_message(self):

@@ -23,9 +23,10 @@ bound" when its median is worse than the parent's by more than the bound,
 taken as a fraction of the parent's median, and "within bound" if not. It
 shows a gain ("gain shown") when at least 10 pairs ran, it won at least 9 in
 10 of them and its median beats the parent's by more than the parent's IQR.
-With --record the summary, verdicts included, is merged into that JSON file
-under the workload's name. The tool itself writes nothing else; each run.py
-keeps its own records in its checkout's perfbench/out/.
+With --record the summary, verdicts included, is appended to that JSON
+file's list of sets for the workload, so a second set run to resolve an
+"unresolved" verdict sits beside the first. The tool itself writes nothing
+else; each run.py keeps its own records in its checkout's perfbench/out/.
 """
 
 import argparse
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--record", type=Path, help="JSON file to merge the summary into")
+    parser.add_argument("--record", type=Path, help="JSON file to append the summary to")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -133,8 +134,12 @@ def main(argv=None) -> int:
         print(f"{metric:12s} {s['bound_verdict']} ({bound:g}), {s['gain_verdict']}")
     if args.record:
         record = json.loads(args.record.read_text()) if args.record.exists() else {}
-        record[args.workload] = {"pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
-                                 "seconds": args.seconds, "metrics": summary}
+        sets = record.get(args.workload, [])
+        if isinstance(sets, dict):  # a record written when a workload held one set
+            sets = [sets]
+        sets.append({"pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
+                     "seconds": args.seconds, "metrics": summary})
+        record[args.workload] = sets
         args.record.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -19,7 +19,7 @@ are equal, so a refactor is checked with
     diff <(python3 tools/golden_trace.py --src ../parent/src) \
          <(python3 tools/golden_trace.py --src src)
 
-A run takes about 40 s on a 2-core host.
+A run takes about 15 s on a 2-core host.
 """
 
 import os
@@ -47,6 +47,8 @@ FAMILIES = [
      {"constellation": {"planes": 3, "sats_per_plane": 12, "altitude_km": 550.0,
                         "inclination_deg": 53.0}, "q": 0.1}, 4),
     ("k7-retrograde", {"constellation": {"sats_per_plane": 7, "inclination_deg": 150.0}}, 4),
+    # q_count == n_d: Top-Q keeps every non-zero entry
+    ("default-q1", {"q": 1.0}, 3),
 ]
 
 
