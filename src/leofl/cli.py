@@ -5,14 +5,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
 import yaml
 
 from .config import (ExperimentConfig, ValidationError, build_ground_station,
                      build_planes_geometry, config_from_dict, load_config, set_keys)
 from .data import IngestionError
 from .harness import DEFAULT_AXES, export, export_sweep, run_experiment, run_sweep
-from .orbital import visibility_windows
 from .protocol import NoWindowError, WindowCache
 
 EXIT_OK = 0
@@ -53,14 +51,15 @@ def _cmd_windows(args) -> int:
     if not 0 <= args.plane < len(planes):
         raise ValidationError(
             f"--plane {args.plane}: the constellation has planes 0 to {len(planes) - 1}")
-    plane = planes[args.plane]
-    per_sat = visibility_windows(plane, np.arange(plane.num_sats), build_ground_station(cfg),
-                                 0.0, args.hours * 3600.0)
-    for sat, windows in enumerate(per_sat):
-        for w in windows:
-            print(f"plane {args.plane} sat {sat}: "
-                  f"{w.start_s/3600:.3f} h -> {w.end_s/3600:.3f} h "
-                  f"({w.end_s - w.start_s:.0f} s)")
+    span_s = args.hours * 3600.0
+    # the windows a run reads: the plane's cache, searched chunk by chunk past the span
+    cache = WindowCache(planes[args.plane], build_ground_station(cfg))
+    cache.extend(span_s)
+    for sat, windows in enumerate(cache.windows):
+        for start, end in [(w.start_s, min(w.end_s, span_s))
+                           for w in windows if w.start_s < span_s]:
+            print(f"plane {args.plane} sat {sat}: {start/3600:.3f} h -> {end/3600:.3f} h "
+                  f"({end - start:.0f} s): {start!r} s -> {end!r} s")
     return EXIT_OK
 
 

@@ -250,8 +250,8 @@ def _mnist_problems(base: Path, sats: int) -> list[str]:
             path = _find_idx(base, stem)
             dims[stem] = data.idx_dims(path, magic)
             declared = 4 * (1 + len(dims[stem])) + math.prod(dims[stem])  # header and payload
-            size = path.stat().st_size
-            if size < declared and not data.is_gzip(path):  # a gzip size says nothing of it
+            size = data.idx_size(path, declared)
+            if size < declared:
                 problems.append(f"dataset.mnist_dir {base}: {path.name} holds {size} bytes, "
                                 f"fewer than the {declared} its header declares")
     except data.IngestionError as exc:

@@ -146,16 +146,17 @@ class WindowCache:
         self.gs = gs
         k = plane.num_sats
         self._sats = np.arange(k)
-        self._windows: list[list[VisibilityWindow]] = [[] for _ in range(k)]
+        self.windows: list[list[VisibilityWindow]] = [[] for _ in range(k)]
         self._covered_to = 0.0
         self._chunk = max(4 * plane.period_s, 3600.0)
 
-    def _extend(self, until: float):
+    def extend(self, until: float):
+        """Search on, chunk by chunk, until the windows cover [0, until]."""
         while self._covered_to < until:
             t0 = self._covered_to
             t1 = t0 + self._chunk
             fresh = visibility_windows(self.plane, self._sats, self.gs, t0, t1)
-            for existing, found in zip(self._windows, fresh):
+            for existing, found in zip(self.windows, fresh):
                 for w in found:
                     if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
                         existing[-1] = VisibilityWindow(existing[-1].start_s, w.end_s)
@@ -169,8 +170,8 @@ class WindowCache:
         target = t
         while target < t + self.HORIZON_S:
             target += self._chunk
-            self._extend(target)
-            windows = self._windows[sat]
+            self.extend(target)
+            windows = self.windows[sat]
             i = bisect.bisect_right(windows, t, key=attrgetter("end_s"))
             if i < len(windows):
                 return windows[i]

@@ -9,6 +9,7 @@ from leofl.data import (
     Dataset,
     IngestionError,
     idx_dims,
+    idx_size,
     load_mnist,
     partition,
     shuffle,
@@ -137,6 +138,21 @@ class TestMnistIngestion:
         write_idx_images(img_path, np.zeros((3, 28, 28), dtype=np.uint8))
         img_path.write_bytes(img_path.read_bytes()[:20])  # the pixels cut away
         assert idx_dims(img_path, 2051) == (3, 28, 28)
+
+    def test_idx_size_reads_what_isize_flags(self, tmp_path):
+        path = tmp_path / "imgs.gz"
+        write_idx_images(path, np.zeros((3, 28, 28), dtype=np.uint8), compress=True)
+        held = 16 + 3 * 784
+        assert idx_size(path, held) == held
+        assert idx_size(path, held + 1) == held  # flagged, and the read comes up short
+        # ISIZE holds the size mod 2^32, so it tells nothing of 2^32 bytes or more
+        assert idx_size(path, 1 << 32) == 1 << 32
+        path.write_bytes(path.read_bytes()[:-12] + bytes(4))  # ISIZE 0 flags a cut stream
+        with pytest.raises(IngestionError, match=r"imgs\.gz: damaged gzip stream in the IDX file"):
+            idx_size(path, held)
+        plain = tmp_path / "imgs"
+        write_idx_images(plain, np.zeros((3, 28, 28), dtype=np.uint8))
+        assert (idx_size(plain, held - 1), idx_size(plain, held + 1)) == (held - 1, held)
 
     @pytest.mark.parametrize("rows, cols", [(4, 4), (28, 27), (32, 32)])
     def test_wrong_image_size_rejected(self, tmp_path, rows, cols):

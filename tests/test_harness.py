@@ -824,38 +824,51 @@ class TestCli:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("claimed", [1000, 1 << 26])
     @pytest.mark.parametrize("compress", [False, True])
-    def test_overstated_mnist_header_exits_by_key(self, tmp_path, capsys, compress):
-        # training headers claiming 2^26 samples over 40 passed validate, and
-        # run died with a MemoryError traceback reading what they claimed
+    def test_overstated_mnist_header_exits_by_key(self, tmp_path, capsys, compress, claimed):
+        # training headers claiming more samples than the 40 they hold passed
+        # validate; run then died with a MemoryError traceback reading 2^26 of
+        # them, and a gzipped file passed validate until its trailer was read
         write_mnist(tmp_path, 40, 5)
         for stem, array in (("train-images-idx3-ubyte", np.zeros((40, 28, 28), dtype=np.uint8)),
                             ("train-labels-idx1-ubyte", np.arange(40) % 10)):
             (tmp_path / stem).unlink()
             name = f"{stem}.gz" if compress else stem
-            overstate_idx_count(tmp_path / name, array, 1 << 26, compress)
+            overstate_idx_count(tmp_path / name, array, claimed, compress)
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
         run = ["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")]
-        if compress:  # validate cannot size a gzip payload without reading it; the run reads it
-            assert main(["validate", "--config", str(path)]) == EXIT_OK
-            capsys.readouterr()
-            assert main(run) == EXIT_INGESTION
+        for command in (["validate", "--config", str(path)], run):
+            assert main(command) == EXIT_VALIDATION
             err = capsys.readouterr().err
-            assert err.startswith("dataset ingestion failed:")
-            assert f"truncated IDX payload, {40 * 784} of {784 << 26} bytes" in err
-        else:
-            for command in (["validate", "--config", str(path)], run):
-                assert main(command) == EXIT_VALIDATION
-                err = capsys.readouterr().err
-                assert err.startswith("invalid configuration: dataset.mnist_dir")
-                for name, size, declared in (
-                        ("train-images-idx3-ubyte", 16 + 40 * 784, 16 + (784 << 26)),
-                        ("train-labels-idx1-ubyte", 8 + 40, 8 + (1 << 26))):
-                    assert (f"{name} holds {size} bytes, fewer than the {declared} its header "
-                            "declares") in err
+            assert err.startswith(f"invalid configuration: dataset.mnist_dir {tmp_path}: ")
+            for name, size, declared in (
+                    ("train-images-idx3-ubyte", 16 + 40 * 784, 16 + 784 * claimed),
+                    ("train-labels-idx1-ubyte", 8 + 40, 8 + claimed)):
+                name += ".gz" if compress else ""
+                # ISIZE is the size mod 2^32: a gzip file declaring more is not screened
+                assert ((f"{name} holds {size} bytes, fewer than the {declared} its header "
+                         "declares") in err) == (not compress or declared < 1 << 32)
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_two_member_gzip_passes_validate(self, tmp_path, capsys):
+        # the trailer's ISIZE counts only the last member, so it flags the file, and
+        # the read that confirms it finds every byte the header declares
+        write_mnist(tmp_path, 40, 5)
+        plain = tmp_path / "train-images-idx3-ubyte"
+        blob = plain.read_bytes()
+        plain.unlink()
+        gz = tmp_path / "train-images-idx3-ubyte.gz"
+        gz.write_bytes(gzip.compress(blob[:1000]) + gzip.compress(blob[1000:]))
+        assert int.from_bytes(gz.read_bytes()[-4:], "little") == len(blob) - 1000
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert data.idx_size(gz, len(blob)) == len(blob)
+        assert data.idx_size(gz, len(blob) + 1) == len(blob)
 
     def test_hours_bounded_by_the_window_search_horizon(self, capsys):
         parser = build_parser()
@@ -875,6 +888,70 @@ class TestCli:
         assert rc == EXIT_OK
         assert (tmp_path / "out" / "run.csv").exists()
         assert (tmp_path / "out" / "run.manifest.json").exists()
+
+
+def listing(capsys, argv) -> dict[int, list[tuple[str, str]]]:
+    """What `leofl windows` prints, as {satellite: [(start, end) as float.hex]}; it must exit 0."""
+    assert main(["windows", *argv]) == EXIT_OK
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        sat, start, end = re.fullmatch(r"plane \d+ sat (\d+): .*: (\S+) s -> (\S+) s",
+                                       line).groups()
+        listed.setdefault(int(sat), []).append((float(start).hex(), float(end).hex()))
+    return listed
+
+
+# (config, the planes whose listings are checked); the few samples move no window
+LISTED = {
+    "default": ({"dataset": {"train_samples": 40, "test_samples": 10}}, range(5)),
+    "k28": ({"constellation": {"sats_per_plane": 28},
+             "dataset": {"train_samples": 140, "test_samples": 10}}, range(1)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LISTED))
+def run_caches(request, tmp_path_factory):
+    """A config file, the planes to check and each plane's cached windows once a
+    NO_ISL_DIRECT run on that config has passed 120 h."""
+    raw, planes_checked = LISTED[request.param]
+    path = tmp_path_factory.mktemp("listing") / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    cfg = config_from_dict(dict(raw, scheme="NO_ISL_DIRECT"))
+    planes, hp, w, test, size_model = build_simulation(cfg)
+    q_count = q_to_count(cfg.q, size_model.dim)
+    t, n = 0.0, 0
+    while t <= 120 * 3600.0:
+        n += 1
+        w, _, t = run_global_iteration(planes, Scheme.NO_ISL_DIRECT, w, hp, t, n, q_count, test)
+    return path, planes_checked, [state.windows.windows for state in planes]
+
+
+class TestWindowListing:
+    @pytest.mark.parametrize("hours", [24.0, 120.0])
+    def test_lists_the_windows_a_run_uses(self, capsys, run_caches, hours):
+        # a search of its own over the whole span listed 213 of the 324 default
+        # windows within 24 h with other edges, by up to 0.61 s
+        path, planes_checked, caches = run_caches
+        span = hours * 3600.0
+        for plane in planes_checked:
+            want = {sat: [(w.start_s.hex(), min(w.end_s, span).hex())
+                          for w in windows if w.start_s < span]
+                    for sat, windows in enumerate(caches[plane])}
+            argv = ["--config", str(path), "--plane", str(plane), "--hours", str(hours)]
+            assert listing(capsys, argv) == {sat: ws for sat, ws in want.items() if ws}
+
+    def test_a_satellite_with_no_window_in_the_span_lists_nothing(self, tmp_path, capsys):
+        # inclination 30 deg at 2000 km reaches 61.45 deg above a 10 deg mask, so a
+        # station at 61.25 deg sees satellites 0 to 3 only after 24 h
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"constellation": {"planes": 1, "inclination_deg": 30.0},
+                                        "ground_station": {"latitude_deg": 61.25}}))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(listing(capsys, ["--config", str(path), "--hours", "24"])) == [4, 5, 6, 7]
+        assert sorted(listing(capsys, ["--config", str(path), "--hours", "120"])) == list(range(8))
+        assert main(["windows", "--config", str(path), "--plane", "1"]) == EXIT_VALIDATION
+        assert "--plane 1: the constellation has planes 0 to 0" in capsys.readouterr().err
 
 
 @pytest.fixture

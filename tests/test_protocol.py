@@ -595,7 +595,7 @@ class TestGlobalIteration:
         for s in messages:
             assert_well_formed(s, m.dim)
         for state in planes:
-            for windows in state.windows._windows:
+            for windows in state.windows.windows:
                 assert windows
                 for window in windows:
                     assert window.start_s < window.end_s

@@ -700,7 +700,7 @@ class TestWindowsAgainstReference:
         for t in np.linspace(0.0, 3 * 86400.0, 400):
             for sat in range(plane.num_sats):
                 got = cache.next_window(sat, float(t))
-                want = next(w for w in cache._windows[sat] if w.end_s > t)
+                want = next(w for w in cache.windows[sat] if w.end_s > t)
                 assert got is want
 
 

@@ -13,8 +13,10 @@ SHA-256 of the global weights and of every satellite's residual, and every
 `plan_round` result. For each family it also prints the SHA-256 of every
 shard's rows and labels in plane order and of the test set, and, for the first
 plane, the SHA-256 of every satellite's visibility windows over ten days, as
-`float.hex` pairs. Two trees simulate identically exactly when their digests
-are equal, so a refactor is checked with
+`float.hex` pairs: once from one search over the whole span, and once as a
+run's `WindowCache` holds them, so a change to the cache's chunks or to how it
+merges windows across a chunk seam shows too. Two trees simulate identically
+exactly when their digests are equal, so a refactor is checked with
 
     diff <(python3 tools/golden_trace.py --src ../parent/src) \
          <(python3 tools/golden_trace.py --src src)
@@ -73,18 +75,34 @@ def sha(array) -> str:
 TEN_DAYS_S = 10 * 86400.0
 
 
-def window_digest(config, orbital, out):
-    """One line per family: the first plane's visibility windows over ten days."""
+def cached_windows(protocol, plane, gs):
+    """Every window of the plane's satellites that starts within ten days, as a run's
+    `WindowCache` holds it: walked with `next_window`, so each end is complete."""
+    cache = protocol.WindowCache(plane, gs)
+    for sat in range(plane.num_sats):
+        w = cache.next_window(sat, 0.0)
+        while w.start_s < TEN_DAYS_S:
+            yield sat, w
+            w = cache.next_window(sat, w.end_s)
+
+
+def window_digest(config, orbital, protocol, out):
+    """Two lines per family: the first plane's visibility windows over ten days, from one
+    whole-span search and from the chunk by chunk search of a run's window cache."""
     for family, raw, _ in FAMILIES:
         cfg = config.config_from_dict(raw)
         plane = config.build_planes_geometry(cfg)[0]
         gs = config.build_ground_station(cfg)
-        lines = [f"{sat} {w.start_s.hex()} {w.end_s.hex()}"
-                 for sat in range(plane.num_sats)
-                 for w in orbital.visibility_windows(plane, sat, gs, 0.0, TEN_DAYS_S)]
-        text = "\n".join(lines).encode()
-        print(f"{family} windows n={len(lines)} sha={hashlib.sha256(text).hexdigest()}",
-              file=out)
+        searches = {
+            "windows": [(sat, w) for sat in range(plane.num_sats)
+                        for w in orbital.visibility_windows(plane, sat, gs, 0.0, TEN_DAYS_S)],
+            "cached windows": list(cached_windows(protocol, plane, gs)),
+        }
+        for name, windows in searches.items():
+            text = "\n".join(f"{sat} {w.start_s.hex()} {w.end_s.hex()}"
+                             for sat, w in windows).encode()
+            print(f"{family} {name} n={len(windows)} sha={hashlib.sha256(text).hexdigest()}",
+                  file=out)
 
 
 def dataset_digest(config, out):
@@ -138,7 +156,7 @@ def digest(config, orbital, protocol, sparsify, out):
                           file=out)
     protocol.plan_round = plan_round
     dataset_digest(config, out)
-    window_digest(config, orbital, out)
+    window_digest(config, orbital, protocol, out)
 
 
 def main():
