@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import yaml
@@ -81,6 +82,13 @@ def _hours(text: str) -> float:
     return value
 
 
+def _stem(text: str) -> str:
+    """An output file stem: a name in the output directory, not a path into or out of it."""
+    if text in ("", ".", "..") or any(sep in text for sep in (os.sep, os.altsep) if sep):
+        raise argparse.ArgumentTypeError(f"must be a file name without a directory, got {text!r}")
+    return text
+
+
 class _Axis(argparse.Action):
     """Repeated `--axis KEY=V1,V2,...` as {key: values}, each value read as a YAML scalar."""
 
@@ -122,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     common(p_run, "scheme", "q", "seed", "out", "rounds")
-    p_run.add_argument("--name", default="run", help="output file stem")
+    p_run.add_argument("--name", type=_stem, default="run", help="output file stem")
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
@@ -131,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, "seed", "out", "iterations")
     p_sweep.add_argument("--axis", action=_Axis, metavar="KEY=V1,V2,...", help="a dotted config "
                          "key and its values; repeatable (default: harness.DEFAULT_AXES)")
-    p_sweep.add_argument("--name", default="sweep")
+    p_sweep.add_argument("--name", type=_stem, default="sweep", help="output file stem")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_win = sub.add_parser("windows", help="print visibility windows for debugging")

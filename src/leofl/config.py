@@ -156,9 +156,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
         problems.append(f"output_dir {cfg.output_dir!r}: {nearest} is not a writable directory")
     sats = c.planes * c.sats_per_plane
-    if d.source == "mnist":
-        problems += (_mnist_problems(Path(d.mnist_dir), sats) if d.mnist_dir
-                     else ["dataset.mnist_dir is required for dataset.source=mnist"])
+    if d.source == "mnist" and not d.mnist_dir:
+        problems.append("dataset.mnist_dir is required for dataset.source=mnist")
     if d.source == "synthetic":
         if d.train_samples < sats:
             problems.append(
@@ -188,6 +187,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             "use more satellites per plane or a higher constellation.altitude_km"
         )
     _check_link(cfg, plane, ring)
+    # the files are read as a run reads them, into the draw its build then reuses
+    if d.source == "mnist":
+        try:
+            _shared_datasets(cfg)
+        except data.IngestionError as exc:
+            raise ValidationError(f"dataset.mnist_dir: {exc}") from None
     return cfg
 
 
@@ -236,40 +241,6 @@ def _check_link(cfg: ExperimentConfig, plane: OrbitPlane, ring: bool):
             f"link: the rate to {station} is {rates[station]!r} bit/s, so the {upload_bits}-bit "
             f"model upload takes {upload_s:.3g} s, longer than the {WindowCache.HORIZON_S:g} s "
             f"window search horizon; {budget} must give a faster rate")
-
-
-def _mnist_problems(base: Path, sats: int) -> list[str]:
-    """What the IDX headers under `base` show a run cannot use; the pixels are not read."""
-    if not base.is_dir():
-        return [f"dataset.mnist_dir {base} is not a directory"]
-    problems, dims = [], {}
-    try:
-        for stem, magic in (
-                ("train-images", data.IDX_IMAGES_MAGIC), ("train-labels", data.IDX_LABELS_MAGIC),
-                ("t10k-images", data.IDX_IMAGES_MAGIC), ("t10k-labels", data.IDX_LABELS_MAGIC)):
-            path = _find_idx(base, stem)
-            dims[stem] = data.idx_dims(path, magic)
-            declared = 4 * (1 + len(dims[stem])) + math.prod(dims[stem])  # header and payload
-            size = data.idx_size(path, declared)
-            if size < declared:
-                problems.append(f"dataset.mnist_dir {base}: {path.name} holds {size} bytes, "
-                                f"fewer than the {declared} its header declares")
-    except data.IngestionError as exc:
-        return [f"dataset.mnist_dir: {exc}"]
-    for split in ("train", "t10k"):
-        images, labels = dims[f"{split}-images"], dims[f"{split}-labels"]
-        if images[1:] != (28, 28):
-            problems.append(f"dataset.mnist_dir {base}: {split}-images are {images[1]} x "
-                            f"{images[2]}, expected 28 x 28")
-        if images[0] != labels[0]:
-            problems.append(f"dataset.mnist_dir {base}: {split} image and label counts differ, "
-                            f"{images[0]} against {labels[0]}")
-    if dims["train-images"][0] < sats:
-        problems.append(f"dataset.mnist_dir {base}: {dims['train-images'][0]} training samples, "
-                        f"fewer than planes * sats_per_plane = {sats}, one per satellite shard")
-    if dims["t10k-images"][0] < 1:
-        problems.append(f"dataset.mnist_dir {base}: the t10k-images file holds no samples")
-    return problems
 
 
 def _build(cls, raw: dict, keys: str):
@@ -379,8 +350,8 @@ def _shared_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]
     sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
     if cfg.dataset.source == "mnist" and len(train) < sats:
         raise data.IngestionError(
-            f"dataset.mnist_dir {cfg.dataset.mnist_dir}: {len(train)} training samples, fewer "
-            f"than planes * sats_per_plane = {sats}, one per satellite shard"
+            f"{_find_idx(Path(cfg.dataset.mnist_dir), 'train-images')}: {len(train)} training "
+            f"samples, fewer than planes * sats_per_plane = {sats}, one per satellite shard"
         )
     return train, test
 

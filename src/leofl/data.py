@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import gzip
 import math
-import os
 import struct
 import zlib
 from pathlib import Path
@@ -46,34 +45,10 @@ class Dataset:
         return len(self.labels)
 
 
-def _is_gzip(path: Path) -> bool:
-    """Whether the file at `path` starts with the gzip magic."""
-    with open(path, "rb") as f:
-        return f.read(2) == b"\x1f\x8b"
-
-
-def _open_idx(path: Path):
-    if not path.exists():
-        raise IngestionError(
-            f"dataset file not found: {path}; download the MNIST IDX files or "
-            "switch the config to the synthetic dataset"
-        )
-    return gzip.open(path, "rb") if _is_gzip(path) else open(path, "rb")
-
-
-def _read_chunks(f, size: int, path: Path, what: str):
-    """The next `size` bytes of `f`, or as many as it holds, READ_CHUNK_BYTES at a time."""
-    try:
-        while size > 0 and (chunk := f.read(min(READ_CHUNK_BYTES, size))):
-            size -= len(chunk)
-            yield chunk
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise IngestionError(f"{path}: damaged gzip stream in the IDX {what}: {exc}") from None
-
-
 def _read_exactly(f, size: int, path: Path, what: str) -> bytearray:
+    """The next `size` bytes of `f`, read READ_CHUNK_BYTES at a time, never past what it holds."""
     payload = bytearray()
-    for chunk in _read_chunks(f, size, path, what):
+    while len(payload) < size and (chunk := f.read(min(READ_CHUNK_BYTES, size - len(payload)))):
         payload += chunk
     if len(payload) != size:
         raise IngestionError(f"{path}: truncated IDX {what}, {len(payload)} of {size} bytes")
@@ -88,35 +63,15 @@ def _read_dims(f, path: Path, expected_magic: int) -> tuple[int, ...]:
     return struct.unpack(f">{ndim}i", _read_exactly(f, 4 * ndim, path, "header"))
 
 
-def idx_dims(path: Path, expected_magic: int) -> tuple[int, ...]:
-    """The dimensions an IDX file's header declares, without reading its payload."""
-    with _open_idx(path) as f:
-        return _read_dims(f, path, expected_magic)
-
-
-def idx_size(path: Path, declared: int) -> int:
-    """How many of the `declared` bytes the IDX file at `path` holds, uncompressed.
-
-    A gzip file ends with ISIZE, its last member's uncompressed size mod 2^32. ISIZE only
-    screens: a file whose ISIZE is below `declared` (and `declared` below 2^32) is read, a
-    chunk at a time and never past `declared`; any other is taken to hold them all. So a
-    multi-member file, or one whose size only wraps ISIZE, is never short on ISIZE alone.
-    """
-    if not _is_gzip(path):
-        return min(path.stat().st_size, declared)
-    with open(path, "rb") as f:
-        f.seek(-4, os.SEEK_END)
-        isize = int.from_bytes(f.read(4), "little")
-    if isize >= declared or declared >= 1 << 32:
-        return declared
-    with gzip.open(path, "rb") as f:
-        return sum(map(len, _read_chunks(f, declared, path, "file")))
-
-
 def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
-    with _open_idx(path) as f:
-        dims = _read_dims(f, path, expected_magic)
-        payload = _read_exactly(f, math.prod(dims), path, "payload")
+    try:
+        with open(path, "rb") as f:
+            gzipped = f.read(2) == b"\x1f\x8b"
+        with (gzip.open if gzipped else open)(path, "rb") as f:
+            dims = _read_dims(f, path, expected_magic)
+            payload = _read_exactly(f, math.prod(dims), path, "payload")
+    except (OSError, EOFError, zlib.error) as exc:  # missing, a directory, a damaged gzip stream
+        raise IngestionError(f"{path}: cannot read the IDX file: {exc}") from None
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
@@ -134,7 +89,8 @@ def load_mnist(images_path: str | Path, labels_path: str | Path) -> Dataset:
             f"{images_path}: images are {images.shape[1]} x {images.shape[2]}, expected 28 x 28"
         )
     if len(images) != len(labels):
-        raise IngestionError("image and label counts differ")
+        raise IngestionError(f"{images_path}, {labels_path}: image and label counts differ, "
+                             f"{len(images)} against {len(labels)}")
     if np.any(labels >= NUM_CLASSES):
         raise IngestionError(
             f"{labels_path}: label {int(labels.max())} outside [0, {NUM_CLASSES})"

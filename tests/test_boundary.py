@@ -16,9 +16,9 @@ ALLOWED = {
         "_validate", "_check_link", "_build", "config_from_dict",
         "load_config", "set_keys", "_shared_datasets", "_find_idx",
     },
-    "data": {"_open_idx", "_read_chunks", "_read_exactly", "_read_dims", "load_mnist"},
+    "data": {"_read_exactly", "_read_dims", "_read_idx", "load_mnist"},
     # the commands and the argument parsers
-    "cli": {"_cmd_windows", "_hours", "_Axis.__call__"},
+    "cli": {"_cmd_windows", "_hours", "_stem", "_Axis.__call__"},
     # a sweep cell that cannot run: its config error, re-raised naming the
     # cell, or no iteration after the warm-up
     "harness": {"run_sweep"},

@@ -234,7 +234,7 @@ class TestConfig:
             config_from_dict({"dataset": {"train_samples": 20}})
         config_from_dict({"dataset": {"train_samples": 40}})
 
-    # validate counts the MNIST training samples from the IDX header: one per satellite is the least
+    # validate loads the MNIST training set: one sample per satellite is the least
     @pytest.mark.parametrize("n_train, accepted", [(39, False), (40, True)])
     def test_mnist_shards_must_fit(self, tmp_path, n_train, accepted):
         write_mnist(tmp_path, n_train, 3)
@@ -243,7 +243,8 @@ class TestConfig:
             train, test = load_datasets(config_from_dict(raw))
             assert (len(train), len(test)) == (40, 3)
             return
-        with pytest.raises(ValidationError, match=r"^dataset\.mnist_dir .* 39 training samples.* 40"):
+        with pytest.raises(ValidationError, match=r"^dataset\.mnist_dir: \S+/train-images-idx3-ubyte: "
+                                                  r"39 training samples.* 40"):
             config_from_dict(raw)
 
     def test_mnist_sample_count_checked_on_every_build(self, tmp_path):
@@ -254,7 +255,7 @@ class TestConfig:
         build_simulation(one_plane)
         five_planes = dataclasses.replace(one_plane, constellation=dataclasses.replace(
             one_plane.constellation, planes=5))
-        with pytest.raises(IngestionError, match=r"^dataset\.mnist_dir .* 10 training samples.* 40"):
+        with pytest.raises(IngestionError, match=r"train-images-idx3-ubyte: 10 training samples.* 40"):
             build_simulation(five_planes)
 
     def test_station_the_plane_never_sees_rejected(self):
@@ -766,28 +767,36 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    # (train images, test images, image side, what the message names); each of
-    # these passed `leofl validate`, and `leofl run` failed on it with exit 3
-    @pytest.mark.parametrize("n_train, n_test, side, named", [
-        (None, None, 28, "missing is not a directory"),
-        (10, 5, 28, "10 training samples, fewer than planes * sats_per_plane = 40"),
-        (40, 0, 28, "t10k-images file holds no samples"),
-        (40, 5, 4, "train-images are 4 x 4, expected 28 x 28"),
-        (40, 5, 32, "t10k-images are 32 x 32, expected 28 x 28"),
+    # (train images, test images, image side, training labels, what the message
+    # names); each of these once passed `leofl validate`, and `leofl run` failed
+    # on it with exit 3
+    @pytest.mark.parametrize("n_train, n_test, side, labels, named", [
+        (None, None, 28, None, "no IDX file matching 'train-images-*' under"),
+        (10, 5, 28, None, "train-images-idx3-ubyte: 10 training samples, fewer than "
+                          "planes * sats_per_plane = 40"),
+        (40, 0, 28, None, "t10k-images-idx3-ubyte: the file holds no samples"),
+        (40, 5, 4, None, "train-images-idx3-ubyte: images are 4 x 4, expected 28 x 28"),
+        (40, 5, 32, None, "train-images-idx3-ubyte: images are 32 x 32, expected 28 x 28"),
+        (40, 5, 28, [12] * 40, "train-labels-idx1-ubyte: label 12 outside [0, 10)"),
+        (40, 5, 28, [1] * 39, "train-labels-idx1-ubyte: image and label counts differ, "
+                              "40 against 39"),
     ])
     def test_unusable_mnist_rejected_at_validate(self, tmp_path, capsys,
-                                                 n_train, n_test, side, named):
+                                                 n_train, n_test, side, labels, named):
         mnist_dir = tmp_path / "missing"
         if n_train is not None:
             mnist_dir = tmp_path
             write_mnist(tmp_path, n_train, n_test, side)
+        if labels is not None:
+            write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array(labels))
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist",
                                                     "mnist_dir": str(mnist_dir)}}))
         for command in (["validate"], ["run", "--rounds", "1", "--out", str(tmp_path / "out")]):
             assert main([*command, "--config", str(path)]) == EXIT_VALIDATION
             err = capsys.readouterr().err
-            assert err.startswith("invalid configuration: dataset.mnist_dir") and named in err
+            assert err.startswith("invalid configuration: dataset.mnist_dir: ") and named in err
+            assert err.count("dataset.mnist_dir") == 1
             assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -796,33 +805,57 @@ class TestCli:
         write_mnist(tmp_path, 40, 5)
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
+        run = ["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")]
         (file,) = tmp_path.glob(f"{stem}-*")
         file.write_bytes(b"")
-        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
-        assert f"dataset.mnist_dir: {file}: truncated IDX header" in capsys.readouterr().err
+        for command in (["validate", "--config", str(path)], run):
+            assert main(command) == EXIT_VALIDATION
+            assert f"dataset.mnist_dir: {file}: truncated IDX header" in capsys.readouterr().err
         file.unlink()
-        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
-        assert f"no IDX file matching '{stem}-*'" in capsys.readouterr().err
+        for command in (["validate", "--config", str(path)], run):
+            assert main(command) == EXIT_VALIDATION
+            assert f"no IDX file matching '{stem}-*'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_damaged_mnist_payload_gives_ingestion_exit(self, tmp_path, capsys):
-        # the headers pass validate; the cut-short pixels are found when a run reads them
+    def test_unopenable_mnist_path_rejected_at_validate(self, tmp_path, capsys):
+        # a directory where an IDX file belongs died opening it, with an IsADirectoryError traceback
         write_mnist(tmp_path, 40, 5)
-        images = tmp_path / "train-images-idx3-ubyte"
-        with gzip.open(tmp_path / "train-images-idx3-ubyte.gz", "wb") as f:
-            f.write(images.read_bytes())
-        images.unlink()
-        gz = tmp_path / "train-images-idx3-ubyte.gz"
-        gz.write_bytes(gz.read_bytes()[:-10])
+        labels = tmp_path / "t10k-labels-idx1-ubyte"
+        labels.unlink()
+        labels.mkdir()
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
-        assert main(["validate", "--config", str(path)]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["run", "--config", str(path), "--rounds", "1",
-                     "--out", str(tmp_path / "out")]) == EXIT_INGESTION
-        err = capsys.readouterr().err
-        assert err.startswith("dataset ingestion failed:") and str(gz) in err
-        assert "Traceback" not in err and err.count("\n") == 1
+        run = ["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")]
+        for command in (["validate", "--config", str(path)], run):
+            assert main(command) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith(f"invalid configuration: dataset.mnist_dir: {labels}: cannot read")
+            assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cut", [1, 4, 10, 100, "half"])
+    def test_cut_gzip_rejected_at_validate_when_run_fails(self, tmp_path, capsys, cut):
+        # a cut that leaves every pixel, only the trailer's CRC and ISIZE, is read
+        # whole by both; one into the deflate stream is rejected by both, and
+        # validate passed the 10-byte cut when it screened the trailer alone
+        write_mnist(tmp_path, 40, 5)
+        (tmp_path / "train-images-idx3-ubyte").unlink()
+        gz = tmp_path / "train-images-idx3-ubyte.gz"
+        images = np.random.default_rng(0).integers(0, 256, size=(40, 28, 28))
+        write_idx_images(gz, images, compress=True)
+        blob = gz.read_bytes()
+        gz.write_bytes(blob[:len(blob) // 2 if cut == "half" else -cut])
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
+        validated = main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        ran = main(["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")])
+        assert (validated == EXIT_VALIDATION) == (ran != EXIT_OK)
+        assert validated == (EXIT_OK if cut in (1, 4) else EXIT_VALIDATION)
+        if validated == EXIT_VALIDATION:
+            assert err.startswith(f"invalid configuration: dataset.mnist_dir: {gz}: cannot read")
+            assert "Traceback" not in err and err.count("\n") == 1
+            assert ran == EXIT_VALIDATION and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("claimed", [1000, 1 << 26])
     @pytest.mark.parametrize("compress", [False, True])
@@ -839,23 +872,18 @@ class TestCli:
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
         run = ["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")]
+        images = tmp_path / ("train-images-idx3-ubyte" + (".gz" if compress else ""))
         for command in (["validate", "--config", str(path)], run):
             assert main(command) == EXIT_VALIDATION
             err = capsys.readouterr().err
-            assert err.startswith(f"invalid configuration: dataset.mnist_dir {tmp_path}: ")
-            for name, size, declared in (
-                    ("train-images-idx3-ubyte", 16 + 40 * 784, 16 + 784 * claimed),
-                    ("train-labels-idx1-ubyte", 8 + 40, 8 + claimed)):
-                name += ".gz" if compress else ""
-                # ISIZE is the size mod 2^32: a gzip file declaring more is not screened
-                assert ((f"{name} holds {size} bytes, fewer than the {declared} its header "
-                         "declares") in err) == (not compress or declared < 1 << 32)
-        assert "Traceback" not in err and err.count("\n") == 1
+            # the images are read first, so they are the file named
+            assert err == (f"invalid configuration: dataset.mnist_dir: {images}: truncated IDX "
+                           f"payload, {40 * 784} of {claimed * 784} bytes\n")
         assert not (tmp_path / "out").exists()
 
     def test_two_member_gzip_passes_validate(self, tmp_path, capsys):
-        # the trailer's ISIZE counts only the last member, so it flags the file, and
-        # the read that confirms it finds every byte the header declares
+        # the trailer's ISIZE counts only the last member; the reader reads on
+        # through both members, so the file is whole
         write_mnist(tmp_path, 40, 5)
         plain = tmp_path / "train-images-idx3-ubyte"
         blob = plain.read_bytes()
@@ -867,8 +895,26 @@ class TestCli:
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
         assert main(["validate", "--config", str(path)]) == EXIT_OK
         assert capsys.readouterr().err == ""
-        assert data.idx_size(gz, len(blob)) == len(blob)
-        assert data.idx_size(gz, len(blob) + 1) == len(blob)
+        assert main(["run", "--config", str(path), "--rounds", "1",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "afile/run", "sub/run", "../run"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--rounds", "1"],
+        ["sweep", "--iterations", "2", "--axis", "constellation.planes=1", "--axis", "scheme=SIA"],
+    ])
+    def test_name_must_be_a_file_stem(self, tmp_path, capsys, command, name):
+        # `afile/run` under a regular file trained, then died with FileExistsError;
+        # "" wrote a hidden ".csv"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "afile").write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out), "--name", name])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["out", "afile"]
 
     def test_hours_bounded_by_the_window_search_horizon(self, capsys):
         parser = build_parser()
