@@ -187,10 +187,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             "use more satellites per plane or a higher constellation.altitude_km"
         )
     _check_link(cfg, plane, ring)
-    # the files are read as a run reads them, into the draw its build then reuses
+    # the files are read as a run reads them, into the draw its build then reuses;
+    # a draw of them under another seed already shows they can be used
     if d.source == "mnist":
+        section = dataclasses.astuple(d)
+        drawn = [train for (key, _), (train, _) in _drawn.items() if key == section]
         try:
-            _shared_datasets(cfg)
+            if drawn:
+                _check_shards(cfg, drawn[0])
+            else:
+                _shared_datasets(cfg)
         except data.IngestionError as exc:
             raise ValidationError(f"dataset.mnist_dir: {exc}") from None
     return cfg
@@ -347,13 +353,19 @@ def _shared_datasets(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]
             array.flags.writeable = False
         _drawn[key] = train, test
     train, test = _drawn[key]
+    if cfg.dataset.source == "mnist":
+        _check_shards(cfg, train)
+    return train, test
+
+
+def _check_shards(cfg: ExperimentConfig, train: data.Dataset):
+    """Raise unless the loaded MNIST training set gives every satellite a sample."""
     sats = cfg.constellation.planes * cfg.constellation.sats_per_plane
-    if cfg.dataset.source == "mnist" and len(train) < sats:
+    if len(train) < sats:
         raise data.IngestionError(
             f"{_find_idx(Path(cfg.dataset.mnist_dir), 'train-images')}: {len(train)} training "
             f"samples, fewer than planes * sats_per_plane = {sats}, one per satellite shard"
         )
-    return train, test
 
 
 def _find_idx(base: Path, stem: str) -> Path:

@@ -60,7 +60,10 @@ def _read_dims(f, path: Path, expected_magic: int) -> tuple[int, ...]:
     if magic != expected_magic:
         raise IngestionError(f"{path}: bad IDX magic {magic}, expected {expected_magic}")
     ndim = magic % 256
-    return struct.unpack(f">{ndim}i", _read_exactly(f, 4 * ndim, path, "header"))
+    dims = struct.unpack(f">{ndim}i", _read_exactly(f, 4 * ndim, path, "header"))
+    if min(dims) < 0:
+        raise IngestionError(f"{path}: negative IDX dimension in {dims}")
+    return dims
 
 
 def _read_idx(path: Path, expected_magic: int) -> np.ndarray:

@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "leofl"
 ALLOWED = {
     "config": {
         "_validate", "_check_link", "_build", "config_from_dict",
-        "load_config", "set_keys", "_shared_datasets", "_find_idx",
+        "load_config", "set_keys", "_check_shards", "_find_idx",
     },
     "data": {"_read_exactly", "_read_dims", "_read_idx", "load_mnist"},
     # the commands and the argument parsers

@@ -163,6 +163,16 @@ class TestMnistIngestion:
                            match=rf"big-lbls: truncated IDX payload, {n} of {claimed} bytes"):
             load_mnist(tmp_path / "imgs", tmp_path / "big-lbls")
 
+    @pytest.mark.parametrize("dims", [(-40, -28, 28), (0, -28, 28), (-1, 0, 28)])
+    def test_negative_dimension_rejected(self, tmp_path, idx_pair, dims):
+        # the header is read as signed ints; a payload of the dimensions'
+        # product was accepted and then failed to reshape with a ValueError
+        _, lbl_path, _, _ = idx_pair
+        img_path = tmp_path / "neg-imgs"
+        img_path.write_bytes(struct.pack(">iiii", 2051, *dims) + bytes(abs(np.prod(dims))))
+        with pytest.raises(IngestionError, match=r"neg-imgs: negative IDX dimension in \("):
+            load_mnist(img_path, lbl_path)
+
     def test_label_outside_class_range(self, tmp_path, idx_pair):
         img_path, _, _, _ = idx_pair
         lbl_path = tmp_path / "bad-labels"

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import gzip
 import itertools
+import math
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -767,28 +769,35 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    # (train images, test images, image side, training labels, what the message
-    # names); each of these once passed `leofl validate`, and `leofl run` failed
-    # on it with exit 3
-    @pytest.mark.parametrize("n_train, n_test, side, labels, named", [
+    # (train images, test images, image side, a file written over the set's,
+    # what the message names); each of these but the negative dimensions once
+    # passed `leofl validate`, and `leofl run` failed on it with exit 3; the
+    # negative dimensions sized a payload the loader read and then failed to
+    # reshape, with a ValueError traceback
+    @pytest.mark.parametrize("n_train, n_test, side, replaced, named", [
         (None, None, 28, None, "no IDX file matching 'train-images-*' under"),
         (10, 5, 28, None, "train-images-idx3-ubyte: 10 training samples, fewer than "
                           "planes * sats_per_plane = 40"),
         (40, 0, 28, None, "t10k-images-idx3-ubyte: the file holds no samples"),
         (40, 5, 4, None, "train-images-idx3-ubyte: images are 4 x 4, expected 28 x 28"),
         (40, 5, 32, None, "train-images-idx3-ubyte: images are 32 x 32, expected 28 x 28"),
-        (40, 5, 28, [12] * 40, "train-labels-idx1-ubyte: label 12 outside [0, 10)"),
-        (40, 5, 28, [1] * 39, "train-labels-idx1-ubyte: image and label counts differ, "
-                              "40 against 39"),
+        (40, 5, 28, ("train-labels-idx1-ubyte", 2049, (40,), bytes([12] * 40)),
+         "train-labels-idx1-ubyte: label 12 outside [0, 10)"),
+        (40, 5, 28, ("train-labels-idx1-ubyte", 2049, (39,), bytes([1] * 39)),
+         "train-labels-idx1-ubyte: image and label counts differ, 40 against 39"),
+        *[(40, 5, 28, ("train-images-idx3-ubyte", 2051, dims, bytes(abs(math.prod(dims)))),
+           f"train-images-idx3-ubyte: negative IDX dimension in {dims}")
+          for dims in [(-40, -28, 28), (0, -28, 28), (-1, 0, 28)]],
     ])
     def test_unusable_mnist_rejected_at_validate(self, tmp_path, capsys,
-                                                 n_train, n_test, side, labels, named):
+                                                 n_train, n_test, side, replaced, named):
         mnist_dir = tmp_path / "missing"
         if n_train is not None:
             mnist_dir = tmp_path
             write_mnist(tmp_path, n_train, n_test, side)
-        if labels is not None:
-            write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array(labels))
+        if replaced is not None:
+            name, magic, dims, payload = replaced
+            (tmp_path / name).write_bytes(struct.pack(f">{1 + len(dims)}i", magic, *dims) + payload)
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist",
                                                     "mnist_dir": str(mnist_dir)}}))
@@ -880,6 +889,40 @@ class TestCli:
             assert err == (f"invalid configuration: dataset.mnist_dir: {images}: truncated IDX "
                            f"payload, {40 * 784} of {claimed * 784} bytes\n")
         assert not (tmp_path / "out").exists()
+
+    def test_file_cut_after_validation_gives_ingestion_exit(self, tmp_path, capsys, monkeypatch):
+        # a sweep validates every cell from one draw, then loads each further
+        # seed's draw as it runs; a file cut in between is found only then
+        write_mnist(tmp_path, 40, 5)
+        images = tmp_path / "train-images-idx3-ubyte"
+        real, calls = data.load_mnist, []
+        def load_then_cut(*paths):
+            calls.append(paths)
+            loaded = real(*paths)
+            if len(calls) == 2:  # the draw validation reads: train, then test
+                images.write_bytes(images.read_bytes()[:-100])
+            return loaded
+        monkeypatch.setattr(data, "load_mnist", load_then_cut)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"constellation": {"planes": 1, "sats_per_plane": 8},
+                                        "dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
+        assert main(["sweep", "--config", str(path), "--iterations", "2", "--axis", "seed=0,1",
+                     "--axis", "scheme=SIA", "--out", str(tmp_path / "out")]) == EXIT_INGESTION
+        err = capsys.readouterr().err
+        assert err == (f"dataset ingestion failed: {images}: truncated IDX payload, "
+                       f"{40 * 784 - 100} of {40 * 784} bytes\n")
+        assert len(calls) == 3 and not (tmp_path / "out").exists()
+
+    def test_seed_sweep_loads_each_seed_once(self, tmp_path, monkeypatch):
+        # validation reads the files once for every seed, as a run of any one seed does
+        write_mnist(tmp_path, 40, 5)
+        real, calls = data.load_mnist, []
+        monkeypatch.setattr(data, "load_mnist", lambda *paths: calls.append(paths) or real(*paths))
+        base = {"constellation": {"planes": 1, "sats_per_plane": 8}, "training": {"rounds": 2},
+                "dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}
+        rows = run_sweep(base, {"seed": [0, 1, 2], "scheme": ["SIA", "CLSIA"]})
+        assert len(rows) == 6
+        assert len(calls) == 6  # train and test, for each of the 3 seeds
 
     def test_two_member_gzip_passes_validate(self, tmp_path, capsys):
         # the trailer's ISIZE counts only the last member; the reader reads on
