@@ -115,8 +115,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         problems.append(f"scheme must be one of {sorted(Scheme.__members__)}")
     if not 0 < cfg.q <= 1:
         problems.append("q must be in (0, 1]")
-    if not cfg.compute_time_s >= 0:
-        problems.append("compute_time_s must be non-negative")
+    # each ground transfer waits out the compute time and then searches for a
+    # window, as the model upload does, so neither may outlast the horizon
+    if not 0 <= cfg.compute_time_s <= WindowCache.HORIZON_S:
+        problems.append(f"compute_time_s must be in [0, {WindowCache.HORIZON_S:g}] s, "
+                        "the window search horizon")
     if cfg.seed < 0:
         problems.append("seed must be non-negative")
     c, gs, t, d = cfg.constellation, cfg.ground_station, cfg.training, cfg.dataset

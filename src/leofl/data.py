@@ -73,6 +73,9 @@ def _read_idx(path: Path, expected_magic: int) -> np.ndarray:
         with (gzip.open if gzipped else open)(path, "rb") as f:
             dims = _read_dims(f, path, expected_magic)
             payload = _read_exactly(f, math.prod(dims), path, "payload")
+            # for a gzip file, this read is what checks the trailer
+            if f.read(1):
+                raise IngestionError(f"{path}: bytes past the declared IDX payload")
     except (OSError, EOFError, zlib.error) as exc:  # missing, a directory, a damaged gzip stream
         raise IngestionError(f"{path}: cannot read the IDX file: {exc}") from None
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)

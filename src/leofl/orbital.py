@@ -213,33 +213,26 @@ def visibility_windows(plane: OrbitPlane, sat_index, gs: GroundStation,
     if t_start < t_end:
         times = np.arange(t_start, t_end + STEP_S, STEP_S)
         times[-1] = min(times[-1], t_end)
-        n = len(times)
         screened, _, edge = _screen(plane, sats, gs, times)
-        # the exact test on the samples of each edge bracket, bracket after bracket
+        # each edge bracket is one row of samples; a short last bracket
+        # repeats its end sample, which adds no transition
         b_row, b_col = np.nonzero(edge)
-        size = screened[b_col + 1] - screened[b_col] + 1
-        first = np.cumsum(size) - size  # where each bracket's samples begin
-        s_row = np.repeat(b_row, size)
-        sample = np.arange(size.sum()) - np.repeat(first - screened[b_col], size)
-        los = _gs_los_mask(plane, sats[s_row], gs, times[sample])
-        flip = los[1:] != los[:-1]
-        flip[first[1:] - 1] = False  # a transition lies within one bracket
-        flip = np.flatnonzero(flip)
-        # transition p of a row lies between samples p - 1 and p; p == 0 and
-        # p == n are a window open at the first or the last sample
+        sample = np.minimum(screened[b_col, None] + np.arange(SCREEN_STRIDE + 1),
+                            screened[b_col + 1, None])
+        los = _gs_los_mask(plane, sats[b_row, None], gs, times[sample])
+        e, c = np.nonzero(los[:, 1:] != los[:, :-1])
+        edges = _refine_edges(plane, sats[b_row[e]], gs, times[sample[e, c]],
+                              times[sample[e, c + 1]], los[e, c + 1])
+        # a window may also open at the first sample or close at the last
         opens, closes = _gs_los_mask(plane, sats[:, None], gs, times[[0, -1]]).T
-        row = np.concatenate([np.flatnonzero(opens), s_row[flip], np.flatnonzero(closes)])
-        p = np.concatenate([np.zeros(opens.sum(), int), sample[flip] + 1, np.full(closes.sum(), n)])
-        order = np.lexsort((p, row))
-        row, p = row[order], p[order]
-        # each row rises first and then alternates, so windows are consecutive pairs
-        rising = np.arange(len(p)) % 2 == 0
-        at = np.where(p == 0, times[0], times[-1])
-        inner = np.flatnonzero((p > 0) & (p < n))
-        at[inner] = _refine_edges(plane, sats[row[inner]], gs, times[p[inner] - 1],
-                                  times[p[inner]], rising[inner])
-        starts = np.maximum(at[0::2], t_start)
-        ends = np.minimum(at[1::2], t_end)
+        row = np.concatenate([np.flatnonzero(opens), b_row[e], np.flatnonzero(closes)])
+        at = np.concatenate([np.full(opens.sum(), times[0]), edges,
+                             np.full(closes.sum(), times[-1])])
+        # per satellite: its opening, its edges in time order, its closing;
+        # each rises first and then alternates, so windows are consecutive pairs
+        order = np.argsort(row, kind="stable")
+        row, at = row[order], at[order]
+        starts, ends = at[0::2], at[1::2]
         keep = starts < ends
         for k, start, end in zip(row[0::2][keep].tolist(), starts[keep].tolist(),
                                  ends[keep].tolist()):

@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
@@ -80,16 +83,55 @@ def test_every_change_run_better_than_every_parent_run_is_within_bound_however_w
     assert verdicts(PARENT_RATE, faster[:-1] + [3.0])["setup_s"] == ("unresolved", "gain shown")
 
 
+def checkouts(tmp_path) -> dict[str, Path]:
+    """Parent and change checkouts holding the repository's BENCHMARK.json and no bytecode."""
+    spec_text = (Path(__file__).parents[1] / "BENCHMARK.json").read_text()
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "src" / "leofl").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "BENCHMARK.json").write_text(spec_text)
+    return trees
+
+
+@pytest.mark.parametrize("side, cache", [("parent", "src/leofl/__pycache__"),
+                                         ("change", "perfbench/__pycache__")])
+def test_bytecode_in_either_checkout_stops_the_tool_before_any_run(tmp_path, monkeypatch,
+                                                                   side, cache):
+    # a side with compiled bytecode skips the compile, which lowers its peak memory
+    calls = []
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: calls.append(args))
+    trees = checkouts(tmp_path)
+    (trees[side] / cache).mkdir()
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                          "--workload", "no_isl", "--pairs", "2", "--seed0", "1"])
+    assert str(trees[side] / cache) in str(exc.value.code)
+    assert calls == []
+
+
+def test_run_once_writes_no_bytecode(tmp_path, monkeypatch):
+    seen = {}
+    line = json.dumps({"correct": True, "failed": 0, "metrics": {"setup_s": {"value": 0.5}}})
+    def fake_run(cmd, **kwargs):
+        seen.update(kwargs)
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert bench_pairs.run_once(tmp_path, "no_isl", 1, 25.0) == {"setup_s": 0.5}
+    assert seen["cwd"] == tmp_path and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
 def test_record_keeps_every_set_of_pairs_of_a_workload(tmp_path, monkeypatch):
     # every run reads the same; only the seeds tell the sets apart
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: dict.fromkeys(
         ["setup_s", "iters_per_s", "iter_ms_p50", "iter_ms_p90", "peak_rss_mb"], 1.0))
+    change = checkouts(tmp_path)["change"]
     record = tmp_path / "BENCH.json"
     # a file written when each workload held one set
     record.write_text(json.dumps({"kp_sweep": {"seeds": [1, 10]}}))
     for workload, seed0 in (("dense_full", 101), ("dense_full", 201), ("no_isl", 301),
                             ("kp_sweep", 401)):
-        assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(Path(__file__).parents[1]),
+        assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(change),
                                  "--workload", workload, "--pairs", "2", "--seed0", str(seed0),
                                  "--record", str(record)]) == 0
     kept = json.loads(record.read_text())

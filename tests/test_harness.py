@@ -769,6 +769,21 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("compute_time_s, code", [
+        (1.0e+11, EXIT_VALIDATION), (1.0e+300, EXIT_VALIDATION), (432000.0, EXIT_OK)])
+    def test_compute_time_bounded_by_the_window_search_horizon(self, tmp_path, capsys,
+                                                             compute_time_s, code):
+        # 1e11 s passed validate, then run searched windows without end; at 1e300 s,
+        # t + HORIZON_S == t, and run blamed the ground station
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "constellation": {"planes": 1}, "compute_time_s": compute_time_s,
+            "dataset": {"train_samples": 400, "test_samples": 100}}))
+        assert main(["validate", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == EXIT_OK else "invalid configuration: compute_time_s must be "
+                       "in [0, 432000] s, the window search horizon\n")
+
     # (train images, test images, image side, a file written over the set's,
     # what the message names); each of these but the negative dimensions once
     # passed `leofl validate`, and `leofl run` failed on it with exit 3; the
@@ -844,9 +859,9 @@ class TestCli:
 
     @pytest.mark.parametrize("cut", [1, 4, 10, 100, "half"])
     def test_cut_gzip_rejected_at_validate_when_run_fails(self, tmp_path, capsys, cut):
-        # a cut that leaves every pixel, only the trailer's CRC and ISIZE, is read
-        # whole by both; one into the deflate stream is rejected by both, and
-        # validate passed the 10-byte cut when it screened the trailer alone
+        # a cut that leaves every pixel and only shortens the trailer's CRC and
+        # ISIZE was read whole by both until the reader read the trailer; validate
+        # passed the 10-byte cut when it screened the trailer alone
         write_mnist(tmp_path, 40, 5)
         (tmp_path / "train-images-idx3-ubyte").unlink()
         gz = tmp_path / "train-images-idx3-ubyte.gz"
@@ -859,12 +874,38 @@ class TestCli:
         validated = main(["validate", "--config", str(path)])
         err = capsys.readouterr().err
         ran = main(["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")])
-        assert (validated == EXIT_VALIDATION) == (ran != EXIT_OK)
-        assert validated == (EXIT_OK if cut in (1, 4) else EXIT_VALIDATION)
-        if validated == EXIT_VALIDATION:
-            assert err.startswith(f"invalid configuration: dataset.mnist_dir: {gz}: cannot read")
+        assert validated == EXIT_VALIDATION
+        assert err.startswith(f"invalid configuration: dataset.mnist_dir: {gz}: cannot read")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert ran == EXIT_VALIDATION and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stem, damage, named", [
+        # a stored (level 0) gzip block with one pixel flipped; only its CRC tells
+        ("train-images-idx3-ubyte", "flip", "cannot read the IDX file: CRC check failed"),
+        ("train-labels-idx1-ubyte", "extra", "bytes past the declared IDX payload"),
+    ])
+    def test_damaged_mnist_file_rejected_at_validate(self, tmp_path, capsys, stem, damage, named):
+        # the flipped byte loaded silently while the reader stopped at the payload
+        write_mnist(tmp_path, 40, 5)
+        file = tmp_path / stem
+        blob = file.read_bytes()
+        if damage == "flip":
+            file.unlink()
+            file = tmp_path / f"{stem}.gz"
+            stored = bytearray(gzip.compress(blob, compresslevel=0))
+            stored[len(stored) // 2] ^= 0xFF
+            file.write_bytes(stored)
+        else:
+            file.write_bytes(blob + b"\x00")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
+        run = ["run", "--config", str(path), "--rounds", "1", "--out", str(tmp_path / "out")]
+        for command in (["validate", "--config", str(path)], run):
+            assert main(command) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith(f"invalid configuration: dataset.mnist_dir: {file}: {named}")
             assert "Traceback" not in err and err.count("\n") == 1
-            assert ran == EXIT_VALIDATION and not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("claimed", [1000, 1 << 26])
     @pytest.mark.parametrize("compress", [False, True])
@@ -924,16 +965,21 @@ class TestCli:
         assert len(rows) == 6
         assert len(calls) == 6  # train and test, for each of the 3 seeds
 
-    def test_two_member_gzip_passes_validate(self, tmp_path, capsys):
-        # the trailer's ISIZE counts only the last member; the reader reads on
-        # through both members, so the file is whole
+    @pytest.mark.parametrize("layout", ["two members", "NUL padded"])
+    def test_two_member_or_padded_gzip_passes_validate(self, tmp_path, capsys, layout):
+        # the trailer's ISIZE counts only the last member, and the reader reads
+        # on through both members; NUL bytes after the last member end the
+        # stream as its end does, so neither file holds bytes past the payload
         write_mnist(tmp_path, 40, 5)
         plain = tmp_path / "train-images-idx3-ubyte"
         blob = plain.read_bytes()
         plain.unlink()
         gz = tmp_path / "train-images-idx3-ubyte.gz"
-        gz.write_bytes(gzip.compress(blob[:1000]) + gzip.compress(blob[1000:]))
-        assert int.from_bytes(gz.read_bytes()[-4:], "little") == len(blob) - 1000
+        if layout == "two members":
+            gz.write_bytes(gzip.compress(blob[:1000]) + gzip.compress(blob[1000:]))
+            assert int.from_bytes(gz.read_bytes()[-4:], "little") == len(blob) - 1000
+        else:
+            gz.write_bytes(gzip.compress(blob) + bytes(8))
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"dataset": {"source": "mnist", "mnist_dir": str(tmp_path)}}))
         assert main(["validate", "--config", str(path)]) == EXIT_OK

@@ -11,6 +11,10 @@ PARENT and CHANGE are checkouts. Pair i runs `perfbench/run.py --workload W
 own directory with its own interpreter process: the parent first in even
 pairs, the change first in odd ones. The last line each run prints is its JSON
 result. A run that is not correct, or that fails an operation, stops the tool.
+Every run sets PYTHONDONTWRITEBYTECODE=1, and the tool stops before the first
+pair, naming the directory, while any `__pycache__` lies under either
+checkout's src/ or perfbench/: a side with compiled bytecode skips the
+compile, which moves its set-up time and peak memory.
 
 For every end-to-end metric of the change's BENCHMARK.json it prints the
 median and the interquartile range of each side, the change/parent ratio of
@@ -31,6 +35,7 @@ else; each run.py keeps its own records in its checkout's perfbench/out/.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,7 +45,8 @@ from pathlib import Path
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=1800)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=1800,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -109,6 +115,11 @@ def main(argv=None) -> int:
     metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    caches = [str(cache) for tree in trees.values() for sub in ("src", "perfbench")
+              for cache in sorted((tree / sub).rglob("__pycache__"))]
+    if caches:
+        sys.exit("bench_pairs: delete the compiled bytecode first, so neither side skips "
+                 "the compile: " + ", ".join(caches))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed0 + i
