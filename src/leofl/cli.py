@@ -31,8 +31,8 @@ def _cmd_run(args) -> int:
     def progress(row):
         print(f"iter {row.iteration}: t={row.time_s:.1f} s  acc={row.accuracy:.4f}  "
               f"bits={row.plane_bits}")
-    log = run_experiment(cfg, progress=progress if args.verbose else None)
-    csv_path, manifest_path = export(log, cfg.output_dir, name=args.name)
+    rows = run_experiment(cfg, progress=progress if args.verbose else None)
+    csv_path, manifest_path = export(cfg, rows, cfg.output_dir, name=args.name)
     print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 

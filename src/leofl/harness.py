@@ -6,7 +6,7 @@ import csv
 import dataclasses
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -27,28 +27,22 @@ class MetricsRow:
     cum_bits: int
 
 
-@dataclass
-class MetricsLog:
-    config: ExperimentConfig
-    rows: list[MetricsRow] = field(default_factory=list)
-
-
-def run_experiment(cfg: ExperimentConfig, progress=None) -> MetricsLog:
+def run_experiment(cfg: ExperimentConfig, progress=None) -> list[MetricsRow]:
     """Run `cfg.training.rounds` global iterations of `cfg`, a config from `config_from_dict`,
-    and collect metrics; `progress(row)`, if given, sees each row as it is logged."""
+    and return one row per iteration; `progress(row)`, if given, sees each row as it is logged."""
     planes, hp, w, test_set, size_model = build_simulation(cfg)
     scheme = Scheme[cfg.scheme]
     q_count = q_to_count(cfg.q, size_model.dim)
 
-    log = MetricsLog(config=cfg)
+    rows = []
     t, cum_bits = 0.0, 0
     for n in range(1, hp.rounds + 1):
         w, metrics, t = run_global_iteration(planes, scheme, w, hp, t, n, q_count, test_set)
         cum_bits += metrics.total_bits
-        log.rows.append(MetricsRow(n, t, metrics.accuracy, metrics.total_bits, cum_bits))
+        rows.append(MetricsRow(n, t, metrics.accuracy, metrics.total_bits, cum_bits))
         if progress is not None:
-            progress(log.rows[-1])
-    return log
+            progress(rows[-1])
+    return rows
 
 
 SWEEP_WARMUP = 1  # leading iterations a sweep discards; see run_sweep
@@ -86,7 +80,7 @@ def run_sweep(base: dict, axes: dict[str, list]) -> list[tuple]:
         configs.append(cfg)
     rows = []
     for cell, cfg in zip(cells, configs):
-        kept = run_experiment(cfg).rows[SWEEP_WARMUP:]
+        kept = run_experiment(cfg)[SWEEP_WARMUP:]
         rows.append((*cell.values(), sum(r.plane_bits for r in kept) / len(kept)))
     return rows
 
@@ -100,16 +94,17 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def export(log: MetricsLog, out_dir: str | Path, name: str = "run") -> tuple[Path, Path]:
-    """Write the metrics CSV and a JSON manifest sufficient to reproduce the run."""
+def export(cfg: ExperimentConfig, rows: list[MetricsRow], out_dir: str | Path,
+           name: str = "run") -> tuple[Path, Path]:
+    """Write the metrics CSV of the run of `cfg` and a JSON manifest sufficient to reproduce it."""
     out = Path(out_dir)
-    csv_path = _write_csv(out / f"{name}.csv", CSV_HEADER, map(dataclasses.astuple, log.rows))
+    csv_path = _write_csv(out / f"{name}.csv", CSV_HEADER, map(dataclasses.astuple, rows))
     manifest_path = out / f"{name}.manifest.json"
     manifest = {
-        "config": dataclasses.asdict(log.config),
-        "seed": log.config.seed,
+        "config": dataclasses.asdict(cfg),
+        "seed": cfg.seed,
         "code_version": __version__,
-        "iterations": len(log.rows),
+        "iterations": len(rows),
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return csv_path, manifest_path

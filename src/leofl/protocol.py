@@ -106,7 +106,7 @@ class RoundPlan:
 
 @dataclass
 class RoundMetrics:
-    wallclock_s: float
+    t_done: float  # when the plane aggregate reaches the station
     hop_records: list[tuple[int, int, int]]  # (src, dst, bits) in send order
 
     @property
@@ -289,8 +289,8 @@ def run_round(
     gradients: list[np.ndarray],
     t0: float,
     q_count: int,
-) -> tuple[np.ndarray, RoundMetrics, float]:
-    """Fold one ring round over its two arcs; returns (dense plane aggregate, metrics, t_done)."""
+) -> tuple[np.ndarray, RoundMetrics]:
+    """Fold one ring round over its two arcs; returns (dense plane aggregate, metrics)."""
     spec = SCHEMES[scheme]
     m = state.size_model
     k = state.plane.num_sats
@@ -320,10 +320,8 @@ def run_round(
     # that waited on their own training first (by satellite), then sends
     # that waited on an arrival, in the order of the sends that caused them.
     hops: list[tuple[tuple, tuple[int, int, int]]] = []
-    arrivals = []  # (arrival time at the sink, message) per non-empty arc
+    arrivals = []  # (arrival time at the sink, message) per arc; an empty arc sends nothing
     for arc in plan.arcs:
-        if not arc:
-            continue
         msg, t_arrive, key = empty, -math.inf, None
         chain = arc + (plan.sink_id,)
         for sat, dst in zip(chain, chain[1:]):
@@ -335,17 +333,12 @@ def run_round(
         arrivals.append((t_arrive, msg))
 
     sink = plan.sink_id
-    t_ready = max([trained_at[sink]] + [t for t, _ in arrivals])
-    merged = empty
-    for _, msg in arrivals:
-        merged = sparse_add(merged, msg)
-    out, bits = step(sink, merged)
-    aggregate = out.values
-
-    t_done = state.ground_transfer(sink, t_ready, bits)
+    (t_a, a), (t_b, b) = arrivals
+    out, bits = step(sink, sparse_add(a, b))
+    t_done = state.ground_transfer(sink, max(trained_at[sink], t_a, t_b), bits)
 
     hop_records = [rec for _, rec in sorted(hops)] + [(sink, GS_ID, bits)]
-    return aggregate, RoundMetrics(t_done - t0, hop_records), t_done
+    return out.values, RoundMetrics(t_done, hop_records)
 
 
 def run_no_isl_round(
@@ -354,7 +347,7 @@ def run_no_isl_round(
     gradients: list[np.ndarray],
     t0: float,
     q_count: int,
-) -> tuple[np.ndarray, RoundMetrics, float]:
+) -> tuple[np.ndarray, RoundMetrics]:
     """Baseline without ISLs: every satellite talks to the station directly.
 
     Each satellite waits for a visibility window to receive the global weights,
@@ -375,7 +368,7 @@ def run_no_isl_round(
         t_done = max(t_done, state.ground_transfer(sat, t_rx + state.compute_time_s, bits))
         hop_records += [(GS_ID, sat, up_bits), (sat, GS_ID, bits)]
         aggregate += out.values
-    return aggregate, RoundMetrics(t_done - t0, hop_records), t_done
+    return aggregate, RoundMetrics(t_done, hop_records)
 
 
 @dataclass
@@ -407,11 +400,11 @@ def run_global_iteration(
     for state in planes:
         # trained just before the plane's round and bound to no name here, so only one
         # plane's gradients are alive at a time
-        agg, pm, t_done = run_plane(state, scheme, local_gradients(state, w_global, hp, round_n),
-                                    t0, q_count)
+        agg, pm = run_plane(state, scheme, local_gradients(state, w_global, hp, round_n),
+                            t0, q_count)
         total += agg
         plane_metrics.append(pm)
-        t_end = max(t_end, t_done)
+        t_end = max(t_end, pm.t_done)
     total_data = sum(node.data_size for state in planes for node in state.nodes)
     w_next = learn.global_update(w_global, total, total_data)
     accuracy = learn.evaluate(w_next, test_set)

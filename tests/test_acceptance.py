@@ -48,8 +48,8 @@ def small_config(**overrides):
 
 
 def test_criterion_1_dense_budget_identity():
-    log = run_experiment(small_config(scheme="DENSE_IA", training=learn.HyperParams(rounds=1)))
-    bits = log.rows[0].plane_bits
+    rows = run_experiment(small_config(scheme="DENSE_IA", training=learn.HyperParams(rounds=1)))
+    bits = rows[0].plane_bits
     report(
         "1 dense budget identity",
         bits == 8 * 7850 * 32 == 2_009_600,

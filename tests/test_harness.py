@@ -28,7 +28,6 @@ from leofl.data import IngestionError
 from leofl.harness import (
     CSV_HEADER,
     SWEEP_WARMUP,
-    MetricsLog,
     MetricsRow,
     export,
     run_experiment,
@@ -404,20 +403,20 @@ class TestRunExperiment:
     def test_deterministic_logs(self):
         a = run_experiment(with_rounds(tiny_config(), 3))
         b = run_experiment(with_rounds(tiny_config(), 3))
-        assert a.rows == b.rows
+        assert a == b
 
     def test_q1_schemes_agree(self):
-        logs = {
+        runs = {
             scheme: run_experiment(with_rounds(tiny_config(scheme=scheme, q=1.0), 3))
             for scheme in ("DENSE_IA", "SIA")
         }
-        acc_dense = [r.accuracy for r in logs["DENSE_IA"].rows]
-        acc_sia = [r.accuracy for r in logs["SIA"].rows]
+        acc_dense = [r.accuracy for r in runs["DENSE_IA"]]
+        acc_sia = [r.accuracy for r in runs["SIA"]]
         assert acc_dense == acc_sia
 
     def test_rows_strictly_increasing(self):
-        log = run_experiment(with_rounds(tiny_config(), 4))
-        times = [r.time_s for r in log.rows]
+        rows = run_experiment(with_rounds(tiny_config(), 4))
+        times = [r.time_s for r in rows]
         assert times == sorted(times) and len(set(times)) == len(times)
 
 
@@ -452,28 +451,28 @@ class TestOneValidation:
 
 class TestExport:
     def test_csv_contents(self, tmp_path):
-        log = run_experiment(with_rounds(tiny_config(), 3))
-        csv_path, manifest_path = export(log, tmp_path)
+        cfg = with_rounds(tiny_config(), 3)
+        csv_path, manifest_path = export(cfg, run_experiment(cfg), tmp_path)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 3
 
     def test_reexport_byte_identical(self, tmp_path):
-        log = run_experiment(with_rounds(tiny_config(), 2))
-        csv_path, manifest_path = export(log, tmp_path / "a")
-        csv2, manifest2 = export(log, tmp_path / "b")
+        cfg = with_rounds(tiny_config(), 2)
+        rows = run_experiment(cfg)
+        csv_path, manifest_path = export(cfg, rows, tmp_path / "a")
+        csv2, manifest2 = export(cfg, rows, tmp_path / "b")
         assert csv_path.read_bytes() == csv2.read_bytes()
         assert manifest_path.read_bytes() == manifest2.read_bytes()
 
     def test_manifest_reproduces_run(self, tmp_path):
         import json
 
-        log = run_experiment(with_rounds(tiny_config(seed=11), 2))
-        _, manifest_path = export(log, tmp_path)
+        cfg = with_rounds(tiny_config(seed=11), 2)
+        rows = run_experiment(cfg)
+        _, manifest_path = export(cfg, rows, tmp_path)
         manifest = json.loads(manifest_path.read_text())
-        cfg2 = config_from_dict(manifest["config"])
-        log2 = run_experiment(cfg2)
-        assert log.rows == log2.rows
+        assert run_experiment(config_from_dict(manifest["config"])) == rows
 
     def test_manifest_of_a_cli_run_reproduces_it(self, tmp_path):
         import json
@@ -484,7 +483,8 @@ class TestExport:
         assert main(argv) == EXIT_OK
         manifest = json.loads((tmp_path / "a" / "run.manifest.json").read_text())
         assert manifest["config"]["training"]["rounds"] == manifest["iterations"] == 2
-        csv_path, _ = export(run_experiment(config_from_dict(manifest["config"])), tmp_path / "b")
+        cfg = config_from_dict(manifest["config"])
+        csv_path, _ = export(cfg, run_experiment(cfg), tmp_path / "b")
         assert csv_path.read_bytes() == (tmp_path / "a" / "run.csv").read_bytes()
 
 
@@ -507,8 +507,8 @@ class TestSweep:
     def test_a_rounds_axis_sets_each_cell_s_rounds(self):
         base = dataclasses.asdict(tiny_config())
         rows = run_sweep(base, {"training.rounds": [2, 3, 6]})
-        log = run_experiment(config_from_dict(set_keys(base, {"training.rounds": 6})))
-        bits = [r.plane_bits for r in log.rows]
+        six = run_experiment(config_from_dict(set_keys(base, {"training.rounds": 6})))
+        bits = [r.plane_bits for r in six]
         assert rows == [(n, sum(bits[SWEEP_WARMUP:n]) / (n - SWEEP_WARMUP)) for n in (2, 3, 6)]
         assert len({mean for _, mean in rows}) == 3
 
@@ -522,8 +522,7 @@ def cells_run(monkeypatch):
         seen.append(cfg)
         c = cfg.constellation
         bits = c.planes * 1000 + c.sats_per_plane
-        return MetricsLog(cfg, [MetricsRow(n, 0.0, 0.0, bits * n, 0)
-                                for n in range(1, cfg.training.rounds + 1)])
+        return [MetricsRow(n, 0.0, 0.0, bits * n, 0) for n in range(1, cfg.training.rounds + 1)]
 
     monkeypatch.setattr(harness, "run_experiment", run)
     return seen

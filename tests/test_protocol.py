@@ -242,14 +242,14 @@ class TestDenseRound:
         gradients = [rng.normal(size=20) for _ in range(3)]
         state = toy_ring(3, dim=20)
         chain_plan(3, sink=2)
-        agg, metrics, _ = run_round(state, Scheme.DENSE_IA, gradients, 0.0, q_count=20)
+        agg, metrics = run_round(state, Scheme.DENSE_IA, gradients, 0.0, q_count=20)
         np.testing.assert_allclose(agg, sum(gradients), rtol=1e-12)
 
     def test_hop_bits_all_dense(self, chain_plan):
         gradients = [np.ones(20)] * 3
         state = toy_ring(3, dim=20)
         chain_plan(3, sink=2)
-        _, metrics, _ = run_round(state, Scheme.DENSE_IA, gradients, 0.0, q_count=20)
+        _, metrics = run_round(state, Scheme.DENSE_IA, gradients, 0.0, q_count=20)
         assert hop_bits(metrics) == [20 * 32] * 3
         assert metrics.total_plane_bits == 3 * 20 * 32
         assert gs_bits(metrics) == 20 * 32
@@ -271,7 +271,7 @@ class TestSparseRounds:
     def test_sia_hop_sizes_grow(self, chain_plan):
         state = toy_ring(3, dim=12)
         chain_plan(3, sink=2)
-        agg, metrics, _ = run_round(state, Scheme.SIA, fig_gradients(), 0.0, q_count=3)
+        agg, metrics = run_round(state, Scheme.SIA, fig_gradients(), 0.0, q_count=3)
         entry = 32 + state.size_model.index_bits
         # satellite 1 sends 3 entries, satellite 2 sends 5 (one common index)
         assert hop_bits(metrics)[0] == 3 * entry
@@ -280,7 +280,7 @@ class TestSparseRounds:
     def test_clsia_constant_hops(self, chain_plan):
         state = toy_ring(3, dim=12)
         chain_plan(3, sink=2)
-        _, metrics, _ = run_round(state, Scheme.CLSIA, fig_gradients(), 0.0, q_count=3)
+        _, metrics = run_round(state, Scheme.CLSIA, fig_gradients(), 0.0, q_count=3)
         entry = 32 + state.size_model.index_bits
         assert hop_bits(metrics) == [3 * entry] * 3
 
@@ -288,7 +288,7 @@ class TestSparseRounds:
         rng = np.random.default_rng(2)
         gradients = [rng.normal(size=30) for _ in range(6)]
         state = toy_ring(6, dim=30)
-        agg, metrics, _ = run_round(state, Scheme.SIA, gradients, 0.0, q_count=4)
+        agg, metrics = run_round(state, Scheme.SIA, gradients, 0.0, q_count=4)
         # every satellite holds data_size 1 and zero initial error, so the sink
         # aggregate is the sum of individual Top-4 contributions
         from leofl.sparsify import top_q
@@ -300,7 +300,7 @@ class TestSparseRounds:
         rng = np.random.default_rng(3)
         gradients = [rng.normal(size=60) for _ in range(8)]
         state = toy_ring(8, dim=60)
-        _, metrics, _ = run_round(state, Scheme.SIA, gradients, 0.0, q_count=3)
+        _, metrics = run_round(state, Scheme.SIA, gradients, 0.0, q_count=3)
         isl = [(src, dst, bits) for src, dst, bits in metrics.hop_records if dst != GS_ID]
         by_dst = {}
         # walk each arc from its end satellite toward the sink
@@ -325,15 +325,15 @@ class TestTracedNames:
     traced spans read zero."""
 
     # every satellite steps once and sends one counted message; a ring's sink
-    # merges the two arc messages; the dense sum makes no Top-Q step
+    # joins the two arc messages with one sparse_add; the dense sum makes no Top-Q step
     @pytest.mark.parametrize("scheme, expected", [
-        pytest.param(Scheme.SIA, {"sia_step": 6, "top_q": 6, "sparse_add": 2, "message_bits": 6,
+        pytest.param(Scheme.SIA, {"sia_step": 6, "top_q": 6, "sparse_add": 1, "message_bits": 6,
                                   "run_round": 1}, id="SIA-sia_step"),
-        pytest.param(Scheme.CLSIA, {"clsia_step": 6, "top_q": 6, "sparse_add": 2,
+        pytest.param(Scheme.CLSIA, {"clsia_step": 6, "top_q": 6, "sparse_add": 1,
                                     "message_bits": 6, "run_round": 1}, id="CLSIA-clsia_step"),
         pytest.param(Scheme.NO_ISL_DIRECT, {"sia_step": 6, "top_q": 6, "message_bits": 6,
                                             "run_no_isl_round": 1}, id="NO_ISL_DIRECT-sia_step"),
-        pytest.param(Scheme.DENSE_IA, {"sparse_add": 2, "run_round": 1},
+        pytest.param(Scheme.DENSE_IA, {"sparse_add": 1, "run_round": 1},
                      id="DENSE_IA-sink_join_only"),
     ])
     def test_steps_and_sink_merge_use_module_names(self, monkeypatch, toy_plane_state,
@@ -463,7 +463,7 @@ class TestNoIslRound:
         gradients = [rng.normal(size=30) for _ in range(5)]
         state = toy_ring(5, dim=30)
         q = 4
-        agg, metrics, t_done = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, q)
+        agg, metrics = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, q)
         m = state.size_model
         expected = 5 * m.dense_bits() + 5 * q * (32 + m.index_bits)
         assert metrics.total_plane_bits == expected
@@ -473,7 +473,7 @@ class TestNoIslRound:
         rng = np.random.default_rng(5)
         gradients = [rng.normal(size=30) for _ in range(4)]
         state = toy_ring(4, dim=30)
-        agg, _, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, 4)
+        agg, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, 4)
         from leofl.sparsify import top_q
 
         expected = sum(top_q(g, 4).values for g in gradients)
@@ -482,12 +482,12 @@ class TestNoIslRound:
     def test_wallclock_covers_visibility_waits(self):
         gradients = [np.ones(10)] * 3
         state = toy_ring(3, dim=10)
-        _, metrics, _ = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, 2)
+        _, metrics = run_no_isl_round(state, Scheme.NO_ISL_DIRECT, gradients, 0.0, 2)
         max_wait = max(
             max(0.0, state.windows.next_window(sat, 0.0).start_s)
             for sat in range(3)
         )
-        assert metrics.wallclock_s >= max_wait
+        assert metrics.t_done >= max_wait
 
 
 class TestGlobalIteration:
@@ -524,7 +524,7 @@ class TestGlobalIteration:
         _, metrics, t_end = run_global_iteration(
             planes, Scheme.SIA, w0, hp, 0.0, 1, q_count=79, test_set=test
         )
-        assert t_end == max(0.0 + pm.wallclock_s for pm in metrics.plane_metrics)
+        assert t_end == max(pm.t_done for pm in metrics.plane_metrics)
 
     @pytest.mark.parametrize("scheme", [Scheme.SIA, Scheme.NO_ISL_DIRECT])
     def test_folds_receive_every_satellites_local_gradient(self, monkeypatch, scheme):

@@ -134,6 +134,7 @@ def digest(config, orbital, protocol, sparsify, out):
             t = 0.0
             for n in range(1, iterations + 1):
                 plans.clear()
+                t_start = t
                 w, metrics, t = protocol.run_global_iteration(
                     planes, scheme, w, hp, t, n, q_count, test)
                 print(f"{family} {scheme.value} iter {n} t={t.hex()} "
@@ -151,7 +152,7 @@ def digest(config, orbital, protocol, sparsify, out):
                     residuals = ",".join(sha(node.error.residual)[:16] for node in state.nodes)
                     gs_bits = sum(bits for src, dst, bits in pm.hop_records
                                   if protocol.GS_ID in (src, dst))
-                    print(f"  plane {p} wall={pm.wallclock_s.hex()} bits={pm.total_plane_bits} "
+                    print(f"  plane {p} wall={(pm.t_done - t_start).hex()} bits={pm.total_plane_bits} "
                           f"gs={gs_bits}{plan} hops={pm.hop_records} residuals={residuals}",
                           file=out)
     protocol.plan_round = plan_round
