@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import learn
+from . import helper, learn
 from .data import Dataset
 from .link import (
     LinkParams,
@@ -213,8 +213,12 @@ class PlaneState:
         dist = station_distance(self.plane, sat, self.gs, t_start)
         return t_start + tx_duration(bits, data_rate(self.params, dist)) + propagation_delay(dist)
 
+    def rng_key(self, sat: int, round_n: int) -> list[int]:
+        """The seed of the satellite's draws in a round, in this process or the helper."""
+        return [self.seed, self.plane_id, round_n, sat]
+
     def round_rng(self, sat: int, round_n: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.plane_id, round_n, sat])
+        return np.random.default_rng(self.rng_key(sat, round_n))
 
 
 def shortest_path_hops(k: int, a: int, b: int) -> int:
@@ -276,11 +280,12 @@ def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) ->
 
 
 def local_gradients(state: PlaneState, w_global: np.ndarray, hp: learn.HyperParams,
-                    round_n: int) -> list[np.ndarray]:
-    """Every satellite's local training from the global weights, as a gradient per satellite."""
-    return [learn.gradient(learn.sat_learn_proc(w_global, node.dataset, hp,
+                    round_n: int, sats: range | None = None) -> list[np.ndarray]:
+    """Local training from the global weights of the satellites `sats` (all by default),
+    as a gradient per satellite."""
+    return [learn.gradient(learn.sat_learn_proc(w_global, state.nodes[sat].dataset, hp,
                                                 state.round_rng(sat, round_n)), w_global)
-            for sat, node in enumerate(state.nodes)]
+            for sat in (range(len(state.nodes)) if sats is None else sats)]
 
 
 def run_round(
@@ -391,17 +396,36 @@ def run_global_iteration(
     q_count: int,
     test_set: Dataset,
 ) -> tuple[np.ndarray, IterationMetrics, float]:
-    """One synchronous FL iteration across all planes, PS update included."""
+    """One synchronous FL iteration across all planes, PS update included.
+
+    Satellites K//2 .. K-1 of every plane train in the forked helper when one can
+    (`helper.start`); meanwhile this process trains satellites 0 .. K//2-1 of
+    each plane, waits for the helper's half and runs the plane's round.
+    """
     # looked up at call time, so rebinding either round function on this module reaches it
     run_plane = run_round if SCHEMES[scheme].ring else run_no_isl_round
+    forked = helper.start(
+        w_global, hp,
+        [[(state.nodes[sat].dataset, state.rng_key(sat, round_n))
+          for sat in range(len(state.nodes) // 2, len(state.nodes))] for state in planes],
+        (learn.sat_learn_proc, learn.gradient, PlaneState.round_rng))
+
+    def gradients(p: int, state: PlaneState) -> list[np.ndarray]:
+        k = len(state.nodes)
+        split = k // 2 if forked else k
+        own = local_gradients(state, w_global, hp, round_n, range(split))
+        theirs = forked.gradients(p) if forked else None
+        # the helper's half, or this process trains it when the helper died meanwhile
+        return own + (local_gradients(state, w_global, hp, round_n, range(split, k))
+                      if theirs is None else theirs)
+
     total = np.zeros_like(w_global)
     plane_metrics = []
     t_end = t0
-    for state in planes:
+    for p, state in enumerate(planes):
         # trained just before the plane's round and bound to no name here, so only one
         # plane's gradients are alive at a time
-        agg, pm = run_plane(state, scheme, local_gradients(state, w_global, hp, round_n),
-                            t0, q_count)
+        agg, pm = run_plane(state, scheme, gradients(p, state), t0, q_count)
         total += agg
         plane_metrics.append(pm)
         t_end = max(t_end, pm.t_done)

@@ -4,6 +4,7 @@ import gzip
 import itertools
 import math
 import re
+import signal
 import struct
 import tracemalloc
 from pathlib import Path
@@ -1043,6 +1044,9 @@ LISTED = {
 }
 
 
+LISTING_MAX_ITERATIONS = 40
+
+
 @pytest.fixture(scope="module", params=sorted(LISTED))
 def run_caches(request, tmp_path_factory):
     """A config file, the planes to check and each plane's cached windows once a
@@ -1053,10 +1057,28 @@ def run_caches(request, tmp_path_factory):
     cfg = config_from_dict(dict(raw, scheme="NO_ISL_DIRECT"))
     planes, hp, w, test, size_model = build_simulation(cfg)
     q_count = q_to_count(cfg.q, size_model.dim)
-    t, n = 0.0, 0
-    while t <= 120 * 3600.0:
-        n += 1
-        w, _, t = run_global_iteration(planes, Scheme.NO_ISL_DIRECT, w, hp, t, n, q_count, test)
+
+    def expired(signum, frame):
+        raise TimeoutError("the run did not pass 120 h within 120 s")
+
+    # both configs pass 120 h in 22 to 25 iterations; a clock that stops, or a run
+    # that blocks, fails here instead of hanging the suite
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(120)
+    try:
+        t = 0.0
+        for n in range(1, LISTING_MAX_ITERATIONS + 1):
+            t_before = t
+            w, _, t = run_global_iteration(planes, Scheme.NO_ISL_DIRECT, w, hp, t, n, q_count,
+                                           test)
+            assert t > t_before, f"iteration {n} left the clock at {t_before} s"
+            if t > 120 * 3600.0:
+                break
+        else:
+            pytest.fail(f"the run did not pass 120 h in {LISTING_MAX_ITERATIONS} iterations")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     return path, planes_checked, [state.windows.windows for state in planes]
 
 
