@@ -29,12 +29,13 @@ class Dataset:
     """Samples stored once as (n, feature_dim + 1) rows whose last column is 1.
 
     The constant column is the model's bias feature, so training and
-    evaluation read the rows as they are.
+    evaluation read the rows as they are. Only the shards `partition` cuts have a `span`.
     """
 
-    def __init__(self, rows: np.ndarray, labels: np.ndarray):
+    def __init__(self, rows: np.ndarray, labels: np.ndarray, span: tuple | None = None):
         self.rows = rows  # (n, feature_dim + 1): features in [0, 1], then 1
         self.labels = labels  # (n,), ints in [0, num_classes)
+        self.span = span  # (whole, a, b): these are rows a .. b-1 of the set `whole`; or None
 
     @property
     def features(self) -> np.ndarray:
@@ -153,8 +154,10 @@ def partition(dataset: Dataset, k: int) -> list[Dataset]:
     """Split into k contiguous shards of near-equal size, each a slice view of the dataset's arrays.
 
     Shard i starts at i * (n // k) + min(i, n % k), where `np.array_split` cuts,
-    so the first n % k shards hold one sample more.
+    so the first n % k shards hold one sample more. Each shard's span records
+    the dataset and the bounds it was cut at.
     """
     size, extra = divmod(len(dataset), k)
     bounds = [i * size + min(i, extra) for i in range(k + 1)]
-    return [Dataset(dataset.rows[a:b], dataset.labels[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [Dataset(dataset.rows[a:b], dataset.labels[a:b], (dataset, a, b))
+            for a, b in zip(bounds, bounds[1:])]

@@ -3,18 +3,18 @@
 The satellites of a global iteration train independently from the same global
 weights, so `protocol.run_global_iteration` sends the second half of every
 plane to one helper process and trains the first half itself meanwhile. The
-helper is forked at the first iteration that can use it, and it serves the
-training set it was forked with: a read-only array pair whose row slices are
-the shards, as `config.build_simulation` shares one such draw with every build.
+helper is forked at the first iteration that can use it, and it trains from
+the set it was forked with: the read-only set `data.partition` cut the shards
+from, as `config.build_simulation` shares one such draw with every build.
 A new training set closes and reaps the old helper before the next fork, so at
 most one helper exists. The parent holds the set only weakly, and closes the
 helper when the set is freed or at interpreter exit (`weakref.finalize`).
 
 Per iteration the parent writes the global weights into a shared mapping and
 sends one command: the hyperparameters and, per plane, each satellite's row
-bounds and rng key. The helper trains plane by plane into the mapping and
-writes one byte per finished plane. It ignores SIGINT and exits on EOF of its
-commands.
+bounds in that set and its rng key. The helper trains plane by plane into the
+mapping and writes one byte per finished plane. It ignores SIGINT and exits on
+EOF of its commands.
 """
 
 from __future__ import annotations
@@ -40,25 +40,7 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
-def _bounds(dataset: Dataset, rows: np.ndarray, labels: np.ndarray,
-            at: tuple[int, int]) -> tuple[int, int] | None:
-    """(a, b) when `dataset` is exactly rows[a:b] and labels[a:b], else None;
-    `at` holds the addresses of `rows` and `labels`."""
-    r, lab = dataset.rows, dataset.labels
-    if (r.base is not rows or lab.base is not labels or r.strides != rows.strides
-            or r.shape[1:] != rows.shape[1:] or lab.strides != labels.strides):
-        return None
-    a, rest = divmod(_address(r) - at[0], rows.strides[0])
-    if rest or _address(lab) - at[1] != a * labels.strides[0] or len(lab) != len(r):
-        return None
-    return a, a + len(r)
-
-
-def _serve(commands: int, done: int, shared: int, rows: np.ndarray, labels: np.ndarray):
+def _serve(commands: int, done: int, shared: int, whole: Dataset):
     """The helper's loop: train each command's satellites, plane by plane, until EOF."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     reader = os.fdopen(commands, "rb")
@@ -75,8 +57,8 @@ def _serve(commands: int, done: int, shared: int, rows: np.ndarray, labels: np.n
         slot = 0
         for jobs in planes:
             for a, b, key in jobs:
-                w_local = learn.sat_learn_proc(w, Dataset(rows[a:b], labels[a:b]), hp,
-                                               np.random.default_rng(key))
+                shard = Dataset(whole.rows[a:b], whole.labels[a:b])
+                w_local = learn.sat_learn_proc(w, shard, hp, np.random.default_rng(key))
                 out[slot * dim:(slot + 1) * dim] = learn.gradient(w_local, w)
                 slot += 1
             os.write(done, b"\0")
@@ -86,33 +68,37 @@ class Helper:
     """The parent's end of one forked helper: its pipes, its shared mapping and its pid.
 
     The mapping holds the float64 weights, then one gradient per satellite of
-    the last command. `bindings` are the training functions the helper was
-    forked with; it is used only while the same ones are bound.
+    the last command. `whole` is a weak reference to the set the helper was
+    forked with and `bindings` are its training functions; it is used only
+    while the same ones are bound.
     """
 
-    def __init__(self, rows: np.ndarray, labels: np.ndarray, bindings: tuple):
+    def __init__(self, whole: Dataset, bindings: tuple):
         self.bindings = bindings
-        self._set = weakref.ref(rows), weakref.ref(labels)
+        self.whole = weakref.ref(whole)
         self._shared = os.memfd_create("leofl-helper")
         self._buf = None
         self._slots: list[int] = [0]  # the last command's first slot of each plane, then the end
         self._done = 0  # planes of the last command the helper has finished
         commands, self._commands = os.pipe()
         self._finished, done = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:  # e.g. at a process limit: a helper dead from the start
+            self.pid = None
+            for fd in (commands, self._commands, self._finished, done, self._shared):
+                os.close(fd)
+            return
         if self.pid == 0:
             try:
                 os.close(self._commands)
                 os.close(self._finished)
-                _serve(commands, done, self._shared, rows, labels)
+                _serve(commands, done, self._shared, whole)
             finally:
                 os._exit(0)
         os.close(commands)
         os.close(done)
-        weakref.finalize(rows, self.close)
-
-    def serves(self, rows: np.ndarray, labels: np.ndarray) -> bool:
-        return self._set[0]() is rows and self._set[1]() is labels
+        weakref.finalize(whole, self.close)
 
     def release(self) -> int | None:
         """Close this process's ends of the helper's pipes and mapping; returns the pid it had.
@@ -186,31 +172,21 @@ def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]],
     `planes` holds, per plane, (dataset, rng key) of each satellite the helper
     is to train, and `bindings` the training functions bound now. Returns None,
     and the parent trains those satellites itself, when this process may run
-    on one CPU only, when a dataset is not a row slice of one read-only array
-    pair, when the helper died or when the training functions were rebound
-    since its fork.
+    on one CPU only, when a dataset was not cut by `data.partition` from one
+    read-only set, when the helper died or could not be forked, or when the
+    training functions were rebound since its fork.
     """
     global _helper
-    first = next((dataset for jobs in planes for dataset, _ in jobs), None)
-    if not _FORKS or first is None or cpus() < 2:
+    spans = [dataset.span for jobs in planes for dataset, _ in jobs]
+    whole = spans[0][0] if spans and spans[0] else None
+    if not _FORKS or whole is None or cpus() < 2 or whole.rows.flags.writeable \
+            or whole.labels.flags.writeable or any(not s or s[0] is not whole for s in spans):
         return None
-    rows, labels = first.rows.base, first.labels.base
-    if not (isinstance(rows, np.ndarray) and isinstance(labels, np.ndarray)) \
-            or rows.flags.writeable or labels.flags.writeable:
-        return None
-    at = _address(rows), _address(labels)
-    commands = []
-    for jobs in planes:
-        commands.append([])
-        for dataset, key in jobs:
-            bounds = _bounds(dataset, rows, labels, at)
-            if bounds is None:
-                return None
-            commands[-1].append((*bounds, key))
-    if _helper is None or not _helper.serves(rows, labels):
+    if _helper is None or _helper.whole() is not whole:
         if _helper is not None:
             _helper.close()
-        _helper = Helper(rows, labels, bindings)
+        _helper = Helper(whole, bindings)
+    commands = [[(*dataset.span[1:], key) for dataset, key in jobs] for jobs in planes]
     if _helper.bindings != bindings or not _helper.send(w, hp, commands):
         return None
     return _helper

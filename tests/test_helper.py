@@ -1,6 +1,7 @@
 """The forked training helper: the same outputs as training in one process, and its lifecycle."""
 
 import contextlib
+import gc
 import hashlib
 import os
 import signal
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import leofl
-from leofl import helper, learn
+from leofl import config, helper, learn
 from leofl.config import build_simulation, config_from_dict
+from leofl.data import Dataset, partition
 from leofl.protocol import Scheme, run_global_iteration
 from leofl.sparsify import q_to_count
 
@@ -24,9 +26,9 @@ needs_fork = pytest.mark.skipif(not helper._FORKS or helper.cpus() < 2,
                                 reason="the helper needs os.fork, memfd and a second CPU")
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def deadline():
-    """Fail, instead of hanging the suite, when the test takes over a minute."""
+    """Fail, instead of hanging the suite, when a test takes over a minute."""
     def expired(signum, frame):
         raise TimeoutError("the test did not finish in 60 s")
 
@@ -52,11 +54,15 @@ def served(monkeypatch):
     return planes
 
 
-def run(scheme: str, iterations: int, seed: int = 0, between=None):
+def run(scheme: str, iterations: int, seed: int = 0, between=None, splice=None):
     """Digest lines, one per iteration, of every output a run produces: the weights,
-    each plane's t_done and hop records, the accuracy and every residual."""
+    each plane's t_done and hop records, the accuracy and every residual.
+
+    `splice`, when given, is called with the built planes before the first iteration."""
     cfg = config_from_dict(dict(RAW, scheme=scheme, seed=seed))
     planes, hp, w, test, m = build_simulation(cfg)
+    if splice is not None:
+        splice(planes)
     q_count = q_to_count(cfg.q, m.dim)
     t, lines = 0.0, []
     for n in range(1, iterations + 1):
@@ -71,10 +77,10 @@ def run(scheme: str, iterations: int, seed: int = 0, between=None):
     return lines
 
 
-def one_cpu(monkeypatch, scheme: str, iterations: int, seed: int = 0):
+def one_cpu(monkeypatch, scheme: str, iterations: int, seed: int = 0, splice=None):
     with monkeypatch.context() as m:
         m.setattr(helper, "cpus", lambda: 1)
-        return run(scheme, iterations, seed)
+        return run(scheme, iterations, seed, splice=splice)
 
 
 @needs_fork
@@ -87,7 +93,67 @@ def test_helper_path_matches_the_one_cpu_path(monkeypatch, served, scheme):
 
 
 @needs_fork
-def test_a_killed_helper_leaves_the_run_identical(monkeypatch, served, deadline):
+def test_shards_cut_from_a_read_only_view_train_through_the_helper(monkeypatch, served):
+    def cut_from_a_view(planes):
+        nodes = [node for state in planes for node in state.nodes]
+        draw = nodes[0].dataset.span[0]
+        view = Dataset(draw.rows[::-1], draw.labels[::-1])  # read-only, as the draw is
+        for node, shard in zip(nodes, partition(view, len(nodes)), strict=True):
+            node.dataset = shard
+
+    alone = one_cpu(monkeypatch, "SIA", 2, splice=cut_from_a_view)
+    assert alone != one_cpu(monkeypatch, "SIA", 2)  # the reversed shards are other samples
+    assert run("SIA", 2, splice=cut_from_a_view) == alone
+    assert served == [True] * 2 * 2
+
+
+@needs_fork
+def test_shards_not_cut_by_partition_train_in_the_parent(monkeypatch, served):
+    def copy_one(planes):
+        node = planes[1].nodes[-1]  # a satellite of the helper's half
+        node.dataset = Dataset(node.dataset.rows.copy(), node.dataset.labels.copy())
+
+    alone = one_cpu(monkeypatch, "SIA", 2)
+    assert run("SIA", 2, splice=copy_one) == alone
+    assert served == []
+
+
+@needs_fork
+def test_a_failed_fork_leaves_the_run_identical_and_no_fd_open(monkeypatch, served):
+    # a draw of its own, so the run must fork a helper for it
+    alone = one_cpu(monkeypatch, "SIA", 2, seed=23)
+    # closed now, so the run's close of the old helper cannot offset descriptors it leaks
+    if helper._helper is not None:
+        helper._helper.close()
+    forks = []
+
+    def refused():
+        forks.append(None)
+        raise BlockingIOError("fork refused")
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with monkeypatch.context() as m:
+        m.setattr(helper.os, "fork", refused)
+        assert run("SIA", 2, seed=23) == alone
+    assert len(forks) == 1  # the helper stays dead until a new draw, as a killed one
+    assert served == []
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+@needs_fork
+def test_freeing_the_draw_reaps_its_helper():
+    run("SIA", 1, seed=24)
+    pid = helper._helper.pid
+    os.kill(pid, 0)
+    config._drawn.clear()  # with the build gone, nothing else holds the draw
+    gc.collect()
+    assert helper._helper.pid is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+@needs_fork
+def test_a_killed_helper_leaves_the_run_identical(monkeypatch, served):
     # a draw of its own: its helper stays dead until a new draw replaces it
     alone = one_cpu(monkeypatch, "SIA", 3, seed=21)
     pids = []
@@ -124,7 +190,7 @@ def test_a_rebound_training_function_reaches_every_satellite(monkeypatch, served
 
 
 @needs_fork
-def test_a_helper_that_dies_mid_iteration_leaves_the_run_identical(monkeypatch, served, deadline):
+def test_a_helper_that_dies_mid_iteration_leaves_the_run_identical(monkeypatch, served):
     # a draw of its own, so the helper is forked with a training function that ends it
     alone = one_cpu(monkeypatch, "SIA", 2, seed=22)
     parent, original = os.getpid(), learn.sat_learn_proc
@@ -141,7 +207,7 @@ def test_a_helper_that_dies_mid_iteration_leaves_the_run_identical(monkeypatch, 
 
 
 @needs_fork
-def test_no_helper_outlives_its_process(tmp_path, deadline):
+def test_no_helper_outlives_its_process(tmp_path):
     # the helper is stopped, so it never reads its EOF: only reaping at exit ends it
     script = textwrap.dedent(f"""
         import os, signal, sys
