@@ -1,31 +1,36 @@
-"""A forked helper process that trains satellites K//2 .. K-1 of every plane.
+"""A forked helper process that claims and trains satellites beside the parent.
 
-The satellites of a global iteration train independently from the same global
-weights, so `protocol.run_global_iteration` sends the second half of every
-plane to one helper process and trains the first half itself meanwhile. The
-helper is forked at the first iteration that can use it, and it trains from
-the set it was forked with: the read-only set `data.partition` cut the shards
-from, as `config.build_simulation` shares one such draw with every build.
-A new training set closes and reaps the old helper before the next fork, so at
-most one helper exists. The parent holds the set only weakly, and closes the
-helper when the set is freed or at interpreter exit (`weakref.finalize`).
+A satellite's gradient depends only on the global weights, its shard and its
+rng key, so `protocol.run_global_iteration` offers every (plane, satellite)
+job of an iteration to one helper process, and both claim jobs in plane order;
+a job both claim in a race is trained twice with identical bits. The helper is
+forked at the first iteration that can use it, and it trains from the set it
+was forked with: the read-only set `data.partition` cut the shards from, as
+`config.build_simulation` shares one such draw with every build. A new
+training set closes and reaps the old helper before the next fork, so at most
+one helper exists. The parent holds the set only weakly, and closes the helper
+when the set is freed or at interpreter exit (`weakref.finalize`).
 
-Per iteration the parent writes the global weights into a shared mapping and
-sends one command: the hyperparameters and, per plane, each satellite's row
-bounds in that set and its rng key. The helper trains plane by plane into the
-mapping and writes one byte per finished plane. It ignores SIGINT and exits on
-EOF of its commands.
+Per iteration the parent writes the global weights and a cleared claim byte
+per job into a shared mapping and sends one command: the hyperparameters and
+each job's row bounds in that set and rng key. The helper claims the next free
+job again and again, writes its gradient into the job's slot and its index to
+a pipe, and the job count once none is left. It ignores SIGINT and exits on
+EOF. While it runs, both processes run numpy's OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import itertools
 import mmap
 import os
 import pickle
 import signal
 import weakref
+from typing import Callable
 
 import numpy as np
 
@@ -40,37 +45,55 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _serve(commands: int, done: int, shared: int, whole: Dataset):
-    """The helper's loop: train each command's satellites, plane by plane, until EOF."""
+def _blas_threads(n: int) -> int:
+    """Run numpy's bundled OpenBLAS on `n` threads in this process; returns the count it had
+    (`n` when numpy bundles none)."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "libscipy_openblas64_*.so")):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            before = get()
+            put(n)
+            return before
+    return n
+
+
+def _serve(commands: int, finished: int, shared: int, whole: Dataset):
+    """The helper's loop: claim and train each command's free jobs in order, until EOF."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     reader = os.fdopen(commands, "rb")
     buf = None
     while True:
         try:
-            size, dim, hp, planes = pickle.load(reader)
+            size, dim, hp, jobs = pickle.load(reader)
         except EOFError:
             return
         if buf is None or len(buf) < size:
             buf = mmap.mmap(shared, size)
         w = np.frombuffer(buf, count=dim)
-        out = np.frombuffer(buf, offset=w.nbytes, count=sum(map(len, planes)) * dim)
-        slot = 0
-        for jobs in planes:
-            for a, b, key in jobs:
-                shard = Dataset(whole.rows[a:b], whole.labels[a:b])
-                w_local = learn.sat_learn_proc(w, shard, hp, np.random.default_rng(key))
-                out[slot * dim:(slot + 1) * dim] = learn.gradient(w_local, w)
-                slot += 1
-            os.write(done, b"\0")
+        out = np.frombuffer(buf, offset=w.nbytes, count=len(jobs) * dim).reshape(len(jobs), dim)
+        marks = w.nbytes + out.nbytes
+        for job, (a, b, key) in enumerate(jobs):
+            if buf[marks + job]:  # the parent's
+                continue
+            buf[marks + job] = 1
+            shard = Dataset(whole.rows[a:b], whole.labels[a:b])
+            w_local = learn.sat_learn_proc(w, shard, hp, np.random.default_rng(key))
+            out[job] = learn.gradient(w_local, w)
+            os.write(finished, np.uint32(job).tobytes())
+        os.write(finished, np.uint32(len(jobs)).tobytes())
 
 
 class Helper:
     """The parent's end of one forked helper: its pipes, its shared mapping and its pid.
 
-    The mapping holds the float64 weights, then one gradient per satellite of
-    the last command. `whole` is a weak reference to the set the helper was
-    forked with and `bindings` are its training functions; it is used only
-    while the same ones are bound.
+    The mapping holds the float64 weights, then one gradient slot per job of
+    the last command, then one claim byte per job. `whole` is a weak reference
+    to the set the helper was forked with and `bindings` are its training
+    functions; it is used only while the same ones are bound.
     """
 
     def __init__(self, whole: Dataset, bindings: tuple):
@@ -78,26 +101,29 @@ class Helper:
         self.whole = weakref.ref(whole)
         self._shared = os.memfd_create("leofl-helper")
         self._buf = None
-        self._slots: list[int] = [0]  # the last command's first slot of each plane, then the end
-        self._done = 0  # planes of the last command the helper has finished
+        self._slots: list[int] = [0]  # the last command's first job of each plane, then its end
+        self._done = bytearray(b"\1")  # per job of the last command, then its end: reported yet
         commands, self._commands = os.pipe()
-        self._finished, done = os.pipe()
+        self._finished, finished = os.pipe()
+        # one BLAS thread in each process while both train, inherited by the helper
+        self._blas = _blas_threads(1)
         try:
             self.pid = os.fork()
         except OSError:  # e.g. at a process limit: a helper dead from the start
             self.pid = None
-            for fd in (commands, self._commands, self._finished, done, self._shared):
+            _blas_threads(self._blas)
+            for fd in (commands, self._commands, self._finished, finished, self._shared):
                 os.close(fd)
             return
         if self.pid == 0:
             try:
                 os.close(self._commands)
                 os.close(self._finished)
-                _serve(commands, done, self._shared, whole)
+                _serve(commands, finished, self._shared, whole)
             finally:
                 os._exit(0)
         os.close(commands)
-        os.close(done)
+        os.close(finished)
         weakref.finalize(whole, self.close)
 
     def release(self) -> int | None:
@@ -105,7 +131,7 @@ class Helper:
 
         A child forked later calls only this: the helper is its parent's to reap.
         """
-        pid, self.pid, self._buf = self.pid, None, None
+        pid, self.pid, self._buf, self._out = self.pid, None, None, None
         if pid is not None:
             for fd in (self._commands, self._finished, self._shared):
                 os.close(fd)
@@ -115,33 +141,51 @@ class Helper:
         """Release the helper, then kill and reap it, whether idle, busy or stopped."""
         pid = self.release()
         if pid is not None:
+            _blas_threads(self._blas)
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
-    def _await(self, plane: int) -> bool:
-        """Wait until the helper has finished `plane` of the last command; False once it died."""
-        while self._done <= plane:
-            if self.pid is None or not os.read(self._finished, 1):
+    def _await(self, job: int) -> bool:
+        """Wait until the helper has reported `job` of the last command (its job count: the
+        command's end); False once it died."""
+        while not self._done[job]:
+            records = self.pid is not None and os.read(self._finished, 4096)
+            if not records:
                 self.close()
                 return False
-            self._done += 1
+            for done in memoryview(records).cast("I"):
+                self._done[done] = 1
         return True
+
+    def _claim(self, job: int) -> bool:
+        """Claim `job` of the last command for this process; False if the helper holds it."""
+        if self.pid is None:
+            return True
+        free = not self._buf[self._marks + job]
+        self._buf[self._marks + job] = 1
+        return free
 
     def send(self, w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]) -> bool:
         """Start one command: per plane, (a, b, rng key) of each satellite; False if it died."""
-        # an iteration that stopped early leaves its command running: let it end first
-        if self.pid is None or not self._await(len(self._slots) - 2):
+        # an iteration that stopped early leaves its command running: let it end first,
+        # so nothing it claims or writes lands in this command
+        if self.pid is None or not self._await(self._slots[-1]):
             return False
-        self._dim = dim = len(w)
+        dim = len(w)
         self._slots = list(itertools.accumulate(map(len, planes), initial=0))
-        size = (1 + self._slots[-1]) * w.nbytes
+        jobs = self._slots[-1]
+        self._marks = (1 + jobs) * w.nbytes
+        size = self._marks + jobs
         if self._buf is None or len(self._buf) < size:
             os.ftruncate(self._shared, size)
             self._buf = mmap.mmap(self._shared, size)
         np.frombuffer(self._buf, count=dim)[:] = w
-        self._done = 0
-        data = memoryview(pickle.dumps((size, dim, hp, planes)))
+        self._buf[self._marks:size] = bytes(jobs)
+        self._out = np.frombuffer(self._buf, offset=w.nbytes, count=jobs * dim).reshape(jobs, dim)
+        self._out.flags.writeable = False
+        self._done = bytearray(jobs + 1)
+        data = memoryview(pickle.dumps((size, dim, hp, list(itertools.chain(*planes)))))
         try:
             while data:
                 data = data[os.write(self._commands, data):]
@@ -150,16 +194,17 @@ class Helper:
             return False
         return True
 
-    def gradients(self, plane: int) -> list[np.ndarray] | None:
-        """The helper's gradients of `plane`, read-only views valid until the next command;
-        None once the helper has died."""
-        if not self._await(plane):
-            return None
-        first, end = self._slots[plane], self._slots[plane + 1]
-        out = np.frombuffer(self._buf, offset=(1 + first) * self._dim * 8,
-                            count=(end - first) * self._dim)
-        out.flags.writeable = False
-        return list(out.reshape(end - first, self._dim))
+    def gradients(self, plane: int, train: Callable[[int], np.ndarray]) -> list[np.ndarray]:
+        """Plane `plane`'s gradients in satellite order: this process trains (`train(sat)`)
+        each job the helper has not claimed, then takes the helper's as read-only views of the
+        mapping, valid until the next command, or trains them too once the helper died."""
+        first = self._slots[plane]
+        out = [train(sat) if self._claim(first + sat) else None
+               for sat in range(self._slots[plane + 1] - first)]
+        for sat, gradient in enumerate(out):
+            if gradient is None:
+                out[sat] = self._out[first + sat] if self._await(first + sat) else train(sat)
+        return out
 
 
 _helper: Helper | None = None  # the last helper forked, closed or not
@@ -167,14 +212,14 @@ _helper: Helper | None = None  # the last helper forked, closed or not
 
 def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]],
           bindings: tuple) -> Helper | None:
-    """Send one iteration's work to the helper, forked if its training set is new.
+    """Offer one iteration's jobs to the helper, forked if its training set is new.
 
-    `planes` holds, per plane, (dataset, rng key) of each satellite the helper
-    is to train, and `bindings` the training functions bound now. Returns None,
-    and the parent trains those satellites itself, when this process may run
-    on one CPU only, when a dataset was not cut by `data.partition` from one
-    read-only set, when the helper died or could not be forked, or when the
-    training functions were rebound since its fork.
+    `planes` holds, per plane, (dataset, rng key) of each satellite, and
+    `bindings` the training functions bound now. Returns None, and the parent
+    trains every satellite itself, when this process may run on one CPU only,
+    when a dataset was not cut by `data.partition` from one read-only set, when
+    the helper died or could not be forked, or when the training functions were
+    rebound since its fork.
     """
     global _helper
     spans = [dataset.span for jobs in planes for dataset, _ in jobs]

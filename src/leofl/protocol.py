@@ -398,26 +398,24 @@ def run_global_iteration(
 ) -> tuple[np.ndarray, IterationMetrics, float]:
     """One synchronous FL iteration across all planes, PS update included.
 
-    Satellites K//2 .. K-1 of every plane train in the forked helper when one can
-    (`helper.start`); meanwhile this process trains satellites 0 .. K//2-1 of
-    each plane, waits for the helper's half and runs the plane's round.
+    Every (plane, satellite) job is offered to the forked helper when one can
+    take it (`helper.start`). Then, plane by plane, this process trains the
+    jobs the helper has not claimed, waits for the ones it holds and runs the
+    plane's round, while the helper claims on into the next planes.
     """
     # looked up at call time, so rebinding either round function on this module reaches it
     run_plane = run_round if SCHEMES[scheme].ring else run_no_isl_round
     forked = helper.start(
         w_global, hp,
-        [[(state.nodes[sat].dataset, state.rng_key(sat, round_n))
-          for sat in range(len(state.nodes) // 2, len(state.nodes))] for state in planes],
+        [[(node.dataset, state.rng_key(sat, round_n)) for sat, node in enumerate(state.nodes)]
+         for state in planes],
         (learn.sat_learn_proc, learn.gradient, PlaneState.round_rng))
 
     def gradients(p: int, state: PlaneState) -> list[np.ndarray]:
-        k = len(state.nodes)
-        split = k // 2 if forked else k
-        own = local_gradients(state, w_global, hp, round_n, range(split))
-        theirs = forked.gradients(p) if forked else None
-        # the helper's half, or this process trains it when the helper died meanwhile
-        return own + (local_gradients(state, w_global, hp, round_n, range(split, k))
-                      if theirs is None else theirs)
+        if forked is None:
+            return local_gradients(state, w_global, hp, round_n)
+        return forked.gradients(p, lambda sat: local_gradients(state, w_global, hp, round_n,
+                                                               (sat,))[0])
 
     total = np.zeros_like(w_global)
     plane_metrics = []

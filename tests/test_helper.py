@@ -4,16 +4,18 @@ import contextlib
 import gc
 import hashlib
 import os
+import select
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
 import leofl
-from leofl import config, helper, learn
+from leofl import config, helper, learn, protocol
 from leofl.config import build_simulation, config_from_dict
 from leofl.data import Dataset, partition
 from leofl.protocol import Scheme, run_global_iteration
@@ -41,17 +43,63 @@ def deadline():
 
 @pytest.fixture
 def served(monkeypatch):
-    """One entry per plane handed to the helper: whether it returned the plane's gradients."""
-    planes = []
-    original = helper.Helper.gradients
+    """One entry per iteration: whether `helper.start` offered its jobs to a live helper."""
+    iterations = []
+    original = helper.start
 
-    def counted(self, plane):
-        out = original(self, plane)
-        planes.append(out is not None)
+    def counted(*args):
+        out = original(*args)
+        iterations.append(out is not None)
         return out
 
-    monkeypatch.setattr(helper.Helper, "gradients", counted)
-    return planes
+    monkeypatch.setattr(helper, "start", counted)
+    return iterations
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """`held(pause)` binds a training function with which the helper signals the round of
+    each job it starts and then sleeps `pause` s, and holds this process's claims of every
+    iteration's plane 0 until the helper has started a job of that round (at most 10 s).
+
+    Call it before the helper is forked, which binds the function; it returns the list of
+    datasets this process trains. Who trains what still varies, but the helper trains at
+    least one satellite of every iteration it serves."""
+    signals, signal_end = os.pipe()
+    trained, rounds = [], []
+
+    def hold(pause: float = 0.0) -> list:
+        parent, original = os.getpid(), learn.sat_learn_proc
+        start, gradients = helper.start, helper.Helper.gradients
+
+        def signalling(w, dataset, hp, rng):
+            if os.getpid() == parent:
+                trained.append(dataset)
+            else:
+                round_n = rng.bit_generator.seed_seq.entropy[2]  # of PlaneState.rng_key
+                os.write(signal_end, round_n.to_bytes(4, sys.byteorder))
+                time.sleep(pause)
+            return original(w, dataset, hp, rng)
+
+        def noted_start(w, hp, planes, bindings):
+            rounds.append(planes[0][0][1][2])
+            return start(w, hp, planes, bindings)
+
+        def held_gradients(self, plane, train):
+            deadline = time.monotonic() + 10
+            while plane == 0 and select.select([signals], [], [], deadline - time.monotonic())[0]:
+                if int.from_bytes(os.read(signals, 4), sys.byteorder) == rounds[-1]:
+                    break
+            return gradients(self, plane, train)
+
+        monkeypatch.setattr(learn, "sat_learn_proc", signalling)
+        monkeypatch.setattr(helper, "start", noted_start)
+        monkeypatch.setattr(helper.Helper, "gradients", held_gradients)
+        return trained
+
+    yield hold
+    os.close(signals)
+    os.close(signal_end)
 
 
 def run(scheme: str, iterations: int, seed: int = 0, between=None, splice=None):
@@ -85,15 +133,39 @@ def one_cpu(monkeypatch, scheme: str, iterations: int, seed: int = 0, splice=Non
 
 @needs_fork
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_helper_path_matches_the_one_cpu_path(monkeypatch, served, scheme):
-    alone = one_cpu(monkeypatch, scheme, 3)
-    assert served == []
-    assert run(scheme, 3) == alone
-    assert served == [True] * 3 * 2
+def test_helper_path_matches_the_one_cpu_path(monkeypatch, served, held, scheme):
+    # a draw of its own, so the helper is forked with the held training function
+    seed = 40 + SCHEMES.index(scheme)
+    alone = one_cpu(monkeypatch, scheme, 3, seed)
+    assert served == [False] * 3
+    trained = held()
+    assert run(scheme, 3, seed) == alone
+    assert served == [False] * 3 + [True] * 3
+    assert len(trained) <= 3 * (2 * 8 - 1)  # the helper trained a satellite of each iteration
 
 
 @needs_fork
-def test_shards_cut_from_a_read_only_view_train_through_the_helper(monkeypatch, served):
+def test_both_processes_train_one_plane_and_its_fold_sees_satellite_order(monkeypatch, held):
+    folds, original = [], protocol.run_round
+
+    def spied(state, scheme, gradients, *args):
+        folds.append([g.tobytes() for g in gradients])
+        return original(state, scheme, gradients, *args)
+
+    monkeypatch.setattr(protocol, "run_round", spied)
+    alone = one_cpu(monkeypatch, "SIA", 2, seed=25)
+    expected, folds[:] = folds[:], []
+    # the helper sleeps in each job, so this process trains the rest of plane 0 meanwhile
+    trained, built, first = held(pause=0.05), [], []
+    assert run("SIA", 2, seed=25, splice=built.append,
+               between=lambda n: first.extend(trained)) == alone
+    plane0 = {id(node.dataset) for node in built[0][0].nodes}
+    assert 0 < len(plane0 & {id(dataset) for dataset in first}) < len(plane0)
+    assert len(folds) == 2 * 2 and folds == expected
+
+
+@needs_fork
+def test_shards_cut_from_a_read_only_view_train_through_the_helper(monkeypatch, served, held):
     def cut_from_a_view(planes):
         nodes = [node for state in planes for node in state.nodes]
         draw = nodes[0].dataset.span[0]
@@ -103,19 +175,21 @@ def test_shards_cut_from_a_read_only_view_train_through_the_helper(monkeypatch, 
 
     alone = one_cpu(monkeypatch, "SIA", 2, splice=cut_from_a_view)
     assert alone != one_cpu(monkeypatch, "SIA", 2)  # the reversed shards are other samples
+    trained = held()
     assert run("SIA", 2, splice=cut_from_a_view) == alone
-    assert served == [True] * 2 * 2
+    assert served == [False] * 4 + [True] * 2
+    assert len(trained) <= 2 * (2 * 8 - 1)
 
 
 @needs_fork
 def test_shards_not_cut_by_partition_train_in_the_parent(monkeypatch, served):
     def copy_one(planes):
-        node = planes[1].nodes[-1]  # a satellite of the helper's half
+        node = planes[1].nodes[-1]
         node.dataset = Dataset(node.dataset.rows.copy(), node.dataset.labels.copy())
 
     alone = one_cpu(monkeypatch, "SIA", 2)
     assert run("SIA", 2, splice=copy_one) == alone
-    assert served == []
+    assert served == [False] * 4
 
 
 @needs_fork
@@ -136,7 +210,7 @@ def test_a_failed_fork_leaves_the_run_identical_and_no_fd_open(monkeypatch, serv
         m.setattr(helper.os, "fork", refused)
         assert run("SIA", 2, seed=23) == alone
     assert len(forks) == 1  # the helper stays dead until a new draw, as a killed one
-    assert served == []
+    assert served == [False] * 4
     assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
@@ -162,10 +236,11 @@ def test_a_killed_helper_leaves_the_run_identical(monkeypatch, served):
         if n == 2:
             pids.append(helper._helper.pid)
             os.kill(pids[0], signal.SIGKILL)
+            os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, and left to reap
 
     assert run("SIA", 3, seed=21, between=kill) == alone
     # served in iteration 1 only; the dead helper was reaped and not forked again
-    assert served[:2] == [True, True] and not any(served[2:])
+    assert served == [False] * 3 + [True, False, False]
     assert helper._helper.pid is None
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
@@ -185,14 +260,19 @@ def test_a_rebound_training_function_reaches_every_satellite(monkeypatch, served
         monkeypatch.setattr(learn, "sat_learn_proc", counted)
 
     run("SIA", 2, between=rebind)
-    assert served == [True, True]
+    assert served == [True, False]
     assert len(calls) == 2 * 8 and len({id(dataset) for dataset in calls}) == 16
 
 
 @needs_fork
-def test_a_helper_that_dies_mid_iteration_leaves_the_run_identical(monkeypatch, served):
+def test_a_helper_that_dies_mid_iteration_leaves_the_run_identical(monkeypatch, served, held):
     # a draw of its own, so the helper is forked with a training function that ends it
+    # after it claimed its first job and before it finishes it
     alone = one_cpu(monkeypatch, "SIA", 2, seed=22)
+    # closed now, so the run's close of the old helper cannot offset descriptors it leaks
+    if helper._helper is not None:
+        helper._helper.close()
+    open_fds = len(os.listdir("/proc/self/fd"))
     parent, original = os.getpid(), learn.sat_learn_proc
 
     def dies_in_the_helper(*args):
@@ -201,9 +281,43 @@ def test_a_helper_that_dies_mid_iteration_leaves_the_run_identical(monkeypatch, 
         return original(*args)
 
     monkeypatch.setattr(learn, "sat_learn_proc", dies_in_the_helper)
-    assert run("SIA", 2, seed=22) == alone
-    assert served == [False, False]  # both planes of iteration 1, then no helper
+    trained, built = held(), []  # the helper claims the first job, signals, then exits
+    assert run("SIA", 2, seed=22, splice=built.append) == alone
+    assert served == [False, False, True, False]  # iteration 1 only, then no helper
     assert helper._helper.pid is None
+    # this process trained every job once, the one the helper died holding included
+    held_job = built[0][0].nodes[0].dataset
+    assert len(trained) == 2 * 2 * 8 and sum(d is held_job for d in trained[:8]) == 1
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+class Stopped(Exception):
+    pass
+
+
+@needs_fork
+def test_a_command_an_early_stop_left_running_ends_before_the_next(monkeypatch, held):
+    """An iteration that raised in its first round leaves the helper training its
+    command; the next command must not start until it ended, or the helper's late
+    claims and gradients land in the new one."""
+    alone = one_cpu(monkeypatch, "SIA", 3, seed=26)
+    # the helper sleeps in each job, so it is still in the stopped command at the next one
+    held(pause=0.02)
+    cfg = config_from_dict(dict(RAW, scheme="SIA", seed=26))
+    planes, hp, w, test, m = build_simulation(cfg)
+    q_count = q_to_count(cfg.q, m.dim)
+
+    def stopped(*args):
+        raise Stopped
+
+    def stop_early(_):
+        """Run iteration 1 of another build of the draw, then stop in iteration 2's first round."""
+        w1, _, t = run_global_iteration(planes, Scheme.SIA, w, hp, 0.0, 1, q_count, test)
+        with monkeypatch.context() as patch, pytest.raises(Stopped):
+            patch.setattr(protocol, "run_round", stopped)
+            run_global_iteration(planes, Scheme.SIA, w1, hp, t, 2, q_count, test)
+
+    assert run("SIA", 3, seed=26, splice=stop_early) == alone
 
 
 @needs_fork
