@@ -4,18 +4,20 @@ A satellite's gradient depends only on the global weights, its shard and its
 rng key, so `protocol.run_global_iteration` offers every (plane, satellite)
 job of an iteration to one helper process, and both claim jobs in plane order;
 a job both claim in a race is trained twice with identical bits. The helper is
-forked at the first iteration that can use it, and it trains from the set it
-was forked with: the read-only set `data.partition` cut the shards from, as
-`config.build_simulation` shares one such draw with every build. A new
-training set closes and reaps the old helper before the next fork, so at most
-one helper exists. The parent holds the set only weakly, and closes the helper
-when the set is freed or at interpreter exit (`weakref.finalize`).
+forked at the first iteration that can use it and serves while the functions it
+trains with are still bound; it trains from the set it was forked with: the
+read-only set `data.partition` cut the shards from, as `config.build_simulation`
+shares one such draw with every build. A new training set closes and reaps the
+old helper before the next fork, so at most one helper exists. The parent holds
+the set only weakly, and closes the helper when the set is freed or at
+interpreter exit (`weakref.finalize`).
 
 Per iteration the parent writes the global weights and a cleared claim byte
 per job into a shared mapping and sends one command: the hyperparameters and
 each job's row bounds in that set and rng key. The helper claims the next free
-job again and again, writes its gradient into the job's slot and its index to
-a pipe, and the job count once none is left. It ignores SIGINT and exits on
+job in index order, again and again, writes its gradient into the job's slot
+and its index to a pipe, and the job count once none is left, so the last
+index read bounds every job it has finished. It ignores SIGINT and exits on
 EOF. While it runs, both processes run numpy's OpenBLAS on one thread.
 """
 
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import glob
 import itertools
 import mmap
 import os
@@ -46,23 +47,17 @@ def cpus() -> int:
 
 
 def _blas_threads(n: int) -> int:
-    """Run numpy's bundled OpenBLAS on `n` threads in this process; returns the count it had
-    (`n` when numpy bundles none)."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                       "libscipy_openblas64_*.so")):
-        with contextlib.suppress(OSError, AttributeError):
-            lib = ctypes.CDLL(path)
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            before = get()
-            put(n)
-            return before
+    """Run numpy's bundled OpenBLAS on `n` threads here; returns the count it had (`n` if none)."""
+    with contextlib.suppress(AttributeError):  # numpy's extension links the bundled library
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(n)
+        return before
     return n
 
 
 def _serve(commands: int, finished: int, shared: int, whole: Dataset):
-    """The helper's loop: claim and train each command's free jobs in order, until EOF."""
+    """The helper's loop: claim, train and report each command's free jobs in order, until EOF."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     reader = os.fdopen(commands, "rb")
     buf = None
@@ -92,29 +87,30 @@ class Helper:
 
     The mapping holds the float64 weights, then one gradient slot per job of
     the last command, then one claim byte per job. `whole` is a weak reference
-    to the set the helper was forked with and `bindings` are its training
-    functions; it is used only while the same ones are bound.
+    to the set the helper was forked with and `training` the functions it
+    trains with; it is used only while the same ones are bound.
     """
 
-    def __init__(self, whole: Dataset, bindings: tuple):
-        self.bindings = bindings
+    def __init__(self, whole: Dataset):
+        self.training = (learn.sat_learn_proc, learn.gradient)
         self.whole = weakref.ref(whole)
-        self._shared = os.memfd_create("leofl-helper")
         self._buf = None
         self._slots: list[int] = [0]  # the last command's first job of each plane, then its end
-        self._done = bytearray(b"\1")  # per job of the last command, then its end: reported yet
-        commands, self._commands = os.pipe()
-        self._finished, finished = os.pipe()
+        self._reported = 0  # the last index the helper reported for the last command
         # one BLAS thread in each process while both train, inherited by the helper
         self._blas = _blas_threads(1)
+        self.pid, opened = None, []
         try:
+            opened.append(os.memfd_create("leofl-helper"))
+            opened += os.pipe()
+            opened += os.pipe()
             self.pid = os.fork()
-        except OSError:  # e.g. at a process limit: a helper dead from the start
-            self.pid = None
+        except OSError:  # at a descriptor or process limit: a helper dead from the start
             _blas_threads(self._blas)
-            for fd in (commands, self._commands, self._finished, finished, self._shared):
+            for fd in opened:
                 os.close(fd)
             return
+        self._shared, commands, self._commands, self._finished, finished = opened
         if self.pid == 0:
             try:
                 os.close(self._commands)
@@ -147,15 +143,14 @@ class Helper:
                 os.waitpid(pid, 0)
 
     def _await(self, job: int) -> bool:
-        """Wait until the helper has reported `job` of the last command (its job count: the
-        command's end); False once it died."""
-        while not self._done[job]:
+        """Wait until the helper has reported `job` of the last command or a later one (its job
+        count: the command's end); False once it died."""
+        while self._reported < job:
             records = self.pid is not None and os.read(self._finished, 4096)
             if not records:
                 self.close()
                 return False
-            for done in memoryview(records).cast("I"):
-                self._done[done] = 1
+            self._reported = memoryview(records).cast("I")[-1]
         return True
 
     def _claim(self, job: int) -> bool:
@@ -184,7 +179,7 @@ class Helper:
         self._buf[self._marks:size] = bytes(jobs)
         self._out = np.frombuffer(self._buf, offset=w.nbytes, count=jobs * dim).reshape(jobs, dim)
         self._out.flags.writeable = False
-        self._done = bytearray(jobs + 1)
+        self._reported = -1
         data = memoryview(pickle.dumps((size, dim, hp, list(itertools.chain(*planes)))))
         try:
             while data:
@@ -210,16 +205,14 @@ class Helper:
 _helper: Helper | None = None  # the last helper forked, closed or not
 
 
-def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]],
-          bindings: tuple) -> Helper | None:
+def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]) -> Helper | None:
     """Offer one iteration's jobs to the helper, forked if its training set is new.
 
-    `planes` holds, per plane, (dataset, rng key) of each satellite, and
-    `bindings` the training functions bound now. Returns None, and the parent
-    trains every satellite itself, when this process may run on one CPU only,
-    when a dataset was not cut by `data.partition` from one read-only set, when
-    the helper died or could not be forked, or when the training functions were
-    rebound since its fork.
+    `planes` holds, per plane, (dataset, rng key) of each satellite. Returns
+    None, and the parent trains every satellite itself, when this process may
+    run on one CPU only, when a dataset was not cut by `data.partition` from one
+    read-only set, when the helper died or could not be started, or when
+    `learn.sat_learn_proc` or `learn.gradient` was rebound since its fork.
     """
     global _helper
     spans = [dataset.span for jobs in planes for dataset, _ in jobs]
@@ -230,9 +223,10 @@ def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]],
     if _helper is None or _helper.whole() is not whole:
         if _helper is not None:
             _helper.close()
-        _helper = Helper(whole, bindings)
+        _helper = Helper(whole)
     commands = [[(*dataset.span[1:], key) for dataset, key in jobs] for jobs in planes]
-    if _helper.bindings != bindings or not _helper.send(w, hp, commands):
+    if _helper.training != (learn.sat_learn_proc, learn.gradient) \
+            or not _helper.send(w, hp, commands):
         return None
     return _helper
 

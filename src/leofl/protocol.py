@@ -4,8 +4,8 @@ One global iteration per plane has three phases: the source satellite receives
 the global weights from the ground station and floods them around the ring,
 every satellite trains locally, and the ring aggregates gradients hop by hop
 toward the sink, which delivers the plane aggregate back to the station.
-`run_global_iteration` trains each plane's satellites (`local_gradients`) and
-hands the gradients to the plane's round. Each arc is a chain into the sink,
+`run_global_iteration` trains each plane's satellites and hands the gradients
+to the plane's round. Each arc is a chain into the sink,
 so a ring round is a fold of those gradients over the two arcs.
 """
 
@@ -279,15 +279,6 @@ def _estimate_round_duration(state: PlaneState, scheme: Scheme, q_count: int) ->
     return dist + state.compute_time_s + agg
 
 
-def local_gradients(state: PlaneState, w_global: np.ndarray, hp: learn.HyperParams,
-                    round_n: int, sats: range | None = None) -> list[np.ndarray]:
-    """Local training from the global weights of the satellites `sats` (all by default),
-    as a gradient per satellite."""
-    return [learn.gradient(learn.sat_learn_proc(w_global, state.nodes[sat].dataset, hp,
-                                                state.round_rng(sat, round_n)), w_global)
-            for sat in (range(len(state.nodes)) if sats is None else sats)]
-
-
 def run_round(
     state: PlaneState,
     scheme: Scheme,
@@ -400,22 +391,23 @@ def run_global_iteration(
 
     Every (plane, satellite) job is offered to the forked helper when one can
     take it (`helper.start`). Then, plane by plane, this process trains the
-    jobs the helper has not claimed, waits for the ones it holds and runs the
-    plane's round, while the helper claims on into the next planes.
+    jobs the helper has not claimed with the helper's call (`train`), waits for
+    the ones it holds and runs the plane's round, while the helper claims on.
     """
     # looked up at call time, so rebinding either round function on this module reaches it
     run_plane = run_round if SCHEMES[scheme].ring else run_no_isl_round
     forked = helper.start(
         w_global, hp,
         [[(node.dataset, state.rng_key(sat, round_n)) for sat, node in enumerate(state.nodes)]
-         for state in planes],
-        (learn.sat_learn_proc, learn.gradient, PlaneState.round_rng))
+         for state in planes])
 
     def gradients(p: int, state: PlaneState) -> list[np.ndarray]:
-        if forked is None:
-            return local_gradients(state, w_global, hp, round_n)
-        return forked.gradients(p, lambda sat: local_gradients(state, w_global, hp, round_n,
-                                                               (sat,))[0])
+        def train(sat: int) -> np.ndarray:
+            w_local = learn.sat_learn_proc(w_global, state.nodes[sat].dataset, hp,
+                                           np.random.default_rng(state.rng_key(sat, round_n)))
+            return learn.gradient(w_local, w_global)
+
+        return forked.gradients(p, train) if forked else [train(s) for s in range(len(state.nodes))]
 
     total = np.zeros_like(w_global)
     plane_metrics = []

@@ -9,7 +9,7 @@ import pytest
 
 from leofl import learn
 from leofl.config import ExperimentConfig, build_simulation, config_from_dict, load_datasets
-from leofl.data import Dataset
+from leofl.data import Dataset, partition
 from leofl.harness import run_experiment, run_sweep
 from leofl.orbital import GroundStation, OrbitPlane, orbital_period, visibility_windows
 from leofl.protocol import Scheme, run_global_iteration
@@ -219,20 +219,24 @@ def test_criterion_6_figure_trace_goldens():
     )
 
 
-def label_skew_shards(train, num_sats, seed):
-    """The pathological non-IID split of McMahan et al. (2017).
+def label_skew_chunks(train, num_sats, seed):
+    """The pathological non-IID split of McMahan et al. (2017): the sample indices sorted by
+    label (stably) and cut into 2 * num_sats chunks, in the order of a seeded permutation.
 
-    Sort the samples by label (stably), cut them into 2 * num_sats chunks and
-    give each satellite two chunks drawn by a seeded permutation. At 4,000
-    samples on 40 satellites each satellite then holds one to three classes.
-    """
+    Satellite s holds chunks 2s and 2s + 1. At 4,000 samples on 40 satellites each
+    satellite then holds one to three classes."""
     chunks = np.array_split(np.argsort(train.labels, kind="stable"), 2 * num_sats)
-    perm = np.random.default_rng(seed).permutation(2 * num_sats)
-    shards = []
-    for sat in range(num_sats):
-        idx = np.concatenate([chunks[perm[2 * sat]], chunks[perm[2 * sat + 1]]])
-        shards.append(Dataset(train.rows[idx], train.labels[idx]))
-    return shards
+    return [chunks[i] for i in np.random.default_rng(seed).permutation(2 * num_sats)]
+
+
+def label_skew_shards(train, num_sats, seed):
+    """`data.partition` cuts of one read-only reordering of `train`: its label-skew chunks,
+    concatenated. Where the chunks are equal, each shard is two chunks, as the helper can
+    train it."""
+    idx = np.concatenate(label_skew_chunks(train, num_sats, seed))
+    skewed = Dataset(train.rows[idx], train.labels[idx])
+    skewed.rows.flags.writeable = skewed.labels.flags.writeable = False
+    return partition(skewed, num_sats)
 
 
 @pytest.mark.slow
@@ -245,6 +249,11 @@ def test_criterion_7_convergence_parity():
     train, _ = load_datasets(cfg)
     c = cfg.constellation
     shards = label_skew_shards(train, c.planes * c.sats_per_plane, cfg.seed)
+    chunks = label_skew_chunks(train, c.planes * c.sats_per_plane, cfg.seed)
+    for sat, shard in enumerate(shards):  # each satellite's two chunks, gathered
+        idx = np.concatenate(chunks[2 * sat:2 * sat + 2])
+        assert shard.rows.tobytes() == train.rows[idx].tobytes()
+        assert shard.labels.tobytes() == train.labels[idx].tobytes()
 
     def run(scheme, stop_at_target=False):
         """(iteration, simulated time, accuracy) per global iteration on the skewed shards."""

@@ -1,6 +1,8 @@
 """The forked training helper: the same outputs as training in one process, and its lifecycle."""
 
 import contextlib
+import ctypes
+import errno
 import gc
 import hashlib
 import os
@@ -12,6 +14,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leofl
@@ -81,9 +84,9 @@ def held(monkeypatch):
                 time.sleep(pause)
             return original(w, dataset, hp, rng)
 
-        def noted_start(w, hp, planes, bindings):
+        def noted_start(w, hp, planes):
             rounds.append(planes[0][0][1][2])
-            return start(w, hp, planes, bindings)
+            return start(w, hp, planes)
 
         def held_gradients(self, plane, train):
             deadline = time.monotonic() + 10
@@ -192,26 +195,69 @@ def test_shards_not_cut_by_partition_train_in_the_parent(monkeypatch, served):
     assert served == [False] * 4
 
 
-@needs_fork
-def test_a_failed_fork_leaves_the_run_identical_and_no_fd_open(monkeypatch, served):
-    # a draw of its own, so the run must fork a helper for it
-    alone = one_cpu(monkeypatch, "SIA", 2, seed=23)
+def refused_run(monkeypatch, served, seed: int, name: str, error: OSError, allowed: int = 0):
+    """Run a draw of its own, so the run must fork a helper for it, with `os.<name>` raising
+    `error` after `allowed` calls: the run matches the one-CPU path, no iteration is served and
+    no descriptor is left open. Returns the number of calls."""
+    alone = one_cpu(monkeypatch, "SIA", 2, seed=seed)
     # closed now, so the run's close of the old helper cannot offset descriptors it leaks
     if helper._helper is not None:
         helper._helper.close()
-    forks = []
+    original, calls = getattr(os, name), []
 
-    def refused():
-        forks.append(None)
-        raise BlockingIOError("fork refused")
+    def refused(*args):
+        calls.append(args)
+        if len(calls) > allowed:
+            raise error
+        return original(*args)
 
     open_fds = len(os.listdir("/proc/self/fd"))
     with monkeypatch.context() as m:
-        m.setattr(helper.os, "fork", refused)
-        assert run("SIA", 2, seed=23) == alone
-    assert len(forks) == 1  # the helper stays dead until a new draw, as a killed one
+        m.setattr(helper.os, name, refused)
+        assert run("SIA", 2, seed=seed) == alone
     assert served == [False] * 4
     assert len(os.listdir("/proc/self/fd")) == open_fds
+    return len(calls)
+
+
+@needs_fork
+def test_a_failed_fork_leaves_the_run_identical_and_no_fd_open(monkeypatch, served):
+    forks = refused_run(monkeypatch, served, 23, "fork", BlockingIOError("fork refused"))
+    assert forks == 1  # the helper stays dead until a new draw, as a killed one
+
+
+@needs_fork
+@pytest.mark.parametrize("name, allowed, seed", [("memfd_create", 0, 27), ("pipe", 1, 28)])
+def test_a_descriptor_limit_leaves_the_run_identical_and_no_fd_open(monkeypatch, served, name,
+                                                                    allowed, seed):
+    # os.pipe fails at its second call, with the memfd and the first pipe open by then
+    emfile = OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+    assert refused_run(monkeypatch, served, seed, name, emfile, allowed) == allowed + 1
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled scipy-openblas in this process; None without one."""
+    with contextlib.suppress(AttributeError):
+        return ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_()
+    return None
+
+
+@needs_fork
+@pytest.mark.skipif(blas_threads() is None, reason="numpy bundles no scipy-openblas")
+def test_a_helper_pins_the_parent_to_one_blas_thread_until_it_closes(monkeypatch):
+    if helper._helper is not None:
+        helper._helper.close()
+    before = helper._blas_threads(2)
+    try:
+        run("SIA", 1, seed=29)  # a draw of its own, so the run forks a helper for it
+        assert helper._helper.pid is not None and blas_threads() == 1
+        helper._helper.close()
+        assert blas_threads() == 2
+    finally:
+        helper._blas_threads(before)
+    with monkeypatch.context() as m:
+        m.setattr(helper.ctypes, "CDLL", lambda path: object())  # a library with no such symbol
+        assert helper._blas_threads(3) == 3
 
 
 @needs_fork

@@ -87,7 +87,7 @@ HP = learn.HyperParams(learning_rate=0.1, rounds=1)
 # the round functions may name those two
 MESSAGE_NAMES = {"message_bits", "densify", "dense_bits"}
 # local training, which run_global_iteration runs before it hands a fold the gradients
-TRAINING_NAMES = {"learn", "local_gradients", "round_rng", "w_global", "hp", "round_n"}
+TRAINING_NAMES = {"learn", "rng_key", "round_rng", "w_global", "hp", "round_n"}
 
 
 def round_function_offenders(tree: ast.AST, names=MESSAGE_NAMES) -> set[str]:
@@ -415,8 +415,8 @@ class TestSchemeRecord:
 
     def test_round_function_offenders_sees_training(self):
         fn = ast.parse("def f(state, w_global, hp: learn.HyperParams, round_n):\n"
-                       "    g = local_gradients(state, w_global, hp, round_n)\n"
-                       "    return state.round_rng(0, 1), g\n")
+                       "    key = state.rng_key(0, round_n)\n"
+                       "    return state.round_rng(0, 1), w_global, hp, key\n")
         assert round_function_offenders(fn, TRAINING_NAMES) == TRAINING_NAMES
 
 
