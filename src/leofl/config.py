@@ -169,6 +169,15 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             )
         if d.test_samples < 1:
             problems.append("dataset.test_samples must be positive")
+        # a run holds both sets' float64 rows, the bias column included, in memory
+        rows, row_bytes = d.train_samples + d.test_samples, (data.FEATURE_DIM + 1) * 8
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # a host that cannot say: no bound
+            memory = 0
+        if memory > 0 and rows * row_bytes > memory:
+            problems.append(f"dataset.train_samples + dataset.test_samples = {rows} rows of "
+                            f"{row_bytes} bytes must fit in the {memory} bytes of physical memory")
     if problems:
         raise ValidationError("; ".join(problems))
     # the geometry checks need the values above to be valid; all planes
@@ -277,7 +286,7 @@ def load_config(path: str | Path) -> dict:
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ValidationError(f"cannot read config {path}: {' '.join(str(exc).split())}") from None
     if raw is not None and not isinstance(raw, dict):
-        raise ValidationError("config document must be a mapping")
+        raise ValidationError(f"cannot read config {path}: the document is not a mapping")
     return raw or {}
 
 

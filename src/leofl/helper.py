@@ -4,8 +4,9 @@ A satellite's gradient depends only on the global weights, its shard and its
 rng key, so `protocol.run_global_iteration` offers every (plane, satellite)
 job of an iteration to one helper process, and both claim jobs in plane order;
 a job both claim in a race is trained twice with identical bits. The helper is
-forked at the first iteration that can use it and serves while the functions it
-trains with are still bound; it trains from the set it was forked with: the
+forked at the first iteration that can use it and serves while
+`learn.sat_learn_proc` and `learn.local_gradient`, its one call per job, are
+still bound as at its fork; it trains from the set it was forked with: the
 read-only set `data.partition` cut the shards from, as `config.build_simulation`
 shares one such draw with every build. A new training set closes and reaps the
 old helper before the next fork, so at most one helper exists. The parent holds
@@ -75,9 +76,7 @@ def _serve(commands: int, finished: int, shared: int, whole: Dataset):
             if buf[marks + job]:  # the parent's
                 continue
             buf[marks + job] = 1
-            shard = Dataset(whole.rows[a:b], whole.labels[a:b])
-            w_local = learn.sat_learn_proc(w, shard, hp, np.random.default_rng(key))
-            out[job] = learn.gradient(w_local, w)
+            out[job] = learn.local_gradient(w, Dataset(whole.rows[a:b], whole.labels[a:b]), hp, key)
             os.write(finished, np.uint32(job).tobytes())
         os.write(finished, np.uint32(len(jobs)).tobytes())
 
@@ -87,12 +86,12 @@ class Helper:
 
     The mapping holds the float64 weights, then one gradient slot per job of
     the last command, then one claim byte per job. `whole` is a weak reference
-    to the set the helper was forked with and `training` the functions it
-    trains with; it is used only while the same ones are bound.
+    to the set the helper was forked with and `training` the `learn.sat_learn_proc`
+    and `learn.local_gradient` it trains with; it is used only while both are bound.
     """
 
     def __init__(self, whole: Dataset):
-        self.training = (learn.sat_learn_proc, learn.gradient)
+        self.training = (learn.sat_learn_proc, learn.local_gradient)
         self.whole = weakref.ref(whole)
         self._buf = None
         self._slots: list[int] = [0]  # the last command's first job of each plane, then its end
@@ -212,7 +211,7 @@ def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]) -> He
     None, and the parent trains every satellite itself, when this process may
     run on one CPU only, when a dataset was not cut by `data.partition` from one
     read-only set, when the helper died or could not be started, or when
-    `learn.sat_learn_proc` or `learn.gradient` was rebound since its fork.
+    `learn.sat_learn_proc` or `learn.local_gradient` was rebound since its fork.
     """
     global _helper
     spans = [dataset.span for jobs in planes for dataset, _ in jobs]
@@ -225,7 +224,7 @@ def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]) -> He
             _helper.close()
         _helper = Helper(whole)
     commands = [[(*dataset.span[1:], key) for dataset, key in jobs] for jobs in planes]
-    if _helper.training != (learn.sat_learn_proc, learn.gradient) \
+    if _helper.training != (learn.sat_learn_proc, learn.local_gradient) \
             or not _helper.send(w, hp, commands):
         return None
     return _helper

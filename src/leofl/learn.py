@@ -66,9 +66,10 @@ def sat_learn_proc(
     return w
 
 
-def gradient(w_local: np.ndarray, w_global: np.ndarray) -> np.ndarray:
-    """The update a satellite reports: local weights minus the global weights."""
-    return w_local - w_global
+def local_gradient(w_global: np.ndarray, dataset: Dataset, hp: HyperParams,
+                   key: list[int]) -> np.ndarray:
+    """A satellite's update: its local weights trained on the rng `key` seeds, minus `w_global`."""
+    return sat_learn_proc(w_global, dataset, hp, np.random.default_rng(key)) - w_global
 
 
 def global_update(w_global: np.ndarray, aggregate: np.ndarray, total_data: float) -> np.ndarray:

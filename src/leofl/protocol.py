@@ -65,17 +65,20 @@ class SchemeSpec:
     `step(g, data_size, error, incoming, q_count) -> (message, error)` folds a
     satellite's update into the incoming message and `bits(message, size_model)`
     is what a message costs on a link; every scheme's message is a
-    `SparseGradient`. `hop_bits(j, size_model, q_count)` bounds the bits sent
-    from arc position j, counted from the far end, for the sink estimate, and
-    `ring` says whether the plane aggregates over the ring or every satellite
-    talks to the station.
+    `SparseGradient`. `ring` says whether the plane aggregates over the ring or
+    every satellite talks to the station; a ring scheme's `hop_bits(j,
+    size_model, q_count)` bounds the bits sent from arc position j, counted
+    from the far end, for the sink estimate, and only a ring scheme sets it.
     """
 
     step: Callable
-    hop_bits: Callable[[int, SizeModel, int], int]
     ring: bool
+    hop_bits: Callable[[int, SizeModel, int], int] | None = None
     # looked up at call time, so rebinding it on this module reaches every round
     bits: Callable = lambda s, m: message_bits(s, m)
+
+    def __post_init__(self):  # an invariant of the table below, not input
+        assert self.ring == (self.hop_bits is not None), "hop_bits is set exactly for ring schemes"
 
 
 # the steps look sia_step and clsia_step up at call time, so rebinding them
@@ -92,8 +95,7 @@ SCHEMES = {
     Scheme.CLSIA: SchemeSpec(lambda *a: clsia_step(*a), ring=True,
                              hop_bits=lambda j, m, q: q * m.entry_bits),
     # each satellite sends its own Top-Q straight down: an SIA step onto nothing
-    Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a), ring=False,
-                                     hop_bits=lambda j, m, q: q * m.entry_bits),
+    Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a), ring=False),
 }
 
 
@@ -390,9 +392,9 @@ def run_global_iteration(
     """One synchronous FL iteration across all planes, PS update included.
 
     Every (plane, satellite) job is offered to the forked helper when one can
-    take it (`helper.start`). Then, plane by plane, this process trains the
-    jobs the helper has not claimed with the helper's call (`train`), waits for
-    the ones it holds and runs the plane's round, while the helper claims on.
+    take it (`helper.start`). Then, plane by plane, this process trains the jobs
+    the helper has not claimed with its call (`learn.local_gradient`), waits
+    for the ones it holds and runs the plane's round, while the helper claims on.
     """
     # looked up at call time, so rebinding either round function on this module reaches it
     run_plane = run_round if SCHEMES[scheme].ring else run_no_isl_round
@@ -403,9 +405,8 @@ def run_global_iteration(
 
     def gradients(p: int, state: PlaneState) -> list[np.ndarray]:
         def train(sat: int) -> np.ndarray:
-            w_local = learn.sat_learn_proc(w_global, state.nodes[sat].dataset, hp,
-                                           np.random.default_rng(state.rng_key(sat, round_n)))
-            return learn.gradient(w_local, w_global)
+            return learn.local_gradient(w_global, state.nodes[sat].dataset, hp,
+                                        state.rng_key(sat, round_n))
 
         return forked.gradients(p, train) if forked else [train(s) for s in range(len(state.nodes))]
 

@@ -84,7 +84,6 @@ def top_q(v: np.ndarray, q_count: int) -> SparseGradient:
     entry above it is kept and the remaining slots go to the lowest-index
     entries equal to it.
     """
-    v = np.asarray(v, dtype=np.float64)
     n = len(v)
     if q_count == 0:
         return SparseGradient.empty(n)
@@ -109,7 +108,15 @@ def sparse_add(a: SparseGradient, b: SparseGradient) -> SparseGradient:
 
 
 def _error_compensated(g: np.ndarray, data_size: float, err: ErrorState) -> np.ndarray:
-    return data_size * np.asarray(g, dtype=np.float64) + err.residual
+    return data_size * g + err.residual
+
+
+def _send_and_keep(v: np.ndarray, q_count: int) -> tuple[SparseGradient, ErrorState]:
+    """Send the Top-Q of `v` and keep the rest: returns the message and `v` itself as the
+    residual, with +0.0 written where it was sent (as x - x would give)."""
+    sent = top_q(v, q_count)
+    v[sent.sent] = 0.0
+    return sent, ErrorState(v)
 
 
 def sia_step(
@@ -120,11 +127,8 @@ def sia_step(
     q_count: int,
 ) -> tuple[SparseGradient, ErrorState]:
     """One satellite's SIA step: compensate, Top-Q, merge into the aggregate."""
-    compensated = _error_compensated(g, data_size, err)
-    own = top_q(compensated, q_count)
-    # the residual is what was not sent: x - x == +0.0 on the kept support
-    compensated[own.sent] = 0.0
-    return sparse_add(incoming, own), ErrorState(compensated)
+    own, err = _send_and_keep(_error_compensated(g, data_size, err), q_count)
+    return sparse_add(incoming, own), err
 
 
 def clsia_step(
@@ -135,11 +139,7 @@ def clsia_step(
     q_count: int,
 ) -> tuple[SparseGradient, ErrorState]:
     """One satellite's CL-SIA step: compensate, merge, then Top-Q the total."""
-    compensated = _error_compensated(g, data_size, err)
-    merged = incoming.values + compensated
-    outgoing = top_q(merged, q_count)
-    merged[outgoing.sent] = 0.0
-    return outgoing, ErrorState(merged)
+    return _send_and_keep(incoming.values + _error_compensated(g, data_size, err), q_count)
 
 
 def message_bits(s: SparseGradient, m: SizeModel) -> int:

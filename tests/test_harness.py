@@ -3,6 +3,7 @@ import dataclasses
 import gzip
 import itertools
 import math
+import os
 import re
 import signal
 import struct
@@ -185,14 +186,17 @@ class TestConfig:
         ({"training": {"learning_rate": -0.1}}, "training.learning_rate"),
         ({"dataset": {"test_samples": 0}}, "dataset.test_samples"),
         ({"compute_time_s": float("nan")}, "compute_time_s"),
+        ({"dataset": {"source": "csv"}}, "dataset.source"),
     ] + SECTION_OUT_OF_RANGE + [({"seed": -1}, "seed")])
     def test_out_of_range_names_key(self, raw, key):
         with pytest.raises(ValidationError, match=rf"{key} must be"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("raw, key", NON_FINITE)
+    # an int too large for a float is not finite either
+    @pytest.mark.parametrize("raw, key", NON_FINITE + [({"q": 10**400}, "q")])
     def test_non_finite_and_negative_noise_name_key(self, raw, key):
-        with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be"):
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(key)} must be (finite|non-negative)"):
             config_from_dict(raw)
 
     def test_ints_accepted_for_float_fields(self):
@@ -206,7 +210,9 @@ class TestConfig:
         config_from_dict({"scheme": "NO_ISL_DIRECT", "constellation": {"sats_per_plane": 3}})
 
     @pytest.mark.parametrize("scheme", ["SIA", "NO_ISL_DIRECT"])
-    @pytest.mark.parametrize("link, key", UNUSABLE_LINK)
+    # the noise power underflows to 0, so the rate divides by zero
+    @pytest.mark.parametrize("link, key", UNUSABLE_LINK + [
+        ({"noise_temp_k": 1.0e-300, "bandwidth_hz": 1.0e-300}, "link.noise_temp_k")])
     def test_unusable_link_names_key(self, scheme, link, key):
         with pytest.raises(ValidationError, match=re.escape(key)):
             config_from_dict({"scheme": scheme, "link": link})
@@ -230,6 +236,27 @@ class TestConfig:
         with pytest.raises(ValidationError, match="window search horizon") as exc:
             config_from_dict(raw)
         assert all(f"link.{f.name}" in str(exc.value) for f in dataclasses.fields(LinkParams))
+
+    @pytest.mark.parametrize("extra_rows", [1, 10**9])
+    def test_datasets_must_fit_in_physical_memory(self, extra_rows):
+        # never built: the least that does not fit, and 5.71 TiB
+        row_bytes = (data.FEATURE_DIM + 1) * 8
+        fits = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // row_bytes
+        raw = {"dataset": {"train_samples": fits - 4000 + extra_rows, "test_samples": 4000}}
+        with pytest.raises(ValidationError, match=r"^dataset\.train_samples \+ "
+                                                  r"dataset\.test_samples .* physical memory"):
+            config_from_dict(raw)
+        raw["dataset"]["train_samples"] -= extra_rows
+        config_from_dict(raw)
+
+    @pytest.mark.parametrize("sysconf", [None, lambda name: int("unknown name")])
+    def test_memory_bound_is_skipped_where_the_host_cannot_report_it(self, monkeypatch, sysconf):
+        if sysconf is None:
+            monkeypatch.delattr(os, "sysconf")
+        else:
+            monkeypatch.setattr(os, "sysconf", sysconf)
+        config_from_dict({})
+        config_from_dict({"dataset": {"train_samples": 10**9}})  # validated, never built
 
     def test_shards_must_fit(self):
         with pytest.raises(ValidationError, match="dataset.train_samples"):
@@ -632,8 +659,9 @@ class TestCli:
         path.write_text(yaml.safe_dump({"q": -1}))
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
 
-    # a missing file, a YAML syntax error, a file that is not UTF-8
-    @pytest.mark.parametrize("content", [None, b"q: [1\n", b"q: 0.1\nseed: \xff\n"])
+    # a missing file, a YAML syntax error, a file that is not UTF-8, a list
+    @pytest.mark.parametrize("content", [None, b"q: [1\n", b"q: 0.1\nseed: \xff\n",
+                                         b"- q\n- 0.1\n"])
     def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.yaml"
         if content is not None:
@@ -658,6 +686,7 @@ class TestCli:
         ({"constellation": {"altitude_km": 117_100.0}}, "constellation.altitude_km"),
         ({"constellation": {"altitude_km": 1.0e+200}}, "constellation.altitude_km"),
         ({"constellation": {"altitude_km": 1.0e+308}}, "constellation.altitude_km"),
+        ({"constellation": 5}, "section 'constellation' must be a mapping"),
     ] + SECTION_WRONG_TYPE + SECTION_OUT_OF_RANGE + [({"seed": -1}, "seed")])
     def test_validate_rejects_unrunnable_config(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.yaml"
@@ -665,6 +694,21 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and key in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_datasets_beyond_physical_memory_exit_2(self, tmp_path, capsys, command):
+        # 7.9 EB: no host can hold the rows, and a run without the bound fails
+        # at its first allocation instead of filling memory
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"dataset": {"train_samples": 10**18}}))
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: dataset.train_samples + "
+                              "dataset.test_samples") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_validate_accepts_an_orbit_just_inside_the_horizon(self, tmp_path):
         # a period of about 4.99 days; no run is made at this altitude
@@ -731,6 +775,7 @@ class TestCli:
         (["windows", "--plane", "-1"], "--plane"),
         (["windows", "--hours", "nan"], "--hours"),
         (["windows", "--hours", "0"], "--hours"),
+        (["windows", "--hours", "abc"], "--hours: expected a number"),
         # the grid flags' cases: a value that is no number, a ring of no
         # satellites, an empty range
         (["sweep", "--axis", "q=abc"], "q='abc': q must be a number"),
@@ -1015,12 +1060,15 @@ class TestCli:
             assert exc.value.code == EXIT_VALIDATION
             assert "--hours" in capsys.readouterr().err
 
-    def test_run_writes_outputs(self, tmp_path):
+    def test_run_writes_outputs(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
         write_config(tiny_config(), path)
         rc = main(["run", "--config", str(path), "--rounds", "2",
-                   "--out", str(tmp_path / "out"), "--scheme", "CLSIA"])
+                   "--out", str(tmp_path / "out"), "--scheme", "CLSIA", "--verbose"])
         assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == ["iter 1", "iter 2"]
+        assert lines[-1].startswith("wrote ")
         assert (tmp_path / "out" / "run.csv").exists()
         assert (tmp_path / "out" / "run.manifest.json").exists()
 

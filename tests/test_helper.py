@@ -293,17 +293,18 @@ def test_a_killed_helper_leaves_the_run_identical(monkeypatch, served):
 
 
 @needs_fork
-def test_a_rebound_training_function_reaches_every_satellite(monkeypatch, served):
+@pytest.mark.parametrize("name", ["sat_learn_proc", "local_gradient"])
+def test_a_rebound_training_function_reaches_every_satellite(monkeypatch, served, name):
     calls = []
 
     def rebind(n):
-        original = learn.sat_learn_proc
+        original = getattr(learn, name)
 
         def counted(*args):
             calls.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(learn, "sat_learn_proc", counted)
+        monkeypatch.setattr(learn, name, counted)
 
     run("SIA", 2, between=rebind)
     assert served == [True, False]

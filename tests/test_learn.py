@@ -139,13 +139,24 @@ class TestSatLearnProc:
 
 
 class TestGradientAndUpdate:
-    def test_zero_gradient(self):
+    def test_zero_learning_rate_gives_a_zero_update(self):
         w = random_weights()
-        np.testing.assert_array_equal(learn.gradient(w, w), np.zeros_like(w))
+        hp = learn.HyperParams(learning_rate=0.0, batch_size=8)
+        g = learn.local_gradient(w, toy_dataset(), hp, [0, 1, 2, 3])
+        assert g.tobytes() == np.zeros_like(w).tobytes()  # +0.0, never -0.0
 
-    def test_antisymmetry(self):
-        a, b = random_weights(seed=1), random_weights(seed=2)
-        np.testing.assert_array_equal(learn.gradient(a, b), -learn.gradient(b, a))
+    def test_one_key_gives_one_update(self):
+        ds, w = toy_dataset(), random_weights()
+        hp = learn.HyperParams(learning_rate=0.1, local_epochs=2, batch_size=8)
+        a = learn.local_gradient(w, ds, hp, [0, 1, 2, 3])
+        assert a.tobytes() == learn.local_gradient(w, ds, hp, [0, 1, 2, 3]).tobytes()
+        assert a.tobytes() != learn.local_gradient(w, ds, hp, [0, 1, 2, 4]).tobytes()
+
+    def test_update_is_local_weights_minus_global(self):
+        ds, w = toy_dataset(), random_weights()
+        hp = learn.HyperParams(learning_rate=0.1, batch_size=8)
+        w_local = learn.sat_learn_proc(w, ds, hp, np.random.default_rng([5, 6]))
+        assert learn.local_gradient(w, ds, hp, [5, 6]).tobytes() == (w_local - w).tobytes()
 
     def test_update_identity(self):
         w = random_weights()
@@ -156,13 +167,13 @@ class TestGradientAndUpdate:
         hp = learn.HyperParams(learning_rate=0.1)
         w0 = random_weights()
         w_local = learn.sat_learn_proc(w0, ds, hp, np.random.default_rng(0))
-        agg = len(ds) * learn.gradient(w_local, w0)
+        agg = len(ds) * (w_local - w0)
         np.testing.assert_allclose(learn.global_update(w0, agg, len(ds)), w_local, rtol=1e-12)
 
     def test_equal_sizes_average(self):
         w0 = random_weights()
         wa, wb = random_weights(seed=3), random_weights(seed=4)
-        agg = 5.0 * learn.gradient(wa, w0) + 5.0 * learn.gradient(wb, w0)
+        agg = 5.0 * (wa - w0) + 5.0 * (wb - w0)
         np.testing.assert_allclose(
             learn.global_update(w0, agg, 10.0), 0.5 * (wa + wb), rtol=1e-9
         )

@@ -360,6 +360,11 @@ class TestSchemeRecord:
     def test_every_scheme_has_a_record(self):
         assert set(SCHEMES) == set(Scheme)
 
+    @pytest.mark.parametrize("ring, hop_bits", [(True, None), (False, lambda j, m, q: 0)])
+    def test_hop_bits_is_set_exactly_for_ring_schemes(self, ring, hop_bits):
+        with pytest.raises(AssertionError, match="hop_bits"):
+            protocol.SchemeSpec(sparsify.sia_step, ring=ring, hop_bits=hop_bits)
+
     @pytest.mark.parametrize("scheme", [s for s in Scheme if SCHEMES[s].ring])
     def test_hop_bits_within_worst_case(self, monkeypatch, scheme):
         """Every hop sent from arc position j (1 = far end) carries at most the
@@ -547,7 +552,7 @@ class TestGlobalIteration:
                 assert len(gradients) == len(state.nodes)
                 for sat, (node, g) in enumerate(zip(state.nodes, gradients)):
                     w_local = learn.sat_learn_proc(w, node.dataset, hp, state.round_rng(sat, n))
-                    assert g.tobytes() == learn.gradient(w_local, w).tobytes()
+                    assert g.tobytes() == (w_local - w).tobytes()
             w = w_next
 
     def test_one_planes_gradients_are_alive_at_a_time(self, monkeypatch):

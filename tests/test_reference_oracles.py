@@ -878,8 +878,7 @@ def test_fold_matches_event_loop_over_five_rounds(name, raw, scheme):
     for n in range(1, 6):
         total, t_end = np.zeros(m.dim), t
         for state, ref_state in zip(planes, ref_planes):
-            gradients = [learn.gradient(learn.sat_learn_proc(w, node.dataset, hp,
-                                                             state.round_rng(sat, n)), w)
+            gradients = [learn.local_gradient(w, node.dataset, hp, state.rng_key(sat, n))
                          for sat, node in enumerate(state.nodes)]
             agg, t_done = assert_round_matches(state, ref_state, Scheme[scheme], gradients, t,
                                                q_count)
