@@ -14,9 +14,9 @@ import yaml
 from . import data, learn
 from .link import (LinkParams, data_rate, db_to_linear, dbm_to_watts, ring_neighbor_distance,
                    ring_neighbors_visible, tx_duration)
-from .orbital import (GroundStation, OrbitPlane, max_slant_range, max_visible_latitude,
-                      period_altitude)
-from .protocol import SCHEMES, PlaneState, SatelliteNode, Scheme, WindowCache, _distribution_bits
+from .orbital import GroundStation, OrbitPlane, max_slant_range, period_altitude
+from .protocol import (SCHEMES, NoWindowError, PlaneState, SatelliteNode, Scheme, WindowCache,
+                       _distribution_bits)
 from .sparsify import ErrorState, SizeModel
 
 
@@ -62,13 +62,9 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
 
-_SECTION_TYPES = {
-    "constellation": ConstellationConfig,
-    "ground_station": GroundStationConfig,
-    "link": LinkParams,
-    "training": learn.HyperParams,
-    "dataset": DatasetConfig,
-}
+# section name -> the record it builds
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)
+                  if f.default_factory is not dataclasses.MISSING}
 
 
 # annotation -> (accepted types, description); bool is never a number here
@@ -107,7 +103,11 @@ def _type_problems(cfg: ExperimentConfig) -> list[str]:
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """`cfg` if a run can use it, else a `ValidationError` naming each key it cannot."""
+    """`cfg` if a run can use it, else a `ValidationError` naming each key it cannot.
+
+    Each satellite's first window is looked up as the run's first round looks it up; a later
+    one can still be missing, and a run that meets that stops with `NoWindowError`.
+    """
     problems = _type_problems(cfg)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -180,17 +180,20 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                             f"{row_bytes} bytes must fit in the {memory} bytes of physical memory")
     if problems:
         raise ValidationError("; ".join(problems))
-    # the geometry checks need the values above to be valid; all planes
-    # share altitude and inclination
-    plane = build_planes_geometry(cfg)[0]
-    reach_deg = math.degrees(max_visible_latitude(plane, math.radians(gs.min_elevation_deg)))
-    if abs(gs.latitude_deg) > reach_deg:
-        raise ValidationError(
-            f"ground_station.latitude_deg: a station at {gs.latitude_deg:g} deg never sees a "
-            f"satellite of planes inclined {c.inclination_deg:g} deg at {c.altitude_km:g} km "
-            f"above {gs.min_elevation_deg:g} deg elevation; |latitude| must be at most "
-            f"{reach_deg:.2f} deg"
-        )
+    # the geometry checks need the values above to be valid
+    planes, station = build_planes_geometry(cfg), build_ground_station(cfg)
+    for p, geometry in enumerate(planes):
+        windows = WindowCache(geometry, station)
+        for sat in range(c.sats_per_plane):
+            try:
+                windows.next_window(sat, 0.0)
+            except NoWindowError:
+                raise ValidationError(
+                    f"ground_station.latitude_deg and ground_station.min_elevation_deg: satellite "
+                    f"{sat} of plane {p} never rises {gs.min_elevation_deg:g} deg above a station "
+                    f"at latitude {gs.latitude_deg:g} deg in the {WindowCache.HORIZON_S:g} s "
+                    "window search horizon") from None
+    plane = planes[0]  # all planes share altitude and inclination
     ring = SCHEMES[Scheme[cfg.scheme]].ring
     if ring and not ring_neighbors_visible(plane):
         raise ValidationError(

@@ -123,17 +123,6 @@ def _reach_angle(plane: OrbitPlane, min_elevation_rad: float) -> float:
     return math.acos(cos_reach) - min_elevation_rad
 
 
-def max_visible_latitude(plane: OrbitPlane, min_elevation_rad: float) -> float:
-    """Largest |latitude| (rad) from which a station ever sees a satellite of the plane.
-
-    The ground track reaches latitude asin(|sin i|), which is min(i, pi - i)
-    for i in [0, pi]; a station sees a satellite up to the reach angle from
-    its sub-satellite point.
-    """
-    track = math.asin(abs(math.sin(plane.inclination_rad)))
-    return track + _reach_angle(plane, min_elevation_rad)
-
-
 def max_slant_range(plane: OrbitPlane, min_elevation_rad: float) -> float:
     """Station-satellite distance at the elevation mask, the longest a window allows."""
     r_e = CONSTANTS.earth_radius_m

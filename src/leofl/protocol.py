@@ -65,20 +65,21 @@ class SchemeSpec:
     `step(g, data_size, error, incoming, q_count) -> (message, error)` folds a
     satellite's update into the incoming message and `bits(message, size_model)`
     is what a message costs on a link; every scheme's message is a
-    `SparseGradient`. `ring` says whether the plane aggregates over the ring or
-    every satellite talks to the station; a ring scheme's `hop_bits(j,
-    size_model, q_count)` bounds the bits sent from arc position j, counted
-    from the far end, for the sink estimate, and only a ring scheme sets it.
+    `SparseGradient`. A ring scheme is one with `hop_bits(j, size_model,
+    q_count)`, which bounds the bits sent from arc position j, counted from
+    the far end, for the sink estimate; without it every satellite talks to
+    the station.
     """
 
     step: Callable
-    ring: bool
     hop_bits: Callable[[int, SizeModel, int], int] | None = None
     # looked up at call time, so rebinding it on this module reaches every round
     bits: Callable = lambda s, m: message_bits(s, m)
 
-    def __post_init__(self):  # an invariant of the table below, not input
-        assert self.ring == (self.hop_bits is not None), "hop_bits is set exactly for ring schemes"
+    @property
+    def ring(self) -> bool:
+        """Whether the plane aggregates over the ring."""
+        return self.hop_bits is not None
 
 
 # the steps look sia_step and clsia_step up at call time, so rebinding them
@@ -87,15 +88,14 @@ SCHEMES = {
     Scheme.DENSE_IA: SchemeSpec(lambda g, n, err, incoming, q: (
                                     SparseGradient(incoming.values + n * g,
                                                    np.ones(len(g), dtype=bool)), err),
-                                ring=True, hop_bits=lambda j, m, q: m.dense_bits(),
+                                hop_bits=lambda j, m, q: m.dense_bits(),
                                 bits=lambda s, m: m.dense_bits()),
     # the support grows by at most Q entries per hop
-    Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a), ring=True,
+    Scheme.SIA: SchemeSpec(lambda *a: sia_step(*a),
                            hop_bits=lambda j, m, q: min(m.dim, j * q) * m.entry_bits),
-    Scheme.CLSIA: SchemeSpec(lambda *a: clsia_step(*a), ring=True,
-                             hop_bits=lambda j, m, q: q * m.entry_bits),
+    Scheme.CLSIA: SchemeSpec(lambda *a: clsia_step(*a), hop_bits=lambda j, m, q: q * m.entry_bits),
     # each satellite sends its own Top-Q straight down: an SIA step onto nothing
-    Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a), ring=False),
+    Scheme.NO_ISL_DIRECT: SchemeSpec(lambda *a: sia_step(*a)),
 }
 
 

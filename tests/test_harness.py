@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leofl import cli, config, data, harness
 from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
@@ -36,7 +38,7 @@ from leofl.harness import (
     run_sweep,
 )
 from leofl.link import LinkParams
-from leofl.protocol import Scheme, run_global_iteration
+from leofl.protocol import NoWindowError, Scheme, run_global_iteration
 from leofl.sparsify import q_to_count
 from test_data import overstate_idx_count, write_idx_images, write_idx_labels
 
@@ -477,6 +479,63 @@ class TestOneValidation:
         assert len(checks) == 4
 
 
+@st.composite
+def fuzzed_documents(draw):
+    """A config document of up to 3 planes of 2-12 satellites at 300-20,000 km, at any
+    inclination, over a station anywhere behind a 0-89 deg mask: 5 training samples per
+    satellite, 2 rounds, any scheme. Half the masks are drawn from 80-89 deg, where a
+    satellite can miss a station that its plane's ground track passes within reach of."""
+    planes, k = draw(st.integers(1, 3)), draw(st.integers(2, 12))
+    steep = st.one_of(st.floats(0.0, 89.0), st.floats(80.0, 89.0))
+    return {"constellation": {"planes": planes, "sats_per_plane": k,
+                              "altitude_km": draw(st.floats(300.0, 20_000.0)),
+                              "inclination_deg": draw(st.floats(0.0, 180.0))},
+            "ground_station": {"latitude_deg": draw(st.floats(-90.0, 90.0)),
+                               "longitude_deg": draw(st.floats(-180.0, 180.0)),
+                               "min_elevation_deg": draw(steep)},
+            "dataset": {"train_samples": 5 * planes * k, "test_samples": 50},
+            "training": {"rounds": 2}, "scheme": draw(st.sampled_from([s.value for s in Scheme]))}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fuzzed_documents())
+def test_validate_accepts_only_documents_that_run(doc):
+    """A document is rejected with a ValidationError, or it runs its 2 iterations.
+
+    `validate` finds every satellite's first window, so no accepted run stops
+    at t = 0. A window after the first horizon can still be missing (see
+    test_a_window_after_the_first_horizon_can_be_missing): such a run stops later.
+    """
+    try:
+        cfg = config_from_dict(doc)
+    except ValidationError:
+        return
+    rows = []
+    try:
+        run_experiment(cfg, rows.append)
+    except NoWindowError as exc:
+        assert float(re.search(r"after t=(\S+)$", str(exc)).group(1)) > 0
+    else:
+        assert len(rows) == 2
+    times = [r.time_s for r in rows]
+    assert all(map(math.isfinite, times)) and times == sorted(times)
+    assert all(0 <= r.accuracy <= 1 for r in rows)
+
+
+@pytest.mark.xfail(raises=NoWindowError, strict=True,
+                   reason="validate looks up only each satellite's first window")
+def test_a_window_after_the_first_horizon_can_be_missing():
+    # satellite 0 sees the station from t = 0 to 46 s and then not for 20 days,
+    # so the second iteration, which starts at t = 43,179 s, finds no window for it
+    cfg = config_from_dict({
+        "constellation": {"planes": 1, "sats_per_plane": 2, "altitude_km": 10382.0,
+                          "inclination_deg": 33.0},
+        "ground_station": {"latitude_deg": 0.0, "longitude_deg": 0.0, "min_elevation_deg": 89.0},
+        "dataset": {"train_samples": 10, "test_samples": 50}, "training": {"rounds": 2},
+        "scheme": "NO_ISL_DIRECT"})
+    assert len(run_experiment(cfg)) == 2
+
+
 class TestExport:
     def test_csv_contents(self, tmp_path):
         cfg = with_rounds(tiny_config(), 3)
@@ -717,20 +776,19 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     @pytest.mark.parametrize("scheme", ["SIA", "NO_ISL_DIRECT"])
-    def test_run_with_a_satellite_that_never_sees_the_station_exits_2(self, tmp_path, capsys,
-                                                                      scheme):
-        # validate cannot see this without searching every plane over the horizon
+    def test_a_satellite_that_never_sees_the_station_is_rejected(self, tmp_path, capsys, scheme):
+        # the ground track passes within reach of the station, but satellite 1
+        # of plane 0 never rises 88 deg above it in the search horizon
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"ground_station": {"min_elevation_deg": 88.0},
                                         "dataset": {"train_samples": 400}}))
-        assert main(["validate", "--config", str(path)]) == EXIT_OK
         out = tmp_path / "out"
-        argv = ["run", "--rounds", "2", "--config", str(path), "--scheme", scheme, "--out", str(out)]
-        assert main(argv) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("invalid configuration:") and "no window" in err
-        assert "ground_station.min_elevation_deg" in err and "ground_station.latitude_deg" in err
-        assert err.count("\n") == 1 and not out.exists()
+        for argv in (["validate"], ["run", "--rounds", "2", "--out", str(out)]):
+            assert main(argv + ["--config", str(path), "--scheme", scheme]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("invalid configuration: ground_station.latitude_deg and "
+                                  "ground_station.min_elevation_deg: satellite 1 of plane 0 ")
+            assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("link, key", UNUSABLE_LINK)
     def test_validate_rejects_unusable_link(self, tmp_path, capsys, link, key):

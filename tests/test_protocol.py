@@ -360,11 +360,6 @@ class TestSchemeRecord:
     def test_every_scheme_has_a_record(self):
         assert set(SCHEMES) == set(Scheme)
 
-    @pytest.mark.parametrize("ring, hop_bits", [(True, None), (False, lambda j, m, q: 0)])
-    def test_hop_bits_is_set_exactly_for_ring_schemes(self, ring, hop_bits):
-        with pytest.raises(AssertionError, match="hop_bits"):
-            protocol.SchemeSpec(sparsify.sia_step, ring=ring, hop_bits=hop_bits)
-
     @pytest.mark.parametrize("scheme", [s for s in Scheme if SCHEMES[s].ring])
     def test_hop_bits_within_worst_case(self, monkeypatch, scheme):
         """Every hop sent from arc position j (1 = far end) carries at most the

@@ -36,9 +36,9 @@ from leofl.orbital import (
     VisibilityWindow,
     _gs_los_mask,
     _gs_xyz,
+    _reach_angle,
     _sat_xyz,
     _screen,
-    max_visible_latitude,
     station_distance,
     visibility_windows,
 )
@@ -564,7 +564,8 @@ GEOMETRIES = [
     (OrbitPlane(550e3, math.radians(53.0), 1.9, 22),
      GroundStation(math.radians(35.0), math.radians(139.0), math.radians(25.0))),
     (_EDGE_PLANE,
-     GroundStation(max_visible_latitude(_EDGE_PLANE, math.radians(10.0)) - math.radians(0.5),
+     GroundStation(math.asin(abs(math.sin(_EDGE_PLANE.inclination_rad)))
+                   + _reach_angle(_EDGE_PLANE, math.radians(10.0)) - math.radians(0.5),
                    math.radians(60.0), math.radians(10.0))),
     (OrbitPlane(200e3, math.radians(51.6), 0.9, 10),
      GroundStation(math.radians(28.5), math.radians(-80.6), 0.0)),
