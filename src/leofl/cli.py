@@ -165,9 +165,8 @@ def main(argv=None) -> int:
         print(f"dataset ingestion failed: {exc}", file=sys.stderr)
         return EXIT_INGESTION
     except NoWindowError as exc:
-        print(f"invalid configuration: {exc}; ground_station.min_elevation_deg and "
-              "ground_station.latitude_deg must let every satellite see the station",
-              file=sys.stderr)
+        print("invalid configuration: ground_station.latitude_deg and "
+              f"ground_station.min_elevation_deg: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -134,10 +134,10 @@ class WindowCache:
     """Lazily extended visibility windows of every satellite of a plane over a growing horizon.
 
     The plane's satellites are extended together, one `visibility_windows`
-    search per chunk for all of them; every satellite sees the same chunk
-    sequence as it would alone, so its windows do not depend on the queries.
-    The search is looked up on this module at call time, so rebinding
-    `protocol.visibility_windows` reaches every cache.
+    search per four-orbit chunk for all of them; each sees the chunks it would
+    see alone, so neither its windows nor `next_window`'s answers depend on
+    the queries. The search is looked up on this module at call time, so
+    rebinding `protocol.visibility_windows` reaches every cache.
     """
 
     HORIZON_S = 5 * 86400.0
@@ -150,32 +150,30 @@ class WindowCache:
         self._sats = np.arange(k)
         self.windows: list[list[VisibilityWindow]] = [[] for _ in range(k)]
         self._covered_to = 0.0
-        self._chunk = max(4 * plane.period_s, 3600.0)
+        self._chunk = 4 * plane.period_s
 
     def extend(self, until: float):
-        """Search on, chunk by chunk, until the windows cover [0, until]."""
+        """Search chunk by chunk until the windows cover [0, until]; only the last ones may grow."""
         while self._covered_to < until:
-            t0 = self._covered_to
-            t1 = t0 + self._chunk
-            fresh = visibility_windows(self.plane, self._sats, self.gs, t0, t1)
+            t0 = max(self._covered_to - 2 * STEP_S, 0.0)  # overlap the edge, to merge across it
+            self._covered_to = t0 + self._chunk
+            fresh = visibility_windows(self.plane, self._sats, self.gs, t0, self._covered_to)
             for existing, found in zip(self.windows, fresh):
                 for w in found:
                     if existing and w.start_s - existing[-1].end_s < self._MERGE_GAP_S:
                         existing[-1] = VisibilityWindow(existing[-1].start_s, w.end_s)
                     else:
                         existing.append(w)
-            # overlap the next chunk so windows straddling the edge are merged
-            self._covered_to = t1 - 2 * STEP_S
 
     def next_window(self, sat: int, t: float) -> VisibilityWindow:
-        """The first window that ends after t; it may already be open at t."""
+        """The first window that ends after t, if it opens by one chunk past t + HORIZON_S."""
         target = t
-        while target < t + self.HORIZON_S:
+        while target < t + self.HORIZON_S + self._chunk:
             target += self._chunk
             self.extend(target)
             windows = self.windows[sat]
             i = bisect.bisect_right(windows, t, key=attrgetter("end_s"))
-            if i < len(windows):
+            if i < len(windows) and windows[i].start_s <= target:
                 return windows[i]
         raise NoWindowError(f"satellite {sat} sees no window in the {self.HORIZON_S:g} s "
                             f"search horizon after t={t}")

@@ -790,6 +790,25 @@ class TestCli:
                                   "ground_station.min_elevation_deg: satellite 1 of plane 0 ")
             assert err.count("\n") == 1 and not out.exists()
 
+    def test_a_run_that_stops_mid_run_exits_2_naming_the_keys(self, tmp_path, capsys):
+        # test_a_window_after_the_first_horizon_can_be_missing's geometry: validate
+        # finds satellite 0's first window, but the second iteration finds none
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "constellation": {"planes": 1, "sats_per_plane": 2, "altitude_km": 10382.0,
+                              "inclination_deg": 33.0},
+            "ground_station": {"latitude_deg": 0.0, "longitude_deg": 0.0,
+                               "min_elevation_deg": 89.0},
+            "dataset": {"train_samples": 10, "test_samples": 50}, "scheme": "NO_ISL_DIRECT"}))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(path), "--rounds", "2", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ground_station.latitude_deg and "
+                              "ground_station.min_elevation_deg: satellite 0 ")
+        assert err.endswith(" after t=43179.19688953977\n") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("link, key", UNUSABLE_LINK)
     def test_validate_rejects_unusable_link(self, tmp_path, capsys, link, key):
         path = tmp_path / "cfg.yaml"
