@@ -187,12 +187,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         for sat in range(c.sats_per_plane):
             try:
                 windows.next_window(sat, 0.0)
-            except NoWindowError:
+            except NoWindowError as exc:
                 raise ValidationError(
                     f"ground_station.latitude_deg and ground_station.min_elevation_deg: satellite "
                     f"{sat} of plane {p} never rises {gs.min_elevation_deg:g} deg above a station "
-                    f"at latitude {gs.latitude_deg:g} deg in the {WindowCache.HORIZON_S:g} s "
-                    "window search horizon") from None
+                    f"at latitude {gs.latitude_deg:g} deg in a window search that reached "
+                    f"t={exc.reach_s:.0f} s") from None
     plane = planes[0]  # all planes share altitude and inclination
     ring = SCHEMES[Scheme[cfg.scheme]].ring
     if ring and not ring_neighbors_visible(plane):

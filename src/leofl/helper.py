@@ -13,13 +13,26 @@ old helper before the next fork, so at most one helper exists. The parent holds
 the set only weakly, and closes the helper when the set is freed or at
 interpreter exit (`weakref.finalize`).
 
-Per iteration the parent writes the global weights and a cleared claim byte
-per job into a shared mapping and sends one command: the hyperparameters and
-each job's row bounds in that set and rng key. The helper claims the next free
-job in index order, again and again, writes its gradient into the job's slot
-and its index to a pipe, and the job count once none is left, so the last
-index read bounds every job it has finished. It ignores SIGINT and exits on
+Per command the parent writes the global weights and a cleared claim byte per
+job into a shared mapping and sends the hyperparameters and each job's row
+bounds in that set and rng key. The helper claims the next free job in index
+order, again and again, writes its gradient into the job's slot and its index
+to a pipe, and the job count once none is left, so the last index read bounds
+every job it has finished. The parent copies each gradient the helper trained
+out of the mapping when it takes it. The helper ignores SIGINT and exits on
 EOF. While it runs, both processes run numpy's OpenBLAS on one thread.
+
+An iteration's jobs are offered twice. Once the global update exists,
+`Helper.offer` sends the next iteration's jobs (`round_n + 1`), so the helper
+trains them while the parent evaluates. The next `start` then sends nothing
+and adopts that command if it was offered and nothing adopted it yet, the
+helper is alive, the training calls are bound as at its fork, the jobs and
+hyperparameters are equal and the weights are bit-equal to the ones in the
+mapping. Otherwise it cancels the command: it sets every claim byte, so the
+helper starts none of its jobs beyond the one in flight, and waits for the
+command's end before it sends its own. A call that declines the helper cancels
+too. A run's last offer is wasted: at most one round of helper training, ended
+by the next command or when the draw is freed.
 """
 
 from __future__ import annotations
@@ -39,7 +52,8 @@ import numpy as np
 from . import learn
 from .data import Dataset
 
-_FORKS = all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity"))
+_FORKS = all(hasattr(os, name)
+             for name in ("fork", "memfd_create", "sched_getaffinity", "waitid"))
 
 
 def cpus() -> int:
@@ -96,6 +110,7 @@ class Helper:
         self._buf = None
         self._slots: list[int] = [0]  # the last command's first job of each plane, then its end
         self._reported = 0  # the last index the helper reported for the last command
+        self._offered = None  # (dim, hp, jobs) of the last command while offered and not adopted
         # one BLAS thread in each process while both train, inherited by the helper
         self._blas = _blas_threads(1)
         self.pid, opened = None, []
@@ -160,10 +175,18 @@ class Helper:
         self._buf[self._marks + job] = 1
         return free
 
+    def cancel(self):
+        """Claim every job of the last command, so the helper starts none beyond the one in
+        flight, and let no call adopt it."""
+        self._offered = None
+        if self._buf is not None:
+            self._buf[self._marks:self._marks + self._slots[-1]] = b"\1" * self._slots[-1]
+
     def send(self, w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]) -> bool:
         """Start one command: per plane, (a, b, rng key) of each satellite; False if it died."""
-        # an iteration that stopped early leaves its command running: let it end first,
-        # so nothing it claims or writes lands in this command
+        # the last command may still run (an offer, or an iteration that stopped early):
+        # cancel it and let it end first, so nothing it claims or writes lands in this command
+        self.cancel()
         if self.pid is None or not self._await(self._slots[-1]):
             return False
         dim = len(w)
@@ -177,7 +200,6 @@ class Helper:
         np.frombuffer(self._buf, count=dim)[:] = w
         self._buf[self._marks:size] = bytes(jobs)
         self._out = np.frombuffer(self._buf, offset=w.nbytes, count=jobs * dim).reshape(jobs, dim)
-        self._out.flags.writeable = False
         self._reported = -1
         data = memoryview(pickle.dumps((size, dim, hp, list(itertools.chain(*planes)))))
         try:
@@ -188,24 +210,51 @@ class Helper:
             return False
         return True
 
+    def offer(self, w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]):
+        """Send the next iteration's jobs, as `start` takes them, for its `start` to adopt."""
+        jobs = _jobs(planes)
+        if self.send(w, hp, jobs):
+            self._offered = (len(w), hp, jobs)
+
+    def adopt(self, w: np.ndarray, hp: learn.HyperParams, jobs: list[list[tuple]]) -> bool:
+        """Take the offered command as this call's, once, if it holds these very jobs."""
+        offered, self._offered = self._offered, None
+        return offered == (len(w), hp, jobs) and self.alive() \
+            and self._buf[:w.nbytes] == w.tobytes()
+
+    def alive(self) -> bool:
+        """Whether the helper has not died; a dead one is closed."""
+        with contextlib.suppress(ChildProcessError):  # reaped already, as with SIGCHLD ignored
+            if self.pid is None or not os.waitid(os.P_PID, self.pid,
+                                                 os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                return self.pid is not None
+        self.close()
+        return False
+
     def gradients(self, plane: int, train: Callable[[int], np.ndarray]) -> list[np.ndarray]:
         """Plane `plane`'s gradients in satellite order: this process trains (`train(sat)`)
-        each job the helper has not claimed, then takes the helper's as read-only views of the
-        mapping, valid until the next command, or trains them too once the helper died."""
+        each job the helper has not claimed, then copies the helper's out of the mapping, or
+        trains them too once the helper died."""
         first = self._slots[plane]
         out = [train(sat) if self._claim(first + sat) else None
                for sat in range(self._slots[plane + 1] - first)]
         for sat, gradient in enumerate(out):
             if gradient is None:
-                out[sat] = self._out[first + sat] if self._await(first + sat) else train(sat)
+                out[sat] = self._out[first + sat].copy() if self._await(first + sat) else train(sat)
         return out
 
 
 _helper: Helper | None = None  # the last helper forked, closed or not
 
 
+def _jobs(planes: list[list[tuple]]) -> list[list[tuple]]:
+    """Per plane, (a, b, rng key) of each satellite's (dataset, rng key)."""
+    return [[(*dataset.span[1:], key) for dataset, key in jobs] for jobs in planes]
+
+
 def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]) -> Helper | None:
-    """Offer one iteration's jobs to the helper, forked if its training set is new.
+    """Offer one iteration's jobs to the helper, forked if its training set is new, or adopt
+    the command `Helper.offer` sent for them.
 
     `planes` holds, per plane, (dataset, rng key) of each satellite. Returns
     None, and the parent trains every satellite itself, when this process may
@@ -216,18 +265,18 @@ def start(w: np.ndarray, hp: learn.HyperParams, planes: list[list[tuple]]) -> He
     global _helper
     spans = [dataset.span for jobs in planes for dataset, _ in jobs]
     whole = spans[0][0] if spans and spans[0] else None
-    if not _FORKS or whole is None or cpus() < 2 or whole.rows.flags.writeable \
-            or whole.labels.flags.writeable or any(not s or s[0] is not whole for s in spans):
-        return None
-    if _helper is None or _helper.whole() is not whole:
+    usable = _FORKS and whole is not None and cpus() >= 2 and not whole.rows.flags.writeable \
+        and not whole.labels.flags.writeable and all(s and s[0] is whole for s in spans)
+    if usable and (_helper is None or _helper.whole() is not whole):
         if _helper is not None:
             _helper.close()
         _helper = Helper(whole)
-    commands = [[(*dataset.span[1:], key) for dataset, key in jobs] for jobs in planes]
-    if _helper.training != (learn.sat_learn_proc, learn.local_gradient) \
-            or not _helper.send(w, hp, commands):
+    if not usable or _helper.training != (learn.sat_learn_proc, learn.local_gradient):
+        if _helper is not None:
+            _helper.cancel()
         return None
-    return _helper
+    jobs = _jobs(planes)
+    return _helper if _helper.adopt(w, hp, jobs) or _helper.send(w, hp, jobs) else None
 
 
 if _FORKS:

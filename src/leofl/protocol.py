@@ -127,7 +127,13 @@ class SatelliteNode:
 
 
 class NoWindowError(RuntimeError):
-    """A satellite sees the station in no window of the search horizon."""
+    """A satellite sees the station in no window that opens by `reach_s`, where the search
+    stopped."""
+
+    def __init__(self, sat: int, t: float, reach_s: float):
+        super().__init__(f"satellite {sat} sees no window in a search that reached "
+                         f"t={reach_s:.0f} s after t={t}")
+        self.reach_s = reach_s
 
 
 class WindowCache:
@@ -175,8 +181,7 @@ class WindowCache:
             i = bisect.bisect_right(windows, t, key=attrgetter("end_s"))
             if i < len(windows) and windows[i].start_s <= target:
                 return windows[i]
-        raise NoWindowError(f"satellite {sat} sees no window in the {self.HORIZON_S:g} s "
-                            f"search horizon after t={t}")
+        raise NoWindowError(sat, t, target)
 
 
 @dataclass
@@ -393,13 +398,17 @@ def run_global_iteration(
     take it (`helper.start`). Then, plane by plane, this process trains the jobs
     the helper has not claimed with its call (`learn.local_gradient`), waits
     for the ones it holds and runs the plane's round, while the helper claims on.
+    Once the new weights exist, the next round's jobs are offered to the helper
+    (`Helper.offer`), which trains them while this process evaluates.
     """
     # looked up at call time, so rebinding either round function on this module reaches it
     run_plane = run_round if SCHEMES[scheme].ring else run_no_isl_round
-    forked = helper.start(
-        w_global, hp,
-        [[(node.dataset, state.rng_key(sat, round_n)) for sat, node in enumerate(state.nodes)]
-         for state in planes])
+
+    def jobs(n: int) -> list[list[tuple]]:
+        return [[(node.dataset, state.rng_key(sat, n)) for sat, node in enumerate(state.nodes)]
+                for state in planes]
+
+    forked = helper.start(w_global, hp, jobs(round_n))
 
     def gradients(p: int, state: PlaneState) -> list[np.ndarray]:
         def train(sat: int) -> np.ndarray:
@@ -420,5 +429,7 @@ def run_global_iteration(
         t_end = max(t_end, pm.t_done)
     total_data = sum(node.data_size for state in planes for node in state.nodes)
     w_next = learn.global_update(w_global, total, total_data)
+    if forked:
+        forked.offer(w_next, hp, jobs(round_n + 1))
     accuracy = learn.evaluate(w_next, test_set)
     return w_next, IterationMetrics(accuracy, plane_metrics), t_end

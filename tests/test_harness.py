@@ -20,6 +20,7 @@ from leofl import cli, config, data, harness
 from leofl.cli import EXIT_INGESTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from leofl.config import (
     _SECTION_TYPES,
+    ConstellationConfig,
     ExperimentConfig,
     ValidationError,
     build_simulation,
@@ -38,6 +39,7 @@ from leofl.harness import (
     run_sweep,
 )
 from leofl.link import LinkParams
+from leofl.orbital import orbital_period
 from leofl.protocol import NoWindowError, Scheme, run_global_iteration
 from leofl.sparsify import q_to_count
 from test_data import overstate_idx_count, write_idx_images, write_idx_labels
@@ -238,6 +240,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match="window search horizon") as exc:
             config_from_dict(raw)
         assert all(f"link.{f.name}" in str(exc.value) for f in dataclasses.fields(LinkParams))
+
+    def test_a_satellite_without_a_first_window_is_rejected_naming_the_search_reach(self):
+        # satellite 1 of plane 0 never rises 88 deg above the default station; the search
+        # runs in chunks of four periods until one chunk past the 5-day horizon
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict({"ground_station": {"min_elevation_deg": 88.0}})
+        chunk = 4 * orbital_period(ConstellationConfig().altitude_km * 1e3)
+        reach = (math.ceil(432000.0 / chunk) + 1) * chunk  # 16 chunks: 5.65 days
+        assert str(exc.value) == (
+            "ground_station.latitude_deg and ground_station.min_elevation_deg: satellite 1 of "
+            "plane 0 never rises 88 deg above a station at latitude 53.08 deg in a window "
+            f"search that reached t={reach:.0f} s")
 
     @pytest.mark.parametrize("extra_rows", [1, 10**9])
     def test_datasets_must_fit_in_physical_memory(self, extra_rows):

@@ -105,11 +105,37 @@ def held(monkeypatch):
     os.close(signal_end)
 
 
-def run(scheme: str, iterations: int, seed: int = 0, between=None, splice=None):
+@pytest.fixture
+def commands(monkeypatch):
+    """In call order, ("start", n) for each `helper.start` of round n and ("send", n) for each
+    command of round n that `Helper.send` sends."""
+    events, start, send = [], helper.start, helper.Helper.send
+
+    def noted_start(w, hp, planes):
+        events.append(("start", planes[0][0][1][2]))  # of PlaneState.rng_key
+        return start(w, hp, planes)
+
+    def noted_send(self, w, hp, planes):
+        events.append(("send", planes[0][0][2][2]))
+        return send(self, w, hp, planes)
+
+    monkeypatch.setattr(helper, "start", noted_start)
+    monkeypatch.setattr(helper.Helper, "send", noted_send)
+    return events
+
+
+class Stopped(Exception):
+    pass
+
+
+def run(scheme: str, iterations: int, seed: int = 0, between=None, splice=None, inputs=None):
     """Digest lines, one per iteration, of every output a run produces: the weights,
     each plane's t_done and hop records, the accuracy and every residual.
 
-    `splice`, when given, is called with the built planes before the first iteration."""
+    `splice`, when given, is called with the built planes before the first iteration.
+    `inputs(n, w)`, when given, returns the weights and the round of iteration n > 1
+    from the weights the iteration before returned. An iteration that raises `Stopped`
+    is run again with the same inputs."""
     cfg = config_from_dict(dict(RAW, scheme=scheme, seed=seed))
     planes, hp, w, test, m = build_simulation(cfg)
     if splice is not None:
@@ -119,7 +145,15 @@ def run(scheme: str, iterations: int, seed: int = 0, between=None, splice=None):
     for n in range(1, iterations + 1):
         if between is not None and n > 1:
             between(n)
-        w, metrics, t = run_global_iteration(planes, Scheme[scheme], w, hp, t, n, q_count, test)
+        w_in, round_n = inputs(n, w) if inputs is not None and n > 1 else (w, n)
+
+        def iterate():
+            return run_global_iteration(planes, Scheme[scheme], w_in, hp, t, round_n, q_count, test)
+
+        try:
+            w, metrics, t = iterate()
+        except Stopped:
+            w, metrics, t = iterate()
         residuals = hashlib.sha256(b"".join(node.error.residual.tobytes()
                                             for state in planes for node in state.nodes))
         lines.append((hashlib.sha256(w.tobytes()).hexdigest(), t.hex(), metrics.accuracy.hex(),
@@ -128,10 +162,10 @@ def run(scheme: str, iterations: int, seed: int = 0, between=None, splice=None):
     return lines
 
 
-def one_cpu(monkeypatch, scheme: str, iterations: int, seed: int = 0, splice=None):
+def one_cpu(monkeypatch, scheme: str, iterations: int, seed: int = 0, **hooks):
     with monkeypatch.context() as m:
         m.setattr(helper, "cpus", lambda: 1)
-        return run(scheme, iterations, seed, splice=splice)
+        return run(scheme, iterations, seed, **hooks)
 
 
 @needs_fork
@@ -149,10 +183,11 @@ def test_helper_path_matches_the_one_cpu_path(monkeypatch, served, held, scheme)
 
 @needs_fork
 def test_both_processes_train_one_plane_and_its_fold_sees_satellite_order(monkeypatch, held):
-    folds, original = [], protocol.run_round
+    folds, owned, original = [], [], protocol.run_round
 
     def spied(state, scheme, gradients, *args):
         folds.append([g.tobytes() for g in gradients])
+        owned.append(all(g.flags.owndata for g in gradients))
         return original(state, scheme, gradients, *args)
 
     monkeypatch.setattr(protocol, "run_round", spied)
@@ -165,6 +200,8 @@ def test_both_processes_train_one_plane_and_its_fold_sees_satellite_order(monkey
     plane0 = {id(node.dataset) for node in built[0][0].nodes}
     assert 0 < len(plane0 & {id(dataset) for dataset in first}) < len(plane0)
     assert len(folds) == 2 * 2 and folds == expected
+    # no gradient is a view of the mapping, which the next command overwrites
+    assert all(owned)
 
 
 @needs_fork
@@ -293,6 +330,28 @@ def test_a_killed_helper_leaves_the_run_identical(monkeypatch, served):
 
 
 @needs_fork
+def test_a_helper_reaped_at_once_leaves_the_run_identical(monkeypatch, served):
+    # a draw of its own; with SIGCHLD ignored the killed helper is reaped as it dies
+    alone = one_cpu(monkeypatch, "SIA", 2, seed=35)
+
+    def kill(n):
+        pid = helper._helper.pid
+        os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ProcessLookupError):
+            while True:
+                os.kill(pid, 0)
+                time.sleep(0.01)
+
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert run("SIA", 2, seed=35, between=kill) == alone
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert served == [False] * 2 + [True, False]
+    assert helper._helper.pid is None
+
+
+@needs_fork
 @pytest.mark.parametrize("name", ["sat_learn_proc", "local_gradient"])
 def test_a_rebound_training_function_reaches_every_satellite(monkeypatch, served, name):
     calls = []
@@ -338,10 +397,6 @@ def test_a_helper_that_dies_mid_iteration_leaves_the_run_identical(monkeypatch, 
     assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
-class Stopped(Exception):
-    pass
-
-
 @needs_fork
 def test_a_command_an_early_stop_left_running_ends_before_the_next(monkeypatch, held):
     """An iteration that raised in its first round leaves the helper training its
@@ -365,6 +420,143 @@ def test_a_command_an_early_stop_left_running_ends_before_the_next(monkeypatch, 
             run_global_iteration(planes, Scheme.SIA, w1, hp, t, 2, q_count, test)
 
     assert run("SIA", 3, seed=26, splice=stop_early) == alone
+
+
+@needs_fork
+def test_every_iteration_after_the_first_adopts_the_command_offered_for_it(monkeypatch, served,
+                                                                           commands):
+    # a draw of its own, so no earlier test's helper or offer is in play
+    alone = one_cpu(monkeypatch, "SIA", 3, seed=30)
+    commands.clear()
+    assert run("SIA", 3, seed=30) == alone
+    # one command per iteration, sent by the iteration before once its weights exist,
+    # and the last one wasted
+    assert commands == [("start", 1), ("send", 1), ("send", 2), ("start", 2), ("send", 3),
+                        ("start", 3), ("send", 4)]
+    assert served == [False] * 3 + [True] * 3
+
+
+def flipped(index: int, bit: int):
+    """`inputs` for `run`: the returned weights, with one bit of one entry flipped."""
+    def inputs(n, w):
+        w = w.copy()
+        w.view(np.uint64)[index] ^= np.uint64(bit)
+        return w, n
+
+    return inputs
+
+
+# each iteration sends its command anew, then offers the next
+SENT_ANEW = [("start", 1), ("send", 1), ("send", 2), ("start", 2), ("send", 2), ("send", 3),
+             ("start", 3), ("send", 3), ("send", 4)]
+
+
+@needs_fork
+@pytest.mark.parametrize("inputs, expected", [
+    pytest.param(flipped(0, 1 << 63), SENT_ANEW, id="plus-zero-to-minus-zero"),
+    pytest.param(flipped(1, 1), SENT_ANEW, id="lowest-bit"),
+    # round 1 again is sent anew; round 2 after it adopts the command offered for it
+    pytest.param(lambda n, w: (w, n - 1), [("start", 1), ("send", 1), ("send", 2), ("start", 1),
+                                           ("send", 1), ("send", 2), ("start", 2), ("send", 3)],
+                 id="repeated-round")])
+def test_weights_or_a_round_other_than_the_offered_ones_are_sent_anew(monkeypatch, served,
+                                                                       commands, inputs,
+                                                                       expected):
+    update = learn.global_update
+
+    def first_entry_zero(*args):  # so that a sign flip turns +0.0 into -0.0
+        w = update(*args)
+        w[0] = 0.0
+        return w
+
+    monkeypatch.setattr(learn, "global_update", first_entry_zero)
+    alone = one_cpu(monkeypatch, "SIA", 3, seed=31, inputs=inputs)
+    commands.clear()
+    assert run("SIA", 3, seed=31, inputs=inputs) == alone
+    assert commands == expected
+    assert served == [False] * 3 + [True] * 3
+
+
+@needs_fork
+def test_an_adopted_command_a_stopped_iteration_used_is_not_adopted_again(monkeypatch, served,
+                                                                          commands):
+    armed, original = [False], protocol.run_round
+
+    def stops_once(*args):
+        if armed[0]:
+            armed[0] = False
+            raise Stopped
+        return original(*args)
+
+    def arm(n):  # iteration 2 stops in its first round
+        armed[0] = n == 2
+
+    monkeypatch.setattr(protocol, "run_round", stops_once)
+    alone = one_cpu(monkeypatch, "SIA", 3, seed=32, between=arm)
+    commands.clear()
+    assert run("SIA", 3, seed=32, between=arm) == alone
+    # iteration 2 adopts, stops in its first round and, run again, sends its command anew
+    assert commands == [("start", 1), ("send", 1), ("send", 2), ("start", 2), ("start", 2),
+                        ("send", 2), ("send", 3), ("start", 3), ("send", 4)]
+    assert served == [False] * 4 + [True] * 4
+
+
+@needs_fork
+@pytest.mark.parametrize("decline", ["one CPU", "rebound training"])
+def test_a_call_that_declines_the_helper_cancels_the_offered_command(monkeypatch, served, held,
+                                                                     decline):
+    """Iteration 2 trains in this process; the helper, which sleeps in each job, starts no
+    job of the offered round 2 after that call but the one it was in."""
+    seed = 33 if decline == "one CPU" else 34  # a draw of its own: the helper is forked held
+    alone = one_cpu(monkeypatch, "SIA", 3, seed=seed)
+    pause = 0.05
+    held(pause)
+    started, started_end = os.pipe()
+    parent, signalling = os.getpid(), learn.sat_learn_proc
+
+    def noted(w, dataset, hp, rng):  # the round of each job the helper starts
+        if os.getpid() != parent:
+            os.write(started_end, rng.bit_generator.seed_seq.entropy[2].to_bytes(4, sys.byteorder))
+        return signalling(w, dataset, hp, rng)
+
+    monkeypatch.setattr(learn, "sat_learn_proc", noted)
+
+    def round_2_jobs() -> int:
+        """The helper's round 2 jobs started since the last call."""
+        count = 0
+        while select.select([started], [], [], 0)[0]:
+            count += int.from_bytes(os.read(started, 4), sys.byteorder) == 2
+        return count
+
+    start, counts = helper.start, []  # by the declining call's return, and after it
+
+    def declined(w, hp, planes):
+        out = start(w, hp, planes)
+        if planes[0][0][1][2] == 2:
+            counts.append(round_2_jobs())
+        return out
+
+    cpus, local_gradient = helper.cpus, learn.local_gradient
+
+    def between(n):
+        if n == 2 and decline == "one CPU":
+            monkeypatch.setattr(helper, "cpus", lambda: 1)
+        elif n == 2:
+            monkeypatch.setattr(learn, "local_gradient", lambda *args: local_gradient(*args))
+        else:
+            monkeypatch.setattr(helper, "cpus", cpus)
+            time.sleep(6 * pause)  # time for six more jobs, had the command run on
+            counts.append(round_2_jobs())
+
+    monkeypatch.setattr(helper, "start", declined)
+    try:
+        assert run("SIA", 3, seed=seed, between=between) == alone
+    finally:
+        os.close(started)
+        os.close(started_end)
+    assert served == [False] * 3 + ([True, False, True] if decline == "one CPU" else
+                                    [True, False, False])
+    assert counts[1] <= 1  # the job in flight at the cancel, if its signal came late
 
 
 @needs_fork

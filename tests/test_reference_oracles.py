@@ -838,6 +838,29 @@ class TestWindowCache:
             assert got.start_s == want.start_s
             assert got == want if not last else got.end_s >= want.end_s
 
+    def test_no_window_names_where_the_search_stopped(self, monkeypatch):
+        # the geometry of test_harness's strict xfail: after t = 100 s satellite 0 sees
+        # the station again only on day 48.37, beyond the search
+        plane = OrbitPlane(10382e3, math.radians(33.0), 0.0, 2)
+        gs = GroundStation(0.0, 0.0, math.radians(89.0))
+        ends = []
+
+        def recorded(plane, sat_index, gs, t_start, t_end):
+            ends.append(t_end)
+            return visibility_windows(plane, sat_index, gs, t_start, t_end)
+
+        monkeypatch.setattr(protocol, "visibility_windows", recorded)
+        with pytest.raises(NoWindowError) as exc:
+            WindowCache(plane, gs).next_window(0, 100.0)
+        # chunks of four periods from t until one chunk past the 5-day horizon: 7.0 days here
+        chunk = 4 * plane.period_s
+        reach = 100.0 + (math.ceil(WindowCache.HORIZON_S / chunk) + 1) * chunk
+        assert exc.value.reach_s == pytest.approx(reach)
+        assert reach - 100.0 >= WindowCache.HORIZON_S + chunk
+        assert ends[-1] - chunk < exc.value.reach_s <= ends[-1]  # in the last chunk searched
+        assert str(exc.value) == (f"satellite 0 sees no window in a search that reached "
+                                  f"t={reach:.0f} s after t=100.0")
+
     def test_one_search_per_chunk_for_the_whole_plane(self, monkeypatch):
         plane, gs = GEOMETRIES[0]
         calls = []
