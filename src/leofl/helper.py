@@ -26,13 +26,18 @@ An iteration's jobs are offered twice. Once the global update exists,
 `Helper.offer` sends the next iteration's jobs (`round_n + 1`), so the helper
 trains them while the parent evaluates. The next `start` then sends nothing
 and adopts that command if it was offered and nothing adopted it yet, the
-helper is alive, the training calls are bound as at its fork, the jobs and
-hyperparameters are equal and the weights are bit-equal to the ones in the
-mapping. Otherwise it cancels the command: it sets every claim byte, so the
-helper starts none of its jobs beyond the one in flight, and waits for the
-command's end before it sends its own. A call that declines the helper cancels
-too. A run's last offer is wasted: at most one round of helper training, ended
-by the next command or when the draw is freed.
+training calls are bound as at its fork, the jobs and hyperparameters are
+equal and the weights are bit-equal to the ones in the mapping. Otherwise it
+cancels the command: it sets every claim byte, so the helper starts none of
+its jobs beyond the one in flight, and waits for the command's end before it
+sends its own. A call that declines the helper cancels too. A run's last offer
+is wasted: at most one round of helper training, ended by the next command or
+when the draw is freed.
+
+A helper that died, before an adoption or within an iteration, is found by its
+pipes: the parent's next report read meets EOF (`_await`), or, once the helper
+had reported its command's end, the next command's write fails. The parent
+closes it and trains every job the helper has not reported.
 """
 
 from __future__ import annotations
@@ -52,8 +57,7 @@ import numpy as np
 from . import learn
 from .data import Dataset
 
-_FORKS = all(hasattr(os, name)
-             for name in ("fork", "memfd_create", "sched_getaffinity", "waitid"))
+_FORKS = all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity"))
 
 
 def cpus() -> int:
@@ -137,11 +141,12 @@ class Helper:
         weakref.finalize(whole, self.close)
 
     def release(self) -> int | None:
-        """Close this process's ends of the helper's pipes and mapping; returns the pid it had.
+        """Close this process's ends of the helper's pipes and mapping and drop the offer, which
+        no call may adopt without the mapping; returns the pid it had.
 
         A child forked later calls only this: the helper is its parent's to reap.
         """
-        pid, self.pid, self._buf, self._out = self.pid, None, None, None
+        pid, self.pid, self._buf, self._out, self._offered = self.pid, None, None, None, None
         if pid is not None:
             for fd in (self._commands, self._finished, self._shared):
                 os.close(fd)
@@ -219,17 +224,7 @@ class Helper:
     def adopt(self, w: np.ndarray, hp: learn.HyperParams, jobs: list[list[tuple]]) -> bool:
         """Take the offered command as this call's, once, if it holds these very jobs."""
         offered, self._offered = self._offered, None
-        return offered == (len(w), hp, jobs) and self.alive() \
-            and self._buf[:w.nbytes] == w.tobytes()
-
-    def alive(self) -> bool:
-        """Whether the helper has not died; a dead one is closed."""
-        with contextlib.suppress(ChildProcessError):  # reaped already, as with SIGCHLD ignored
-            if self.pid is None or not os.waitid(os.P_PID, self.pid,
-                                                 os.WEXITED | os.WNOHANG | os.WNOWAIT):
-                return self.pid is not None
-        self.close()
-        return False
+        return offered == (len(w), hp, jobs) and self._buf[:w.nbytes] == w.tobytes()
 
     def gradients(self, plane: int, train: Callable[[int], np.ndarray]) -> list[np.ndarray]:
         """Plane `plane`'s gradients in satellite order: this process trains (`train(sat)`)

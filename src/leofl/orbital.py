@@ -72,7 +72,9 @@ def _plane_basis(plane: OrbitPlane) -> tuple[tuple[float, ...], tuple[float, ...
 # The geometry below works on columns: x, y and z are separate arrays. A sum
 # over three components is written (x + y) + z, which is the order numpy's
 # reduction over a length-3 axis uses, so a column result equals the row form
-# np.sum(..., axis=-1) bit for bit at a fraction of its per-call cost.
+# np.sum(..., axis=-1) bit for bit at a fraction of its per-call cost. Line of
+# sight is one such sum, the station-satellite dot product, against the cosine
+# of the central angle `_reach_angle` allows.
 
 def _sat_xyz(plane: OrbitPlane, sat_index, time_s) -> tuple[np.ndarray, ...]:
     """ECI x, y, z of satellites; sat_index (int or array) broadcasts against time_s."""
@@ -103,16 +105,6 @@ def station_distance(plane: OrbitPlane, sat_index: int, gs: GroundStation, time_
                                             _gs_xyz(gs, time_s))))
 
 
-def _elevation_ok(sat: tuple, station: tuple, min_elevation_rad) -> np.ndarray:
-    """Whether each satellite is at or above the mask; sat and station are (x, y, z) columns."""
-    (sx, sy, sz), (gx, gy, gz) = sat, station
-    rx, ry, rz = sx - gx, sy - gy, sz - gz
-    rng = np.sqrt(rx * rx + ry * ry + rz * rz)
-    norm = np.sqrt(gx * gx + gy * gy + gz * gz)
-    sin_el = (rx * (gx / norm) + ry * (gy / norm) + rz * (gz / norm)) / rng
-    return np.arcsin(np.clip(sin_el, -1.0, 1.0)) >= min_elevation_rad
-
-
 def _reach_angle(plane: OrbitPlane, min_elevation_rad: float) -> float:
     """Earth-central angle between station and satellite at which the elevation is the mask eps.
 
@@ -130,10 +122,16 @@ def max_slant_range(plane: OrbitPlane, min_elevation_rad: float) -> float:
             - r_e * math.sin(min_elevation_rad))
 
 
+def _cos_angle(plane: OrbitPlane, sat_index, gs: GroundStation, times: np.ndarray) -> np.ndarray:
+    """Cosine of the central angle to the station, times both radii; sat_index broadcasts."""
+    (sx, sy, sz), (gx, gy, gz) = _sat_xyz(plane, sat_index, times), _gs_xyz(gs, times)
+    return sx * gx + sy * gy + sz * gz
+
+
 def _gs_los_mask(plane: OrbitPlane, sat_index, gs: GroundStation, times: np.ndarray) -> np.ndarray:
-    """LOS of satellite(s) sat_index at times; an index array pairs element-wise with times."""
-    return _elevation_ok(_sat_xyz(plane, sat_index, times), _gs_xyz(gs, times),
-                         gs.min_elevation_rad)
+    """LOS of satellite(s) sat_index at times: the central angle is within the reach angle."""
+    bound = math.cos(_reach_angle(plane, gs.min_elevation_rad)) * plane.radius_m
+    return _cos_angle(plane, sat_index, gs, times) >= bound * CONSTANTS.earth_radius_m
 
 
 # visibility is sampled every STEP_S seconds and each LOS transition is then
@@ -161,9 +159,7 @@ def _screen(plane: OrbitPlane, sats: np.ndarray, gs: GroundStation,
     margin = rate * (SCREEN_STRIDE * STEP_S) + _SCREEN_SLACK_RAD
     reach = _reach_angle(plane, gs.min_elevation_rad)
     screened = np.append(np.arange(0, max(len(times) - 1, 1), SCREEN_STRIDE), len(times) - 1)
-    sx, sy, sz = _sat_xyz(plane, sats[:, None], times[screened])
-    gx, gy, gz = _gs_xyz(gs, times[screened])
-    cos_angle = sx * gx + sy * gy + sz * gz  # the cosine times both radii
+    cos_angle = _cos_angle(plane, sats[:, None], gs, times[screened])
     scale = plane.radius_m * CONSTANTS.earth_radius_m
     far = cos_angle < math.cos(reach + margin) * scale
     # when reach <= m no sample is certainly lit

@@ -46,7 +46,8 @@ def deadline():
 
 @pytest.fixture
 def served(monkeypatch):
-    """One entry per iteration: whether `helper.start` offered its jobs to a live helper."""
+    """One entry per iteration: whether `helper.start` sent its jobs to the helper or adopted
+    the offered command, the helper alive or dead; a dead one is found at its report pipe."""
     iterations = []
     original = helper.start
 
@@ -322,8 +323,9 @@ def test_a_killed_helper_leaves_the_run_identical(monkeypatch, served):
             os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, and left to reap
 
     assert run("SIA", 3, seed=21, between=kill) == alone
-    # served in iteration 1 only; the dead helper was reaped and not forked again
-    assert served == [False] * 3 + [True, False, False]
+    # served in iteration 1, and in iteration 2 by the offer the dead helper had taken;
+    # the dead helper was reaped and not forked again
+    assert served == [False] * 3 + [True, True, False]
     assert helper._helper.pid is None
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
@@ -347,7 +349,7 @@ def test_a_helper_reaped_at_once_leaves_the_run_identical(monkeypatch, served):
         assert run("SIA", 2, seed=35, between=kill) == alone
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert served == [False] * 2 + [True, False]
+    assert served == [False] * 2 + [True, True]
     assert helper._helper.pid is None
 
 
@@ -602,6 +604,32 @@ def test_a_new_draw_reaps_the_old_helper_first():
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
     os.kill(pids[1], 0)  # the one helper left
+
+
+@needs_fork
+def test_a_child_forked_after_an_offer_trains_the_offered_round_itself(monkeypatch):
+    """A child forked between iterations releases the parent's helper, and its offer with
+    it: the child's next iteration trains every satellite itself, with the same outputs."""
+    alone = one_cpu(monkeypatch, "SIA", 2, seed=26)
+    pipe, child = [], []
+
+    def fork(n):
+        pipe.extend(os.pipe())  # after the helper's fork, so only the child holds its end
+        child.append(os.fork())
+
+    try:
+        lines = run("SIA", 2, seed=26, between=fork)
+        if child == [0]:
+            os.write(pipe[1], b"1" if lines == alone and helper._helper.pid is None else b"0")
+    finally:
+        if child == [0]:
+            os._exit(0)
+        os.close(pipe[1])
+    assert lines == alone
+    assert os.waitpid(child[0], 0)[1] == 0
+    with os.fdopen(pipe[0], "rb") as result:
+        assert result.read() == b"1"
+    assert helper._helper.pid is not None  # the parent's helper still serves
 
 
 @needs_fork

@@ -670,6 +670,19 @@ def test_column_los_mask_is_the_row_mask(geometry):
     assert np.array_equal(_gs_los_mask(plane, sats, gs, times), want)
 
 
+@st.composite
+def random_geometry(draw):
+    """One plane of 2-12 satellites at 300-20,000 km, any inclination and RAAN, and a
+    station anywhere behind a 0-89 deg mask, half the masks at 80-89 deg, where passes
+    graze the mask."""
+    plane = OrbitPlane(draw(st.floats(300e3, 20_000e3)), math.radians(draw(st.floats(0.0, 180.0))),
+                       math.radians(draw(st.floats(0.0, 360.0))), draw(st.integers(2, 12)))
+    mask = draw(st.one_of(st.floats(0.0, 89.0), st.floats(80.0, 89.0)))
+    gs = GroundStation(math.radians(draw(st.floats(-90.0, 90.0))),
+                       math.radians(draw(st.floats(-180.0, 180.0))), math.radians(mask))
+    return plane, gs
+
+
 class TestWindowsAgainstReference:
     @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
     def test_ten_days_identical(self, geometry):
@@ -695,6 +708,16 @@ class TestWindowsAgainstReference:
         want = [reference_visibility_windows(plane, sat, gs, t_start, t_end) for sat in sats]
         assert visibility_windows(plane, np.array(sats), gs, t_start, t_end) == want
         assert visibility_windows(plane, sats[0], gs, t_start, t_end) == want[0]
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(random_geometry(), st.integers(0, 11), st.floats(0.0, 30 * 86400.0))
+    def test_random_geometry_one_chunk_identical(self, geometry, pick, t_start):
+        """Line of sight is the central angle within the reach angle; the reference tests
+        the elevation itself. One satellite over one of `WindowCache`'s four-orbit chunks."""
+        plane, gs = geometry
+        sat, t_end = pick % plane.num_sats, t_start + 4 * plane.period_s
+        assert (visibility_windows(plane, sat, gs, t_start, t_end)
+                == reference_visibility_windows(plane, sat, gs, t_start, t_end))
 
     @pytest.mark.parametrize("geometry", range(len(GEOMETRIES)))
     def test_screened_mask_is_the_full_mask_over_ten_days(self, geometry):

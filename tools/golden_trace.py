@@ -51,6 +51,8 @@ FAMILIES = [
     ("k7-retrograde", {"constellation": {"sats_per_plane": 7, "inclination_deg": 150.0}}, 4),
     # q_count == n_d: Top-Q keeps every non-zero entry
     ("default-q1", {"q": 1.0}, 3),
+    # short passes, each peaking at most 15 deg above the mask
+    ("mask75", {"ground_station": {"min_elevation_deg": 75.0}}, 4),
 ]
 
 
